@@ -52,7 +52,6 @@ from .fitting import (
     fit_dirichlet_moments,
     fit_hybrid,
     fit_truncated_gaussian,
-    objective_value,
     solve,
 )
 from .io import load_synthetic_counts, read_counts_csv, read_proportions_csv
@@ -122,7 +121,6 @@ __all__ = [
     "load_synthetic_counts",
     "marginal_report",
     "names",
-    "objective_value",
     "read_counts_csv",
     "read_proportions_csv",
     "round_to_grid",

@@ -9,9 +9,22 @@ in index-map order) minimizes
 where W is a weighted Gram matrix of projected sufficient-statistic
 gradients and d collects three linear terms: a Laplacian term, a term
 from the derivative of the weight (only where the cap does not bind),
-and a shape-coupling term from the fixed exponents. Everything is
-assembled in one blocked pass over the data with compensated block
-summation, so results are bit-reproducible for a given block size.
+and a shape-coupling term from the fixed exponents.
+
+No projected gradient is ever formed. Every statistic's ambient
+gradient mu_i has at most two nonzero coordinates, mu_ic = z_c G_ic with
+G_ic a constant or 4 u_l, and two identities on the unit sphere reduce
+everything to that sparse table and the radial components nu_i = z'mu_i:
+
+- Gram: (P mu_i)'(P mu_j) = mu_i'mu_j - nu_i nu_j, with P = I - z z'.
+  So W is a sum of third moments of u gathered through the table, minus
+  one GEMM of the h * nu features.
+- Residual: z'(sum_j theta_j P mu_j) = 0, so the covariance residual
+  h^2 (P mu_i)'(sum_j theta_j P mu_j) is h^2 (mu_i'm - nu_i nu'theta)
+  with m = sum_j theta_j mu_j, a gather of O(q) work per row.
+
+W, d, V and the plug-in covariance are assembled from the same per-row
+features in blocks of rows; W and Sigma_0 are symmetrized explicitly.
 
 The same machinery covers the Dirichlet family, whose sufficient
 statistics are logarithms; cancellation of the weight against 1/u leaves
@@ -29,7 +42,7 @@ from .errors import (
     SingularSystemError,
     UnidentifiableCategoryError,
 )
-from .weights import WeightSpec
+from .weights import WeightSpec, squared_weight
 
 __all__ = [
     "GradientTable",
@@ -37,13 +50,8 @@ __all__ = [
     "FitResult",
     "gradient_table",
     "build_workspace",
-    "gram_matrix",
-    "laplacian_term",
-    "weight_gradient_term",
-    "shape_coupling",
     "solve",
     "standard_errors",
-    "objective_value",
     "fit_hybrid",
     "fit_truncated_gaussian",
     "fit_dirichlet",
@@ -51,23 +59,14 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 8192
+# Per-row features held at once: a block has at most this many rows x q.
+BLOCK_ENTRIES = 1 << 21
+
+_hsq = squared_weight
 
 
-class _Kahan:
-    """Compensated accumulator for block sums."""
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, value):
-        y = value - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
-
-def _blocks(n, size=BLOCK_ROWS):
+def _blocks(n, q):
+    size = min(BLOCK_ROWS, max(1, BLOCK_ENTRIES // q))
     for start in range(0, n, size):
         yield start, min(start + size, n)
 
@@ -76,28 +75,30 @@ def _blocks(n, size=BLOCK_ROWS):
 # per-block statistic tables
 
 
+def _nu_values(u, imap):
+    """Radial components nu_i = z' mu_i of every statistic's gradient."""
+    ud = u[:, : imap.n_diag]
+    return np.concatenate(
+        [4.0 * ud * ud, 8.0 * u[:, imap.cross_j] * u[:, imap.cross_k], 2.0 * ud],
+        axis=1,
+    )
+
+
 def _mu_nu(z, u, imap):
-    """Gradient rows mu_i and radial components nu_i = z' mu_i for every
-    sufficient statistic, for a block of observations."""
+    """Dense gradient rows mu_i and radial components nu_i for every
+    sufficient statistic, for a block of observations (inspection and
+    tests; the assembly uses the sparse layout)."""
     nb = z.shape[0]
     k = imap.n_diag
     m = np.zeros((nb, imap.q, imap.p))
     rows_d = np.arange(k)
     rows_c = np.arange(k, k + imap.n_cross)
     rows_l = np.arange(k + imap.n_cross, imap.q)
-
-    ud = u[:, :k]
-    m[:, rows_d, imap.diag_levels] = 4.0 * z[:, :k] * ud
-    uj = u[:, imap.cross_j]
-    uk = u[:, imap.cross_k]
-    m[:, rows_c, imap.cross_j] = 4.0 * z[:, imap.cross_j] * uk
-    m[:, rows_c, imap.cross_k] = 4.0 * uj * z[:, imap.cross_k]
+    m[:, rows_d, imap.diag_levels] = 4.0 * z[:, :k] * u[:, :k]
+    m[:, rows_c, imap.cross_j] = 4.0 * z[:, imap.cross_j] * u[:, imap.cross_k]
+    m[:, rows_c, imap.cross_k] = 4.0 * u[:, imap.cross_j] * z[:, imap.cross_k]
     m[:, rows_l, imap.linear_levels] = 2.0 * z[:, :k]
-
-    nu = np.concatenate(
-        [4.0 * ud * ud, 8.0 * uj * uk, 2.0 * ud], axis=1
-    )
-    return m, nu
+    return m, _nu_values(u, imap)
 
 
 def _laplacian_values(u, imap):
@@ -118,87 +119,79 @@ def _laplacian_values(u, imap):
     )
 
 
-def _wgrad_product_values(u, imap):
-    """Per-observation weight-derivative integrand for product-kind
-    weights, before the -2 * indicator * h^2 factor."""
-    p = imap.p
-    ud = u[:, : imap.n_diag]
-    uj = u[:, imap.cross_j]
-    uk = u[:, imap.cross_k]
-    return np.concatenate(
-        [
-            4.0 * ud * (1.0 - p * ud),
-            4.0 * uj + 4.0 * uk - 8.0 * p * uj * uk,
-            2.0 * (1.0 - p * ud),
-        ],
-        axis=1,
-    )
+@dataclass(frozen=True)
+class _Layout:
+    """Sparse form of G_ic = mu_ic / z_c for p categories.
 
-
-def _wgrad_min_values(u, imap, cap_sq):
-    """Per-observation weight-derivative integrand for min-kind weights.
-
-    The weight's gradient lives on the argmin coordinate only, so each
-    statistic takes one of two values depending on whether the argmin
-    hits its own level; rows where the cap binds contribute zero.
-    Ties take the lowest index.
+    Statistic i has two slots s: coordinate coord[i, s] carries the value
+    coef[i, s] * u_ext[partner[i, s]], with u_ext = (u_1 .. u_{p-1}, 1).
+    Diagonal and linear statistics leave slot 1 at coefficient 0. No
+    statistic touches coordinate p.
     """
-    nb = u.shape[0]
-    amin = np.argmin(u, axis=1)
-    ua = u[np.arange(nb), amin]
-    smooth = ua < cap_sq
 
-    ud = u[:, : imap.n_diag]
-    lev = imap.diag_levels[None, :]
-    a_col = amin[:, None]
-    ua_col = ua[:, None]
-
-    quart = np.where(
-        lev == a_col, 8.0 * ud * ud * (1.0 - ud), -8.0 * ud * ud * ua_col
-    )
-    uj = u[:, imap.cross_j]
-    uk = u[:, imap.cross_k]
-    cross = -16.0 * ua_col * uj * uk
-    cross = np.where(imap.cross_j[None, :] == a_col, 8.0 * uj * uk - 16.0 * uj * uj * uk, cross)
-    cross = np.where(imap.cross_k[None, :] == a_col, 8.0 * uj * uk - 16.0 * uj * uk * uk, cross)
-    quad = np.where(lev == a_col, 4.0 * ud * (1.0 - ud), -4.0 * ud * ua_col)
-
-    vals = np.concatenate([quart, cross, quad], axis=1)
-    vals[~smooth] = 0.0
-    return vals
+    coord: np.ndarray
+    partner: np.ndarray
+    coef: np.ndarray
 
 
-def _shape_gram_values(u, imap):
-    """G with G[b, i, c] = mu_i' (log-statistic gradient of category c)
-    for a block, after cancelling the 1/z singularity."""
-    nb = u.shape[0]
-    k = imap.n_diag
-    g = np.zeros((nb, imap.q, imap.p))
-    rows_d = np.arange(k)
-    rows_c = np.arange(k, k + imap.n_cross)
-    rows_l = np.arange(k + imap.n_cross, imap.q)
-    g[:, rows_d, imap.diag_levels] = 4.0 * u[:, :k]
-    g[:, rows_c, imap.cross_j] = 4.0 * u[:, imap.cross_k]
-    g[:, rows_c, imap.cross_k] = 4.0 * u[:, imap.cross_j]
-    g[:, rows_l, imap.linear_levels] = 2.0
-    return g
+def _layout(p):
+    # about 11 us to build; a cache per p saves nothing measurable
+    imap = index_map(p)
+    k = p - 1
+    coord = np.zeros((imap.q, 2), dtype=np.intp)
+    partner = np.full((imap.q, 2), k, dtype=np.intp)
+    coef = np.zeros((imap.q, 2))
+    d, c, l = imap.diag_slice, imap.cross_slice, imap.linear_slice
+    coord[d, 0] = partner[d, 0] = imap.diag_levels
+    coef[d, 0] = 4.0
+    coord[c, 0] = partner[c, 1] = imap.cross_j
+    coord[c, 1] = partner[c, 0] = imap.cross_k
+    coef[c] = 4.0
+    coord[l, 0] = imap.linear_levels
+    coef[l, 0] = 2.0
+    return _Layout(coord, partner, coef)
 
 
-def _hsq(u, weight):
-    cap = weight.a_c * weight.a_c
+def _g_apply(u_ext, w, lay):
+    """Rows of sum_c G_ic w_c for per-row coordinate vectors w (nb, p-1)."""
+    return (lay.coef * u_ext[:, lay.partner] * w[:, lay.coord]).sum(axis=2)
+
+
+def _weight_direction(u, hsq, weight):
+    """omega, kappa with grad h^2 . mu_i = 2 h^2 (G omega)_i and
+    z . grad h^2 = 2 kappa h^2, both zero where the cap binds.
+
+    Product kinds: grad h^2 = 2 h^2 / z_j on every coordinate, so omega
+    is all ones and kappa = p. Min kinds: grad h^2 = 2 z_a e_a on the
+    argmin a (ties take the lowest index), so omega = e_a and kappa = 1.
+    """
+    nb, p = u.shape
+    smooth = (hsq < weight.a_c * weight.a_c).astype(float)
     if weight.product_family:
-        return np.minimum(u.prod(axis=1), cap)
-    return np.minimum(u.min(axis=1), cap)
+        return np.repeat(smooth[:, None], p - 1, axis=1), p * smooth
+    omega = np.zeros((nb, p))
+    omega[np.arange(nb), np.argmin(u, axis=1)] = smooth
+    return omega[:, :-1], smooth
+
+
+def _wgrad_rows(hsq, nu, u_ext, omega, kappa, lay):
+    return -2.0 * hsq[:, None] * (_g_apply(u_ext, omega, lay) - kappa[:, None] * nu)
+
+
+def _row_features(u, weight, imap):
+    """The per-row features W, d, V and Sigma_0 are built from, for a
+    block of squared coordinates u = z * z."""
+    hsq = _hsq(u, weight)
+    omega, kappa = _weight_direction(u, hsq, weight)
+    u_ext = np.concatenate([u[:, :-1], np.ones((u.shape[0], 1))], axis=1)
+    return u_ext, hsq, _nu_values(u, imap), _laplacian_values(u, imap), omega, kappa
 
 
 def _wgrad_obs(u, imap, weight):
-    """Per-observation weight-derivative term (block), signs included."""
-    cap = weight.a_c * weight.a_c
-    if weight.product_family:
-        raw = u.prod(axis=1)
-        factor = np.where(raw < cap, raw, 0.0)
-        return -2.0 * factor[:, None] * _wgrad_product_values(u, imap)
-    return -_wgrad_min_values(u, imap, cap)
+    """Per-observation weight-derivative term (block), signs included:
+    -grad h^2 . (P mu_i)."""
+    u_ext, hsq, nu, _, omega, kappa = _row_features(u, weight, imap)
+    return _wgrad_rows(hsq, nu, u_ext, omega, kappa, _layout(imap.p))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +274,37 @@ class EstimatorWorkspace:
         return 0.5 * theta @ self.gram @ theta - theta @ self.linear_term
 
 
+def _gram_mu(third, lay):
+    """sum over rows of h^2 mu_i'mu_j from the third moments
+    third[c, r, t] = sum h^2 u_c u_ext_r u_ext_t: mu_i'mu_j adds
+    u_c G_ic G_jc over the coordinates c both statistics touch."""
+    out = 0.0
+    for s in range(2):
+        for t in range(2):
+            cs, ct = lay.coord[:, s], lay.coord[:, t]
+            vals = third[cs[:, None], lay.partner[:, s][:, None], lay.partner[:, t][None, :]]
+            coef = lay.coef[:, s][:, None] * lay.coef[:, t][None, :]
+            out = out + np.where(cs[:, None] == ct[None, :], coef * vals, 0.0)
+    return out
+
+
+def _g_sum(s_ext, lay, p):
+    """(q, p) matrix sum over rows of h^2 G_ic, from s_ext = sum h^2 u_ext."""
+    g = np.zeros((lay.coef.shape[0], p))
+    rows = np.arange(g.shape[0])[:, None]
+    np.add.at(g, (rows, lay.coord), lay.coef * s_ext[lay.partner])
+    return g
+
+
+def _symmetric(mat):
+    return 0.5 * (mat + mat.T)
+
+
 def build_workspace(z, weight, shape=None, imap=None):
-    """One blocked pass over transformed rows z -> EstimatorWorkspace."""
+    """One blocked pass over transformed rows z -> EstimatorWorkspace.
+
+    Rows of z must lie on the unit sphere (as sqrt_transform makes them).
+    """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise DataError("z must be a 2-d array of transformed rows")
@@ -296,54 +318,43 @@ def build_workspace(z, weight, shape=None, imap=None):
     if np.any(shape <= -1.0):
         raise ConfigError("every shape parameter must exceed -1")
 
-    q = imap.q
-    acc_gram = _Kahan((q, q))
-    acc_lap = _Kahan(q)
-    acc_wgrad = _Kahan(q)
-    acc_shape = _Kahan((q, p))
-
-    for start, stop in _blocks(n):
+    q, k = imap.q, p - 1
+    lay = _layout(p)
+    nu_gram = np.zeros((q, q))
+    third = np.zeros((k, p, p))
+    lap = np.zeros(q)
+    wgrad = np.zeros(q)
+    hsq_nu = np.zeros(q)
+    hsq_u = np.zeros(p)
+    for start, stop in _blocks(n, q):
         zb = z[start:stop]
-        ub = zb * zb
-        hsq = _hsq(ub, weight)
-        mu, nu = _mu_nu(zb, ub, imap)
-        proj = mu - nu[:, :, None] * zb[:, None, :]
-        pw = proj * np.sqrt(hsq)[:, None, None]
-        acc_gram.add(np.tensordot(pw, pw, axes=([0, 2], [0, 2])))
-        acc_lap.add(-(hsq[:, None] * _laplacian_values(ub, imap)).sum(axis=0))
-        acc_wgrad.add(_wgrad_obs(ub, imap, weight).sum(axis=0))
-        gv = _shape_gram_values(ub, imap) - nu[:, :, None]
-        acc_shape.add((hsq[:, None, None] * gv).sum(axis=0))
+        u_ext, hsq, nu, lap_rows, omega, kappa = _row_features(zb * zb, weight, imap)
+        hnu = np.sqrt(hsq)[:, None] * nu
+        nu_gram += hnu.T @ hnu
+        hu = hsq[:, None] * u_ext
+        # One small X'X (a SYRK) per coordinate: forming all of them in
+        # one general GEMM gave different bits under 1 and 2 BLAS threads.
+        root = np.sqrt(hu[:, :k])
+        for c in range(k):
+            x = root[:, c : c + 1] * u_ext
+            third[c] += x.T @ x
+        lap -= (hsq[:, None] * lap_rows).sum(axis=0)
+        wgrad += _wgrad_rows(hsq, nu, u_ext, omega, kappa, lay).sum(axis=0)
+        hsq_nu += (hsq[:, None] * nu).sum(axis=0)
+        hsq_u += hu.sum(axis=0)
 
+    gram = _gram_mu(third, lay) - nu_gram
     return EstimatorWorkspace(
         imap=imap,
         weight=weight,
         shape=shape,
         n=n,
-        gram=acc_gram.total / n,
-        laplacian_term=acc_lap.total / n,
-        weight_gradient_term=acc_wgrad.total / n,
-        shape_matrix=acc_shape.total / n,
+        gram=_symmetric(gram) / n,
+        laplacian_term=lap / n,
+        weight_gradient_term=wgrad / n,
+        shape_matrix=(_g_sum(hsq_u, lay, p) - hsq_nu[:, None]) / n,
         z=z,
     )
-
-
-def gram_matrix(z, weight, imap=None):
-    return build_workspace(z, weight, imap=imap).gram
-
-
-def laplacian_term(z, weight, imap=None):
-    return build_workspace(z, weight, imap=imap).laplacian_term
-
-
-def weight_gradient_term(z, weight, imap=None):
-    return build_workspace(z, weight, imap=imap).weight_gradient_term
-
-
-def shape_coupling(z, weight, shape, imap=None):
-    """Shape-coupling matrix V and the resulting linear term."""
-    ws = build_workspace(z, weight, shape=shape, imap=imap)
-    return ws.shape_matrix, ws.shape_term
 
 
 # ---------------------------------------------------------------------------
@@ -502,28 +513,30 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
 
 def _error_moment(workspace, theta_full, mask):
     """Second pass: Sigma_0 = mean of (R(z) theta - r(z)) outer products
-    over the free block."""
+    over the free block, from the per-row features.
+
+    Per row, with w_c = u_c (G'theta)_c + (1 + 2 shape)_c + 2 omega_c,
+    the residual is h^2 (G w - nu (nu'theta + sum(1 + 2 shape) + 2 kappa)
+    + laplacian).
+    """
     imap = workspace.imap
-    weight = workspace.weight
-    z = workspace.z
+    k = imap.p - 1
+    lay = _layout(imap.p)
     free = np.flatnonzero(mask)
     pi2 = 1.0 + 2.0 * workspace.shape
-    acc = _Kahan((free.size, free.size))
-    for start, stop in _blocks(workspace.n):
-        zb = z[start:stop]
-        ub = zb * zb
-        hsq = _hsq(ub, weight)
-        mu, nu = _mu_nu(zb, ub, imap)
-        proj = mu - nu[:, :, None] * zb[:, None, :]
-        g = np.einsum("bqp,q->bp", proj, theta_full)
-        r_theta = hsq[:, None] * np.einsum("bqp,bp->bq", proj, g)
-        lin = -hsq[:, None] * _laplacian_values(ub, imap)
-        lin = lin + _wgrad_obs(ub, imap, weight)
-        gv = _shape_gram_values(ub, imap) - nu[:, :, None]
-        lin = lin - hsq[:, None] * np.einsum("bqp,p->bq", gv, pi2)
-        resid = (r_theta - lin)[:, free]
-        acc.add(resid.T @ resid)
-    return acc.total / workspace.n
+    # per row, G'theta = u_ext @ contract
+    contract = np.zeros((imap.p, k))
+    np.add.at(contract, (lay.partner, lay.coord), lay.coef * theta_full[:, None])
+    total = np.zeros((free.size, free.size))
+    for start, stop in _blocks(workspace.n, imap.q):
+        zb = workspace.z[start:stop]
+        u_ext, hsq, nu, lap, omega, kappa = _row_features(zb * zb, workspace.weight, imap)
+        w = u_ext[:, :k] * (u_ext @ contract) + pi2[:k] + 2.0 * omega
+        radial = nu @ theta_full + pi2.sum() + 2.0 * kappa
+        resid = _g_apply(u_ext, w, lay) - radial[:, None] * nu + lap
+        resid = hsq[:, None] * resid[:, free]
+        total += resid.T @ resid
+    return _symmetric(total) / workspace.n
 
 
 def standard_errors(workspace, result, mask=None):
@@ -546,11 +559,6 @@ def standard_errors(workspace, result, mask=None):
     _, evals, evecs, _ = _solve_psd(wff, np.zeros(free.size), result.ridge, labels)
     inv_w = evecs @ (evecs.T / evals[:, None])
     return inv_w @ sigma0 @ inv_w
-
-
-def objective_value(workspace, theta):
-    """Empirical score-matching objective at a full parameter vector."""
-    return workspace.objective(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +666,8 @@ def _dirichlet_wgrad_obs(u, weight, ratios):
     cap = weight.a_c * weight.a_c
     nb, p = u.shape
     if weight.product_family:
-        raw = u.prod(axis=1)
-        hsq = np.minimum(raw, cap)
-        smooth = (raw < cap).astype(float)
+        hsq = _hsq(u, weight)
+        smooth = (hsq < cap).astype(float)
         return -2.0 * smooth[:, None] * (ratios - p * hsq[:, None])
     amin = np.argmin(u, axis=1)
     ua = u[np.arange(nb), amin]
@@ -686,23 +693,11 @@ def fit_dirichlet(data, weight, ridge=0.0, with_se=True):
             "its shape parameter is not identifiable"
         )
 
-    acc_ratio = _Kahan(p)
-    acc_hsq = _Kahan(())
-    acc_lin = _Kahan(p)
-    for start, stop in _blocks(n):
-        ub = u[start:stop]
-        hsq = _hsq(ub, weight)
-        ratios = _dirichlet_ratios(ub, weight)
-        acc_ratio.add(ratios.sum(axis=0))
-        acc_hsq.add(hsq.sum())
-        lin = (p - 2.0) * hsq[:, None] + ratios
-        lin = lin + _dirichlet_wgrad_obs(ub, weight, ratios)
-        acc_lin.add(lin.sum(axis=0))
-
-    mean_ratio = acc_ratio.total / n
-    mean_hsq = float(acc_hsq.total / n)
-    gram = np.diag(mean_ratio) - mean_hsq * np.ones((p, p))
-    d = acc_lin.total / n
+    hsq = _hsq(u, weight)
+    ratios = _dirichlet_ratios(u, weight)
+    lin = (p - 2.0) * hsq[:, None] + ratios + _dirichlet_wgrad_obs(u, weight, ratios)
+    gram = np.diag(ratios.mean(axis=0)) - hsq.mean() * np.ones((p, p))
+    d = lin.mean(axis=0)
 
     labels = [f"shape{j+1}" for j in range(p)]
     pi_hat, evals, evecs, cond = _solve_psd(gram, d, ridge, labels)
@@ -710,17 +705,8 @@ def fit_dirichlet(data, weight, ridge=0.0, with_se=True):
 
     cov = None
     if with_se:
-        acc_sig = _Kahan((p, p))
-        for start, stop in _blocks(n):
-            ub = u[start:stop]
-            hsq = _hsq(ub, weight)
-            ratios = _dirichlet_ratios(ub, weight)
-            r_pi = ratios * pi_hat[None, :] - np.outer(hsq, np.full(p, pi_hat.sum()))
-            lin = (p - 2.0) * hsq[:, None] + ratios
-            lin = lin + _dirichlet_wgrad_obs(ub, weight, ratios)
-            resid = r_pi - lin
-            acc_sig.add(resid.T @ resid)
-        sigma0 = acc_sig.total / n
+        resid = ratios * pi_hat[None, :] - hsq[:, None] * pi_hat.sum() - lin
+        sigma0 = _symmetric(resid.T @ resid) / n
         inv_w = evecs @ (evecs.T / evals[:, None])
         cov = 0.25 * inv_w @ sigma0 @ inv_w  # delta method for (pi - 1) / 2
 

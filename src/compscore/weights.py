@@ -23,6 +23,7 @@ __all__ = [
     "WeightSpec",
     "KINDS",
     "weight_value",
+    "squared_weight",
     "below_cap",
     "boundary_distance",
     "cap_from_quantile",
@@ -74,18 +75,22 @@ def _rows(z):
     return (z[None, :] if single else z), single
 
 
+def _uncapped(u, spec):
+    return u.prod(axis=1) if spec.product_family else u.min(axis=1)
+
+
+def squared_weight(u, spec):
+    """h^2 row-wise from squared coordinates u = z * z, an (n, p) array."""
+    return np.minimum(_uncapped(u, spec), spec.a_c * spec.a_c)
+
+
 def weight_value(z, spec):
     """Evaluate h^2 at one point or row-wise.
 
     Returns a scalar for a 1-d input, else an (n,) array.
     """
     zz, single = _rows(z)
-    u = zz * zz
-    cap = spec.a_c * spec.a_c
-    if spec.product_family:
-        vals = np.minimum(u.prod(axis=1), cap)
-    else:
-        vals = np.minimum(u.min(axis=1), cap)
+    vals = squared_weight(zz * zz, spec)
     return float(vals[0]) if single else vals
 
 
@@ -100,10 +105,7 @@ def below_cap(z, spec):
     if not spec.capped:
         raise ConfigError(f"cap indicator is not applicable to kind {spec.kind!r}")
     zz, single = _rows(z)
-    u = zz * zz
-    cap = spec.a_c * spec.a_c
-    raw = u.prod(axis=1) if spec.product_family else u.min(axis=1)
-    ind = (raw < cap).astype(float)
+    ind = (_uncapped(zz * zz, spec) < spec.a_c * spec.a_c).astype(float)
     return float(ind[0]) if single else ind
 
 

@@ -3,8 +3,11 @@
 Everything here recomputes quantities the package provides in closed
 form, but by a different route: central finite differences for ambient
 gradients, the projected-derivative formula for the sphere Laplacian,
-and a generic linear conjugate-gradient loop for the quadratic
-objective. None of it calls back into the assembly code under test.
+a generic linear conjugate-gradient loop for the quadratic objective,
+and a dense assembly of the continuous route from full projected
+gradient tensors. Only the dense assembly imports from the package: the
+per-statistic tables _mu_nu and _laplacian_values, which are themselves
+checked against finite differences.
 """
 
 import numpy as np
@@ -85,3 +88,177 @@ def linear_cg(w, d, iters=None):
         beta = (g @ g) / gg
         direction = -g + beta * direction
     return theta
+
+
+# ---------------------------------------------------------------------------
+# dense reference assembly of the continuous route
+#
+# The package assembles W, d and V from compressed per-row features and two
+# sphere identities. The reference below forms the full (rows, q, p)
+# gradient tensors and projects them explicitly, as the first version of
+# the package did. It uses only the per-statistic tables _mu_nu and
+# _laplacian_values, which test_gradients checks against finite
+# differences; the weight derivative and the shape coupling are written
+# out per statistic here.
+
+
+def _dense_hsq(u, weight):
+    cap = weight.a_c * weight.a_c
+    raw = u.prod(axis=1) if weight.product_family else u.min(axis=1)
+    return np.minimum(raw, cap)
+
+
+def _dense_wgrad_product_values(u, imap):
+    """Weight-derivative integrand for product kinds, before the
+    -2 * indicator * h^2 factor."""
+    p = imap.p
+    ud = u[:, : imap.n_diag]
+    uj = u[:, imap.cross_j]
+    uk = u[:, imap.cross_k]
+    return np.concatenate(
+        [
+            4.0 * ud * (1.0 - p * ud),
+            4.0 * uj + 4.0 * uk - 8.0 * p * uj * uk,
+            2.0 * (1.0 - p * ud),
+        ],
+        axis=1,
+    )
+
+
+def _dense_wgrad_min_values(u, imap, cap_sq):
+    """Weight-derivative integrand for min kinds: the weight's gradient
+    lives on the argmin coordinate (lowest index on ties); rows where the
+    cap binds contribute zero."""
+    nb = u.shape[0]
+    amin = np.argmin(u, axis=1)
+    ua = u[np.arange(nb), amin]
+    smooth = ua < cap_sq
+
+    ud = u[:, : imap.n_diag]
+    lev = imap.diag_levels[None, :]
+    a_col = amin[:, None]
+    ua_col = ua[:, None]
+
+    quart = np.where(
+        lev == a_col, 8.0 * ud * ud * (1.0 - ud), -8.0 * ud * ud * ua_col
+    )
+    uj = u[:, imap.cross_j]
+    uk = u[:, imap.cross_k]
+    cross = -16.0 * ua_col * uj * uk
+    cross = np.where(imap.cross_j[None, :] == a_col, 8.0 * uj * uk - 16.0 * uj * uj * uk, cross)
+    cross = np.where(imap.cross_k[None, :] == a_col, 8.0 * uj * uk - 16.0 * uj * uk * uk, cross)
+    quad = np.where(lev == a_col, 4.0 * ud * (1.0 - ud), -4.0 * ud * ua_col)
+
+    vals = np.concatenate([quart, cross, quad], axis=1)
+    vals[~smooth] = 0.0
+    return vals
+
+
+def dense_wgrad_obs(u, imap, weight):
+    """Per-observation weight-derivative term, signs included."""
+    cap = weight.a_c * weight.a_c
+    if weight.product_family:
+        raw = u.prod(axis=1)
+        factor = np.where(raw < cap, raw, 0.0)
+        return -2.0 * factor[:, None] * _dense_wgrad_product_values(u, imap)
+    return -_dense_wgrad_min_values(u, imap, cap)
+
+
+def _dense_shape_gram_values(u, imap):
+    """G[b, i, c] = mu_i' (gradient of log z_c), singularity cancelled."""
+    nb = u.shape[0]
+    k = imap.n_diag
+    g = np.zeros((nb, imap.q, imap.p))
+    rows_d = np.arange(k)
+    rows_c = np.arange(k, k + imap.n_cross)
+    rows_l = np.arange(k + imap.n_cross, imap.q)
+    g[:, rows_d, imap.diag_levels] = 4.0 * u[:, :k]
+    g[:, rows_c, imap.cross_j] = 4.0 * u[:, imap.cross_k]
+    g[:, rows_c, imap.cross_k] = 4.0 * u[:, imap.cross_j]
+    g[:, rows_l, imap.linear_levels] = 2.0
+    return g
+
+
+def _dense_blocks(n, size=8192):
+    for start in range(0, n, size):
+        yield start, min(start + size, n)
+
+
+def dense_workspace(z, weight, shape=None):
+    """EstimatorWorkspace from dense projected gradients, block by block."""
+    from compscore.core import index_map
+    from compscore.fitting import EstimatorWorkspace, _laplacian_values, _mu_nu
+
+    z = np.asarray(z, dtype=float)
+    n, p = z.shape
+    imap = index_map(p)
+    shape = np.zeros(p) if shape is None else np.asarray(shape, dtype=float)
+    q = imap.q
+    gram = np.zeros((q, q))
+    lap = np.zeros(q)
+    wgrad = np.zeros(q)
+    coupling = np.zeros((q, p))
+    for start, stop in _dense_blocks(n):
+        zb = z[start:stop]
+        ub = zb * zb
+        hsq = _dense_hsq(ub, weight)
+        mu, nu = _mu_nu(zb, ub, imap)
+        proj = mu - nu[:, :, None] * zb[:, None, :]
+        pw = proj * np.sqrt(hsq)[:, None, None]
+        gram += np.tensordot(pw, pw, axes=([0, 2], [0, 2]))
+        lap -= (hsq[:, None] * _laplacian_values(ub, imap)).sum(axis=0)
+        wgrad += dense_wgrad_obs(ub, imap, weight).sum(axis=0)
+        gv = _dense_shape_gram_values(ub, imap) - nu[:, :, None]
+        coupling += (hsq[:, None, None] * gv).sum(axis=0)
+    return EstimatorWorkspace(
+        imap=imap,
+        weight=weight,
+        shape=shape,
+        n=n,
+        gram=gram / n,
+        laplacian_term=lap / n,
+        weight_gradient_term=wgrad / n,
+        shape_matrix=coupling / n,
+        z=z,
+    )
+
+
+def dense_error_moment(workspace, theta_full, mask):
+    """Sigma_0 over the free block: the mean outer product of the
+    per-row residuals R(z) theta - r(z), from dense projected gradients."""
+    from compscore.fitting import _laplacian_values, _mu_nu
+
+    imap = workspace.imap
+    weight = workspace.weight
+    z = workspace.z
+    free = np.flatnonzero(mask)
+    pi2 = 1.0 + 2.0 * workspace.shape
+    total = np.zeros((free.size, free.size))
+    for start, stop in _dense_blocks(workspace.n):
+        zb = z[start:stop]
+        ub = zb * zb
+        hsq = _dense_hsq(ub, weight)
+        mu, nu = _mu_nu(zb, ub, imap)
+        proj = mu - nu[:, :, None] * zb[:, None, :]
+        g = np.einsum("bqp,q->bp", proj, theta_full)
+        r_theta = hsq[:, None] * np.einsum("bqp,bp->bq", proj, g)
+        lin = -hsq[:, None] * _laplacian_values(ub, imap)
+        lin = lin + dense_wgrad_obs(ub, imap, weight)
+        gv = _dense_shape_gram_values(ub, imap) - nu[:, :, None]
+        lin = lin - hsq[:, None] * np.einsum("bqp,p->bq", gv, pi2)
+        resid = (r_theta - lin)[:, free]
+        total += resid.T @ resid
+    return total / workspace.n
+
+
+def dense_fit(z, weight, shape, mask):
+    """Estimates and plug-in cov_scaled from the dense reference, solved
+    with plain LAPACK calls (no eigen-solver shared with the package)."""
+    ws = dense_workspace(z, weight, shape=shape)
+    free = np.flatnonzero(mask)
+    w_ff = ws.gram[np.ix_(free, free)]
+    theta_full = np.zeros(ws.imap.q)
+    theta_full[free] = np.linalg.solve(w_ff, ws.linear_term[free])
+    inv_w = np.linalg.inv(w_ff)
+    cov = inv_w @ dense_error_moment(ws, theta_full, mask) @ inv_w
+    return theta_full[free], cov

@@ -1,0 +1,88 @@
+"""The structured assembly of the continuous route against the dense
+reference in _oracles, and the memory it needs at larger p."""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import dense_error_moment, dense_fit, dense_workspace
+from compscore.core import ContinuousDataset, ModelSpec, index_map, sqrt_transform
+from compscore.fitting import _error_moment, build_workspace, fit_hybrid
+from compscore.weights import KINDS, WeightSpec, cap_from_quantile
+
+# Largest difference allowed, relative to the largest entry of the dense value.
+REL_BOUND = 1e-11
+
+
+def _close(got, want):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= REL_BOUND * scale
+
+
+def _rows_with_zeros_and_ties(p, n, seed, zero_rows, tie_rows):
+    """Dirichlet rows; the first zero_rows get one exact zero, the next
+    tie_rows repeat their smallest entry in another coordinate (the last
+    one for every other row), so the argmin of the min weight is tied."""
+    rng = np.random.default_rng(seed)
+    u = rng.dirichlet(rng.uniform(0.8, 3.0, p), size=n)
+    u[np.arange(zero_rows), rng.integers(0, p, zero_rows)] = 0.0
+    for i in range(zero_rows, zero_rows + tie_rows):
+        a = int(np.argmin(u[i]))
+        other = p - 1 if i % 2 else int(rng.integers(0, p))
+        u[i, other if other != a else (a + 1) % p] = u[i, a]
+    return ContinuousDataset(u / u.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([3, 5, 10]),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.integers(0, 40),
+    tie_rows=st.integers(0, 40),
+    quantile=st.floats(0.3, 0.9),
+)
+def test_structured_matches_dense(p, kind, seed, zero_rows, tie_rows, quantile):
+    data = _rows_with_zeros_and_ties(p, 400, seed, zero_rows, tie_rows)
+    z = sqrt_transform(data)
+    weight = WeightSpec(kind, cap_from_quantile(z, kind, quantile) if "capped" in kind else 1.0)
+    shape = np.linspace(-0.5, 2.0, p)
+
+    ws = build_workspace(z, weight, shape=shape)
+    dense = dense_workspace(z, weight, shape=shape)
+    _close(ws.gram, dense.gram)
+    _close(ws.linear_term, dense.linear_term)
+    _close(ws.shape_matrix, dense.shape_matrix)
+    # Sigma_0 over every parameter, linear ones included, at a fixed theta
+    theta = np.random.default_rng(seed).standard_normal(ws.imap.q)
+    full = np.ones(ws.imap.q, dtype=bool)
+    _close(_error_moment(ws, theta, full), dense_error_moment(dense, theta, full))
+
+    # The fit estimates the interactions only: with the linear terms too,
+    # W is ill-conditioned (condition numbers near 1e4 at p=10), and any
+    # rounding difference is amplified that much in the solution.
+    fit = fit_hybrid(data, shape, weight)
+    spec = ModelSpec(family="hybrid", p=p, shape=shape, estimate_linear=False)
+    mask = spec.estimation_mask(index_map(p))
+    estimates, cov = dense_fit(z, weight, shape, mask)
+    _close(fit.estimates, estimates)
+    _close(fit.cov_scaled, cov)
+
+
+def test_wide_fit_memory_is_bounded():
+    """p=40 (q=819), n=2000 with standard errors. One dense (rows, q, p)
+    gradient tensor at this size is 524 MB; the assembly forms none."""
+    p, n = 40, 2000
+    shape = np.linspace(-0.5, 4.0, p)
+    data = ContinuousDataset(np.random.default_rng(40).dirichlet(shape + 1.0, size=n))
+    weight = WeightSpec("capped-min", cap_from_quantile(sqrt_transform(data), "capped-min", 0.9))
+    tracemalloc.start()
+    try:
+        fit = fit_hybrid(data, shape, weight, estimate_linear=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600e6
+    assert np.all(np.isfinite(fit.standard_errors))

@@ -3,12 +3,18 @@ byte-identity, config validation, and exit codes (2 usage, 3 singular
 or failed study, 4 sampler)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import compscore
 from compscore.cli import main
-from compscore.io import dump_json
+from compscore.core import ContinuousDataset
+from compscore.fitting import BLOCK_ROWS
+from compscore.io import dump_json, write_proportions_csv
 
 
 def run_cli(*argv):
@@ -65,6 +71,29 @@ def test_simulate_then_fit_roundtrip(tmp_path, capsys):
     assert run_cli("fit", "--data", sim_dir / "data.csv", "--config", cfg,
                    "--out", fit_dir) == 0
     assert (fit_dir / "fit.json").read_bytes() == before
+
+
+def test_fit_identical_across_blas_threads(tmp_path):
+    """A continuous p=10 fit over several row blocks writes the same
+    fit.json bytes with one and with two BLAS threads."""
+    rows = 2 * BLOCK_ROWS + 3000
+    u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
+    data = tmp_path / "data.csv"
+    write_proportions_csv(data, ContinuousDataset(u))
+    cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compscore.__file__)))
+    payloads = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"fit{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "compscore.cli", "fit", "--data", str(data),
+             "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        payloads.append((out / "fit.json").read_bytes())
+    assert payloads[0] == payloads[1]
 
 
 def test_simulate_discrete_writes_counts(tmp_path):

@@ -20,8 +20,6 @@ from compscore.fitting import (
     fit_hybrid,
     fit_truncated_gaussian,
     gradient_table,
-    gram_matrix,
-    objective_value,
     solve,
     standard_errors,
 )
@@ -84,7 +82,7 @@ def test_gram_symmetric_psd():
     for p, seed in ((3, 1), (5, 2)):
         z = _random_z(p, 60, seed, boundary_rows=5)
         for spec in ALL_KINDS:
-            w = gram_matrix(z, spec)
+            w = build_workspace(z, spec).gram
             np.testing.assert_array_equal(w, w.T)
             evals = np.linalg.eigvalsh(w)
             assert evals.min() > -1e-12 * max(evals.max(), 1.0)
@@ -107,11 +105,11 @@ def test_solution_minimizes_objective():
     ws = build_workspace(z, WeightSpec("capped-min", 0.3))
     fit = solve(ws, with_se=False)
     theta = np.array(fit.estimates)
-    base = objective_value(ws, theta)
+    base = ws.objective(theta)
     assert base == pytest.approx(fit.objective)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert objective_value(ws, theta + 0.01 * rng.standard_normal(ws.imap.q)) > base
+        assert ws.objective(theta + 0.01 * rng.standard_normal(ws.imap.q)) > base
 
 
 def test_first_order_condition():
