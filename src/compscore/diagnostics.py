@@ -12,7 +12,6 @@ ones, which is the signature the report is designed to show.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
 
 from .core import ContinuousDataset
 from .errors import ConfigError
@@ -58,7 +57,10 @@ def ks_compare(observed, simulated):
     b = np.asarray(simulated, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ConfigError("both samples must be non-empty")
-    res = _sps.ks_2samp(a, b, alternative="two-sided", method="asymp")
+    # imported on first use: scipy.stats is about 85% of `import compscore`
+    from scipy import stats
+
+    res = stats.ks_2samp(a, b, alternative="two-sided", method="asymp")
     pooled = np.concatenate([a, b])
     ties = np.unique(pooled).size < pooled.size
     return KsResult(float(res.statistic), float(res.pvalue), bool(ties))

@@ -4,11 +4,16 @@ Everything here recomputes quantities the package provides in closed
 form, but by a different route: central finite differences for ambient
 gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
-and a dense assembly of the continuous route from full projected
-gradient tensors. Only the dense assembly imports from the package: the
-per-statistic tables _mu_nu and _laplacian_values, which are themselves
-checked against finite differences.
+a dense assembly of the continuous route from full projected gradient
+tensors, and a polynomial assembly of the count route with expanded
+factorial moments. Only the two assemblies import from the package:
+the workspace container, the index map, the weight spec and the error
+types, and for the dense one the per-statistic tables _mu_nu and
+_laplacian_values, which are themselves checked against finite
+differences.
 """
+
+import math
 
 import numpy as np
 
@@ -262,3 +267,228 @@ def dense_fit(z, weight, shape, mask):
     inv_w = np.linalg.inv(w_ff)
     cov = inv_w @ dense_error_moment(ws, theta_full, mask) @ inv_w
     return theta_full[free], cov
+
+
+# ---------------------------------------------------------------------------
+# polynomial reference assembly of the count route
+#
+# The package reads the product-weight system off one moment tensor with
+# the continuous route's helpers, and estimates monomial means from counts
+# in closed form. The reference below is the first version of the route:
+# every statistic's gradient, nu, Laplacian and weight term written out as
+# sparse polynomials (dicts from exponent tuples to coefficients), and each
+# monomial mean of counts expanded through u_p = 1 - sum of the others into
+# reduced factorial moments, one composition at a time.
+
+
+def _pmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def _padd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0.0) + c
+    return {e: c for e, c in out.items() if c != 0.0}
+
+
+def _pscale(a, s):
+    return {e: c * s for e, c in a.items()}
+
+
+def _unit(p, level, coef, power=1):
+    exps = [0] * p
+    exps[level] = power
+    return {tuple(exps): coef}
+
+
+def _pair(p, j, k, coef):
+    exps = [0] * p
+    exps[j] += 1
+    exps[k] += 1
+    return {tuple(exps): coef}
+
+
+def _const(p, coef):
+    return {tuple([0] * p): coef}
+
+
+def system_polynomials(p):
+    """Polynomial form of every entry of the product-weight system: gram
+    (q x q), Laplacian term, weight-derivative term, and shape-coupling
+    matrix (q x p)."""
+    from compscore.core import index_map
+
+    imap = index_map(p)
+    q = imap.q
+    hsq = {tuple([1] * p): 1.0}
+
+    # gradient of each statistic as {column: monomial}, and nu = z' mu
+    grads = []
+    nus = []
+    for l in imap.diag_levels:
+        grads.append({int(l): _unit(p, l, 4.0)})
+        nus.append(_unit(p, l, 4.0, power=2))
+    for j, k in zip(imap.cross_j, imap.cross_k):
+        grads.append({int(j): _unit(p, k, 4.0), int(k): _unit(p, j, 4.0)})
+        nus.append(_pair(p, j, k, 8.0))
+    for l in imap.linear_levels:
+        grads.append({int(l): _const(p, 2.0)})
+        nus.append(_unit(p, l, 2.0))
+
+    gram = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            dot = {}
+            for c, gi in grads[i].items():
+                gj = grads[j].get(c)
+                if gj is not None:
+                    dot = _padd(dot, _pmul(_unit(p, c, 1.0), _pmul(gi, gj)))
+            dot = _padd(dot, _pscale(_pmul(nus[i], nus[j]), -1.0))
+            entry = _pmul(hsq, dot)
+            gram[i][j] = entry
+            gram[j][i] = entry
+
+    lam2 = 2.0 * p
+    lam4 = 4.0 * (p + 2.0)
+    lap = []
+    wgrad = []
+    for l in imap.diag_levels:
+        lap.append(_padd(_unit(p, l, -lam4, power=2), _unit(p, l, 12.0)))
+        wgrad.append(_padd(_unit(p, l, 4.0), _unit(p, l, -4.0 * p, power=2)))
+    for j, k in zip(imap.cross_j, imap.cross_k):
+        lap.append(
+            _padd(
+                _pair(p, j, k, -2.0 * lam4),
+                _padd(_unit(p, j, 4.0), _unit(p, k, 4.0)),
+            )
+        )
+        wgrad.append(
+            _padd(
+                _padd(_unit(p, j, 4.0), _unit(p, k, 4.0)),
+                _pair(p, j, k, -8.0 * p),
+            )
+        )
+    for l in imap.linear_levels:
+        lap.append(_padd(_unit(p, l, -lam2), _const(p, 2.0)))
+        wgrad.append(_padd(_const(p, 2.0), _unit(p, l, -2.0 * p)))
+
+    lap_term = [_pmul(hsq, _pscale(v, -1.0)) for v in lap]
+    wgrad_term = [_pmul(hsq, _pscale(v, -2.0)) for v in wgrad]
+
+    shape_matrix = [
+        [
+            _pmul(hsq, _padd(grads[i].get(c, {}), _pscale(nus[i], -1.0)))
+            for c in range(p)
+        ]
+        for i in range(q)
+    ]
+    return gram, lap_term, wgrad_term, shape_matrix
+
+
+def polynomial_workspace(monomial_mean, p, n, shape=None):
+    """Product-weight EstimatorWorkspace from the polynomial form of each
+    entry, with monomial_mean(alpha) supplying every mean."""
+    from compscore.core import index_map
+    from compscore.fitting import EstimatorWorkspace
+    from compscore.weights import WeightSpec
+
+    def poly_mean(poly):
+        return sum(c * monomial_mean(e) for e, c in poly.items())
+
+    gram_p, lap_p, wgrad_p, shape_p = system_polynomials(p)
+    q = len(lap_p)
+    gram = np.empty((q, q))
+    for i in range(q):
+        for j in range(i, q):
+            gram[i, j] = gram[j, i] = poly_mean(gram_p[i][j])
+    return EstimatorWorkspace(
+        imap=index_map(p),
+        weight=WeightSpec("product"),
+        shape=np.zeros(p) if shape is None else np.asarray(shape, dtype=float),
+        n=n,
+        gram=gram,
+        laplacian_term=np.array([poly_mean(v) for v in lap_p]),
+        weight_gradient_term=np.array([poly_mean(v) for v in wgrad_p]),
+        shape_matrix=np.array([[poly_mean(shape_p[i][c]) for c in range(p)] for i in range(q)]),
+        z=None,
+    )
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _falling(x, k):
+    out = np.ones_like(x, dtype=float)
+    for i in range(k):
+        out = out * (x - i)
+    return out
+
+
+class ExpandedFactorialMoments:
+    """Latent monomial means from counts: each power of the last
+    proportion is expanded through u_p = 1 - sum of the others, and every
+    reduced monomial gamma over the first p - 1 categories is estimated by
+    x^(gamma) / m^(|gamma|) averaged over the rows with m >= |gamma|.
+    Rows excluded at a degree are tallied in ``exclusions``."""
+
+    def __init__(self, counts):
+        x = np.asarray(counts, dtype=np.int64)
+        self.x = x
+        self.m = x.sum(axis=1)
+        self.n, self.p = x.shape
+        self.exclusions = {}
+        self._reduced = {}
+
+    def monomial_mean(self, alpha):
+        from compscore.errors import ConfigError
+
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.p:
+            raise ConfigError("monomial exponent length does not match p")
+        last = alpha[-1]
+        base = alpha[:-1]
+        total = 0.0
+        for t in range(last + 1):
+            outer = math.comb(last, t) * (-1.0) ** t
+            for combo in _compositions(t, self.p - 1):
+                coef = outer * math.factorial(t)
+                for c in combo:
+                    coef /= math.factorial(c)
+                gamma = tuple(b + c for b, c in zip(base, combo))
+                total += coef * self._reduced_mean(gamma)
+        return total
+
+    def _reduced_mean(self, gamma):
+        from compscore.errors import InsufficientTotalsError
+
+        hit = self._reduced.get(gamma)
+        if hit is not None:
+            return hit
+        degree = int(sum(gamma))
+        if degree == 0:
+            return 1.0
+        eligible = self.m >= degree
+        n_eligible = int(np.count_nonzero(eligible))
+        if n_eligible == 0:
+            raise InsufficientTotalsError(degree)
+        if n_eligible < self.n:
+            self.exclusions.setdefault(degree, self.n - n_eligible)
+        vals = np.ones(n_eligible)
+        for j, g in enumerate(gamma):
+            if g:
+                vals = vals * _falling(self.x[eligible, j], int(g))
+        out = float((vals / _falling(self.m[eligible], degree)).mean())
+        self._reduced[gamma] = out
+        return out

@@ -1,17 +1,20 @@
 """Moment providers and the count-data estimation route: exact
 factorial-moment identities, equality with the direct continuous build,
-and small-total row exclusion."""
+small-total row exclusion, and agreement with the polynomial oracle in
+_oracles (the expanded estimator and the entry-by-entry assembly)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import ExpandedFactorialMoments, polynomial_workspace
 from compscore.core import CountDataset, sqrt_transform
 from compscore.errors import ConfigError, InsufficientTotalsError
 from compscore.fitting import build_workspace, fit_hybrid, solve
 from compscore.moments import (
     EmpiricalMoments,
     FactorialMoments,
-    _compositions,
     _falling,
     build_workspace_from_moments,
     fit_from_counts,
@@ -31,13 +34,6 @@ def test_falling_factorial_hand_values():
     np.testing.assert_array_equal(_falling(x, 1), x)
     np.testing.assert_array_equal(_falling(x, 2), [20, 6, 0, 0])
     np.testing.assert_array_equal(_falling(x, 3), [60, 6, 0, 0])
-
-
-def test_compositions_enumeration():
-    assert sorted(_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert list(_compositions(0, 3)) == [(0, 0, 0)]
-    # weak compositions of t into k parts: C(t + k - 1, k - 1)
-    assert len(list(_compositions(3, 3))) == 10
 
 
 def test_factorial_moments_exact_binomial_expectation():
@@ -83,14 +79,16 @@ def test_factorial_moments_are_unbiased():
 def test_empirical_provider_equals_direct_build():
     """Routing the product-weight system through empirical monomial
     means must reproduce the direct continuous assembly to rounding."""
-    rng = np.random.default_rng(20)
-    u = rng.dirichlet(np.ones(3) * 0.8, size=500)
-    shape = np.array([-0.5, 0.2, 0.0])
-    ws_m = build_workspace_from_moments(EmpiricalMoments(u), shape=shape)
-    ws_d = build_workspace(sqrt_transform(u), WeightSpec("product"), shape=shape)
-    np.testing.assert_allclose(ws_m.gram, ws_d.gram, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(ws_m.linear_term, ws_d.linear_term, rtol=0, atol=1e-13)
-    assert ws_m.z is None and ws_m.n == 500
+    for p in (3, 5, 10):
+        rng = np.random.default_rng(20)
+        u = rng.dirichlet(np.ones(p) * 0.8, size=500)
+        shape = np.resize([-0.5, 0.2, 0.0], p)
+        ws_m = build_workspace_from_moments(EmpiricalMoments(u), shape=shape)
+        ws_d = build_workspace(sqrt_transform(u), WeightSpec("product"), shape=shape)
+        for field in ("gram", "linear_term"):
+            got, want = getattr(ws_m, field), getattr(ws_d, field)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (p, field)
+        assert ws_m.z is None and ws_m.n == 500
 
 
 def test_factorial_workspace_near_latent_one():
@@ -136,6 +134,8 @@ def test_provider_validation():
     fac = FactorialMoments(CountDataset([[2, 3]]))
     with pytest.raises(ConfigError, match="length"):
         fac.monomial_mean((1, 0, 0))
+    with pytest.raises(ConfigError, match="nonnegative"):
+        fac.monomial_mean((-1, 2))
     emp = EmpiricalMoments(np.array([[0.5, 0.5]]))
     with pytest.raises(ConfigError, match="length"):
         emp.monomial_mean((1,))
@@ -184,3 +184,61 @@ def test_fit_from_counts_accepts_raw_arrays():
     fit = fit_from_counts(x, np.zeros(3))
     assert len(fit.labels) == 3  # a11, a22, a12
     assert np.all(np.isfinite(fit.estimates))
+
+
+def _small_total_counts(p, n, seed, top):
+    """n rows of p counts with totals 1 .. top, so that rows drop out of
+    the higher-degree moments."""
+    rng = np.random.default_rng(seed)
+    totals = rng.integers(1, top + 1, size=n)
+    return rng.multinomial(totals, rng.dirichlet(np.ones(p)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 4, 5]), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_matches_expanded_estimator(p, n, seed):
+    """The closed form against the expansion through u_p = 1 - sum of the
+    others, one reduced factorial moment at a time: same value, same
+    per-degree exclusions, same degree when no row is eligible."""
+    x = _small_total_counts(p, n, seed, top=8)
+    for alpha in np.random.default_rng(seed + 1).integers(0, 5, size=(6, p)):
+        fac, ref = FactorialMoments(x), ExpandedFactorialMoments(x)
+        try:
+            want = ref.monomial_mean(alpha)
+        except InsufficientTotalsError as err:
+            with pytest.raises(InsufficientTotalsError) as got:
+                fac.monomial_mean(alpha)
+            assert got.value.degree == err.degree
+        else:
+            assert abs(fac.monomial_mean(alpha) - want) <= 1e-13
+        assert fac.exclusions == ref.exclusions
+
+
+def _close_workspace(got, want):
+    for field in ("gram", "laplacian_term", "weight_gradient_term", "shape_matrix"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 4, 5]), n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1))
+def test_moment_workspace_matches_polynomial_oracle(p, n, seed):
+    """The system read off the moment tensor against every entry written
+    out as a polynomial, for both providers, with rows excluded from the
+    higher-degree factorial moments."""
+    x = _small_total_counts(p, n, seed, top=p + 7)
+    x[0] += p + 4  # one row carries every degree up to p + 4
+    shape = np.linspace(-0.5, 1.0, p)
+
+    fac, ref = FactorialMoments(x), ExpandedFactorialMoments(x)
+    _close_workspace(
+        build_workspace_from_moments(fac, shape=shape),
+        polynomial_workspace(ref.monomial_mean, p, n, shape),
+    )
+    assert fac.exclusions == ref.exclusions
+
+    u = x / x.sum(axis=1, keepdims=True)
+    _close_workspace(
+        build_workspace_from_moments(EmpiricalMoments(u), shape=shape),
+        polynomial_workspace(lambda a: np.mean(np.prod(u ** np.asarray(a), axis=1)), p, n, shape),
+    )
