@@ -326,8 +326,19 @@ def cmd_diagnose(args):
         "grid_totals": None if args.grid_totals is None else int(args.grid_totals),
         "qq": int(args.qq),
     }
+    extra = None
+    stats = report.rejection
+    if stats is not None:
+        extra = {
+            "rejection": {
+                "attempted": stats.attempted,
+                "accepted": stats.accepted,
+                "acceptance_rate": stats.acceptance_rate,
+                "envelope_updates": stats.envelope_updates,
+            }
+        }
     files["manifest.json"] = dump_json(
-        _manifest("diagnose", args.seed, [args.data, args.fit], resolved, started)
+        _manifest("diagnose", args.seed, [args.data, args.fit], resolved, started, extra=extra)
     )
     write_output_dir(args.out, files)
     worst = min(report.categories, key=lambda c: c.ks_pvalue)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ContinuousDataset
 from .errors import ConfigError
-from .samplers import sample_model
+from .samplers import RejectionStats, sample_model
 
 __all__ = [
     "CategoryDiagnostic",
@@ -86,6 +86,9 @@ class DiagnosticReport:
     n_simulated: int
     grid_totals: int = None
     qq: dict = field(default_factory=dict)
+    # the simulation's rejection statistics (None for exact Dirichlet
+    # draws); kept out of to_dict, so a report's payload is the same on reruns
+    rejection: RejectionStats = None
 
     def category(self, name):
         for c in self.categories:
@@ -131,7 +134,8 @@ def marginal_report(observed, fitted_spec, rng, n_sim=100_000, grid_totals=None,
         observed = ContinuousDataset(observed)
     if fitted_spec.p != observed.p:
         raise ConfigError("fitted model and data disagree on the number of categories")
-    sim = sample_model(fitted_spec, int(n_sim), rng).proportions
+    sim, rejection = sample_model(fitted_spec, int(n_sim), rng, return_stats=True)
+    sim = sim.proportions
     if grid_totals is not None:
         sim = round_to_grid(sim, grid_totals)
 
@@ -165,4 +169,5 @@ def marginal_report(observed, fitted_spec, rng, n_sim=100_000, grid_totals=None,
         n_simulated=int(n_sim),
         grid_totals=grid_totals,
         qq=qq,
+        rejection=rejection,
     )

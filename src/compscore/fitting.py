@@ -156,8 +156,10 @@ def _extend(u):
 
 
 def _g_apply(u_ext, w, lay):
-    """Rows of sum_c G_ic w_c for per-row coordinate vectors w (nb, p-1)."""
-    return (lay.coef * u_ext[:, lay.partner] * w[:, lay.coord]).sum(axis=2)
+    """Rows of sum_c G_ic w_c for per-row coordinate vectors w (nb, p-1):
+    the two layout slots summed explicitly, with no (nb, q, 2) gather."""
+    (c0, c1), (r0, r1), (s0, s1) = lay.coef.T, lay.partner.T, lay.coord.T
+    return c0 * u_ext[:, r0] * w[:, s0] + c1 * u_ext[:, r1] * w[:, s1]
 
 
 def _laplacian_rows(u_ext, nu, lay):

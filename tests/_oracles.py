@@ -5,12 +5,14 @@ form, but by a different route: central finite differences for ambient
 gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
 a dense assembly of the continuous route from full projected gradient
-tensors, and a polynomial assembly of the count route with expanded
-factorial moments. Only the two assemblies import from the package:
-the workspace container, the index map, the weight spec and the error
-types, and for the dense one the per-statistic tables _mu_nu and
+tensors, a polynomial assembly of the count route with expanded
+factorial moments, and a row-by-row envelope rejection loop. Only the
+two assemblies and the rejection loop import from the package: the
+workspace container, the index map, the weight spec and the error
+types; for the dense assembly the per-statistic tables _mu_nu and
 _laplacian_values, which are themselves checked against finite
-differences.
+differences; and for the rejection loop the chunk size and batch
+sizing, which fix which random streams it reads.
 """
 
 import math
@@ -492,3 +494,48 @@ class ExpandedFactorialMoments:
         out = float((vals / _falling(self.m[eligible], degree)).mean())
         self._reduced[gamma] = out
         return out
+
+
+def chunked_hybrid_reference(spec, n, rng, warmup=1000, safety=1.1, initial_envelope=1.0):
+    """sample_hybrid walked one proposal at a time, with no prefilter.
+
+    Reads the same chunk streams as the sampler (chunk c of the run from
+    rng.substream(c), batches sized by samplers._next_batch) and computes
+    the same density ratios, then visits every proposal in order: a
+    ratio above the envelope raises it to safety * ratio, and the
+    proposal is kept when coin <= ratio / envelope and it lies past the
+    warm-up. Returns (rows, attempted, envelope_trace). No patience
+    check: callers pass models the sampler can serve.
+    """
+    from compscore.samplers import CHUNK, _next_batch
+
+    k = spec.p - 1
+    a_k = spec.full_interaction()[:k, :k]
+    b_k = spec.full_linear()[:k]
+    alpha = spec.shape + 1.0
+    env = float(initial_envelope)
+    trace = [env]
+    kept = []
+    attempted = 0
+    chunk = 0
+    rate = 0.25
+    while len(kept) < n:
+        batch = _next_batch(n - len(kept), rate)
+        for lo in range(0, batch, CHUNK):
+            size = min(CHUNK, batch - lo)
+            gen = rng.substream(chunk).generator()
+            chunk += 1
+            u = gen.dirichlet(alpha, size=size)
+            coins = gen.uniform(size=size)
+            ut = u[:, :k].T
+            with np.errstate(over="ignore"):
+                ratio = np.exp(((np.einsum("ij,jb->ib", a_k, ut) + b_k[:, None]) * ut).sum(axis=0))
+            for i, (r, coin) in enumerate(zip(ratio.tolist(), coins.tolist())):
+                if r > env:
+                    env = safety * r
+                    trace.append(env)
+                if coin <= r / env and attempted + i >= warmup:
+                    kept.append(u[i])
+            attempted += size
+        rate = max(len(kept) / max(attempted - warmup, 1), 1e-8)
+    return np.array(kept[:n]), attempted, trace

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from compscore.cli import main
 from compscore.core import ContinuousDataset
 from compscore.fitting import BLOCK_ROWS
 from compscore.io import dump_json, write_proportions_csv
+from compscore.samplers import CHUNK
 
 
 def run_cli(*argv):
@@ -94,6 +96,47 @@ def test_fit_identical_across_blas_threads(tmp_path):
         )
         payloads.append((out / "fit.json").read_bytes())
     assert payloads[0] == payloads[1]
+
+
+def test_diagnose_identical_across_blas_threads_and_cpus(tmp_path):
+    """diagnose of a hybrid fit draws its proposals in many chunks on a
+    thread pool with one worker per usable CPU. report.json has the same
+    bytes under 1 and 2 BLAS threads and with the child pinned to one
+    CPU (set at the child's start rather than in preexec_fn, which is
+    unsafe in a parent that already runs sampler threads); the
+    rejection stats go to the manifest only."""
+    data = resources.files("compscore").joinpath("data/synthetic_microbiome_counts.csv")
+    cfg = _write_config(
+        tmp_path / "cfg.json", family="hybrid", data_kind="counts",
+        shape=[-0.8, -0.85, 0.0, -0.2, 0.0],
+    )
+    fit_dir = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--config", cfg, "--weight", "capped-min",
+                   "--ac", "auto:0.9", "--out", fit_dir) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compscore.__file__)))
+    runs = [("1", False), ("2", False)]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("2", True))
+    payloads = []
+    for i, (threads, pinned) in enumerate(runs):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"diag{i}"
+        argv = ["diagnose", "--data", str(data), "--data-kind", "counts",
+                "--grid-totals", "2000", "--fit", str(fit_dir / "fit.json"),
+                "--n-sim", "20000", "--seed", "5", "--out", str(out)]
+        pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if pinned else ""
+        code = f"import os, sys; {pin}from compscore.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code] + argv,
+                       env=env, check=True, capture_output=True, timeout=300)
+        payloads.append((out / "report.json").read_bytes())
+    assert all(p == payloads[0] for p in payloads[1:])
+    assert b"attempted" not in payloads[0]
+    rejection = _read_json(tmp_path / "diag0" / "manifest.json")["rejection"]
+    assert set(rejection) == {"attempted", "accepted", "acceptance_rate", "envelope_updates"}
+    assert rejection["accepted"] == 20000
+    assert rejection["attempted"] > 4 * CHUNK  # several chunks, so the pool ran
+    assert rejection["acceptance_rate"] == 20000 / rejection["attempted"]
 
 
 def test_simulate_discrete_writes_counts(tmp_path):

@@ -1,10 +1,20 @@
 """Samplers: reproducibility, support constraints, distributional
 oracles (1-d quadrature, exact moments), and failure modes."""
 
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from _oracles import chunked_hybrid_reference
+from compscore import registry, samplers
 from compscore.core import ContinuousDataset, ModelSpec
 from compscore.errors import (
     DataError,
@@ -13,6 +23,7 @@ from compscore.errors import (
     InfeasibleTruncationError,
 )
 from compscore.samplers import (
+    CHUNK,
     RngConfig,
     sample_dirichlet,
     sample_hybrid,
@@ -160,9 +171,143 @@ def test_sample_model_dispatch():
     )
     data, stats = sample_model(dspec, 50, rng, return_stats=True)
     assert stats is None
+    data, stats = sample_model(TGAUSS3, 50, rng, return_stats=True)
+    np.testing.assert_array_equal(
+        data.proportions, sample_truncated_gaussian(TGAUSS3, 50, rng).proportions
+    )
+    assert stats.accepted == 50 and stats.attempted >= 50
+    assert stats.envelope == 1.0 and stats.envelope_updates == 0
+    assert stats.envelope_trace == [1.0]
     hspec = ModelSpec(family="hybrid", p=3, shape=[0.0, 0.0, 0.0])
     data, stats = sample_model(hspec, 50, rng, return_stats=True)
     assert stats is not None and stats.accepted == 50
+
+
+def _draw_both_samplers():
+    """model1 with a low starting envelope (several updates, about 170
+    chunks) and TGAUSS3 (three chunks), each with its RejectionStats."""
+    model1 = registry.get("model1").spec
+    return (
+        sample_hybrid(model1, 100_000, RngConfig(12), initial_envelope=0.05),
+        sample_model(TGAUSS3, 20_000, RngConfig(13), return_stats=True),
+    )
+
+
+def test_draws_do_not_depend_on_the_worker_count(monkeypatch):
+    reference = _draw_both_samplers()
+    hybrid_stats = reference[0][1]
+    assert hybrid_stats.envelope_updates >= 3
+    assert hybrid_stats.attempted > 100 * CHUNK
+    assert reference[1][1].attempted > 2 * CHUNK
+    for workers in (1, 3):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(samplers, "_pool", pool)
+            got = _draw_both_samplers()
+        for (data, stats), (want, want_stats) in zip(got, reference):
+            np.testing.assert_array_equal(data.proportions, want.proportions)
+            assert stats == want_stats  # envelope trace included
+
+
+def test_chunks_read_their_own_streams():
+    """With a flat energy and no warm-up every proposal is kept, so the
+    output is the chunks in order: chunk c is the start of
+    rng.substream(c), and no two chunks repeat a draw."""
+    shape = np.array([0.5, -0.2, 1.0])
+    spec = ModelSpec(family="hybrid", p=3, shape=shape)
+    rng = RngConfig(14)
+    data, stats = sample_hybrid(spec, 3 * CHUNK, rng, warmup=0)
+    u = data.proportions
+    for c in range(3):
+        gen = rng.substream(c).generator()
+        chunk = ContinuousDataset(gen.dirichlet(shape + 1.0, size=CHUNK))
+        np.testing.assert_array_equal(u[c * CHUNK : (c + 1) * CHUNK], chunk.proportions)
+    assert np.unique(u, axis=0).shape[0] == u.shape[0]
+    tg = sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(15)).proportions
+    assert np.unique(tg, axis=0).shape[0] == tg.shape[0]
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    """Callers on several threads (as a threaded study makes) create the
+    chunk pool once and still get the draws a lone caller gets."""
+    want = sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(16)).proportions
+    created = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(samplers, "_pool", None)
+    start = threading.Barrier(4)
+
+    def call():
+        start.wait(timeout=30)
+        return sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(16)).proportions
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            results = [f.result(timeout=120) for f in [callers.submit(call) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert len(created) == 1
+    for got in results:
+        np.testing.assert_array_equal(got, want)
+
+
+def _sample_in_child():
+    sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(17))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_gets_its_own_pool():
+    """A child forked after the pool exists inherits none of its threads;
+    it must start its own pool rather than wait on the parent's."""
+    sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(17))
+    assert samplers._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_sample_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_prefilter_matches_unfiltered_reference(data):
+    """The workers' prefilter drops only proposals that can neither be
+    kept nor raise the envelope: sample_hybrid equals the row-by-row loop
+    over every proposal, bit for bit, envelope trace included. A 40000-row
+    warm-up ends inside the third chunk."""
+    p = data.draw(st.integers(3, 5), label="p")
+    k = p - 1
+    eig = np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
+    basis = np.linalg.qr(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((k, k)))[0]
+    spec = ModelSpec(
+        family="hybrid",
+        p=p,
+        interaction=-(basis * eig) @ basis.T,
+        linear=data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k), label="linear"),
+        shape=data.draw(st.lists(st.floats(-0.9, 2.0), min_size=p, max_size=p), label="shape"),
+    )
+    n = data.draw(st.integers(200, 3000), label="n")
+    warmup = data.draw(st.sampled_from([0, 1000, 40_000]), label="warmup")
+    envelope = data.draw(st.sampled_from([0.5, 1.0]), label="initial_envelope")
+    rng = RngConfig(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    got, stats = sample_hybrid(spec, n, rng, warmup=warmup, initial_envelope=envelope)
+    rows, attempted, trace = chunked_hybrid_reference(
+        spec, n, rng, warmup=warmup, initial_envelope=envelope
+    )
+    np.testing.assert_array_equal(got.proportions, ContinuousDataset(rows).proportions)
+    assert stats.attempted == attempted
+    assert stats.envelope_trace == trace
+    assert stats.envelope_updates == len(trace) - 1
 
 
 def test_multinomial_counts_moments():
