@@ -9,7 +9,10 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 echo "working in $work"
 
-compscore presets list | head -6
+# no pipe into head: under pipefail, a reader that quits early fails the
+# script when the writer's next line meets the closed pipe
+compscore presets list > "$work/presets.txt"
+head -6 "$work/presets.txt"
 
 echo
 echo "== simulate =="
@@ -47,5 +50,5 @@ cat > "$work/bench-config.json" <<'EOF'
   "seed": 3
 }
 EOF
-compscore bench --config "$work/bench-config.json" --threads 2 --out "$work/bench"
+compscore bench --config "$work/bench-config.json" --out "$work/bench"
 cat "$work/bench/summary.csv"

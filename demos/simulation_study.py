@@ -20,7 +20,6 @@ config = StudyConfig(
     n=1000,
     replicates=200,
     seed=19,
-    threads=2,
 )
 t0 = time.time()
 summary = run_study(config)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .fitting import fit_dirichlet, fit_dirichlet_moments, fit_hybrid
 from .io import (
+    _fmt,
     dump_json,
     fit_to_csv_rows,
     model_spec_from_fit,
@@ -47,10 +48,6 @@ from .study import StudyConfig, run_study
 from .weights import KINDS, WeightSpec, cap_from_quantile
 
 __all__ = ["main"]
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _csv_text(rows):
@@ -366,6 +363,12 @@ _BENCH_KEYS = (
 )
 
 
+def _cell(value):
+    if value is None:
+        return ""
+    return value if isinstance(value, (int, str)) else _fmt(value)
+
+
 def cmd_bench(args):
     started = time.monotonic()
     cfg = _load_config(args.config, _BENCH_KEYS)
@@ -380,7 +383,6 @@ def cmd_bench(args):
         cap_min=cfg.get("cap_min"),
         cap_product=cfg.get("cap_product"),
         ridge=float(cfg.get("ridge", 0.0)),
-        threads=args.threads,
     )
     summary = run_study(config)
 
@@ -398,23 +400,7 @@ def cmd_bench(args):
         "se_est_p50",
         "se_est_p95",
     ]
-    rows = [header]
-    for row in summary.to_rows():
-        rows.append(
-            [
-                row["estimator"],
-                row["parameter"],
-            ]
-            + [
-                "" if row[key] is None else _fmt(row[key])
-                for key in header[2:8]
-            ]
-            + [row["n_ok"]]
-            + [
-                "" if row[key] is None else _fmt(row[key])
-                for key in header[9:]
-            ]
-        )
+    rows = [header] + [[_cell(row[key]) for key in header] for row in summary.to_rows()]
 
     rep_rows = [["estimator", "replicate", "parameter", "estimate", "se_estimate"]]
     for est in sorted(summary.replicate_estimates):
@@ -542,7 +528,6 @@ def build_parser():
     bench.add_argument("--config", required=True, help="study config JSON")
     bench.add_argument("--out", required=True)
     bench.add_argument("--seed", type=int, help="override the config seed")
-    bench.add_argument("--threads", type=int, default=1)
     bench.set_defaults(func=cmd_bench)
 
     pre = sub.add_parser("presets", help="inspect the model registry")

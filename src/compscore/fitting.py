@@ -502,17 +502,7 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
     theta_f, evals, evecs, cond = _solve_psd(wff, rhs, ridge, labels)
     theta_full[free] = theta_f
 
-    cov = None
-    if with_se:
-        if workspace.z is None:
-            raise ConfigError(
-                "standard errors need per-observation data; this workspace "
-                "was built from moments only (pass with_se=False)"
-            )
-        sigma0 = _error_moment(workspace, theta_full, mask)
-        inv_w = evecs @ (evecs.T / evals[:, None])
-        cov = inv_w @ sigma0 @ inv_w
-
+    cov = _sandwich(workspace, theta_full, mask, evals, evecs) if with_se else None
     result = FitResult(
         labels=labels,
         estimates=theta_f,
@@ -559,13 +549,21 @@ def _error_moment(workspace, theta_full, mask):
     return _symmetric(total) / workspace.n
 
 
-def standard_errors(workspace, result, mask=None):
-    """Plug-in covariance of sqrt(n) * theta_hat for an existing fit."""
+def _sandwich(workspace, theta_full, mask, evals, evecs):
+    """Plug-in covariance W^-1 Sigma_0 W^-1 over the free block, with W^-1
+    from the free block's eigenpairs."""
     if workspace.z is None:
         raise ConfigError(
             "standard errors need per-observation data; this workspace "
-            "was built from moments only"
+            "was built from moments only (pass with_se=False)"
         )
+    sigma0 = _error_moment(workspace, theta_full, mask)
+    inv_w = evecs @ (evecs.T / evals[:, None])
+    return inv_w @ sigma0 @ inv_w
+
+
+def standard_errors(workspace, result, mask=None):
+    """Plug-in covariance of sqrt(n) * theta_hat for an existing fit."""
     imap = workspace.imap
     mask = _normalize_mask(imap, mask)
     free = np.flatnonzero(mask)
@@ -573,12 +571,10 @@ def standard_errors(workspace, result, mask=None):
     theta_full[free] = result.estimates
     for lab, val in result.fixed.items():
         theta_full[imap.index(lab)] = val
-    sigma0 = _error_moment(workspace, theta_full, mask)
     wff = workspace.gram[np.ix_(free, free)]
     labels = [imap.labels[i] for i in free]
     _, evals, evecs, _ = _solve_psd(wff, np.zeros(free.size), result.ridge, labels)
-    inv_w = evecs @ (evecs.T / evals[:, None])
-    return inv_w @ sigma0 @ inv_w
+    return _sandwich(workspace, theta_full, mask, evals, evecs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A study draws R independent datasets from a registry entry, runs the
 requested estimators on each, and reports per-parameter bias, spread,
 RMSE and relative bias against the generating values. Replicate r uses
-substream r of the study seed, so studies are reproducible and can be
-distributed over threads without changing results.
+substream r of the study seed, so studies are reproducible. Replicates
+run one after another; the parallelism lives in the samplers' proposal
+chunks and in BLAS.
 
 Estimator roster (weights use the entry's presets unless overridden):
 
@@ -19,7 +20,6 @@ Discrete entries are thinned to counts; estimators 1-4 then run on the
 observed proportions x/m while estimator 5 consumes the counts directly.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +56,6 @@ class StudyConfig:
     cap_min: float = None
     cap_product: float = None
     ridge: float = 0.0
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(int(e) for e in self.estimators))
@@ -69,8 +68,6 @@ class StudyConfig:
             raise ConfigError("a study needs at least 2 replicates")
         if self.n < 1:
             raise ConfigError("n must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
         if self.ridge < 0:
             raise ConfigError("ridge must be nonnegative")
 
@@ -224,7 +221,7 @@ def run_study(config):
     se_store = {e: np.full((nrep, k), np.nan) for e in roster}
     messages = {e: [] for e in roster}
 
-    def one_replicate(r):
+    for r in range(nrep):
         rng = base.substream(r)
         latent = sample_model(spec, config.n, rng.substream(0))
         counts = None
@@ -232,26 +229,12 @@ def run_study(config):
         if entry.discrete:
             counts = sample_multinomial_counts(latent, totals, rng.substream(1))
             udata = counts_to_proportions(counts)
-        out = {}
         for est, run in roster.items():
             try:
-                out[est] = run(latent, counts, udata)
+                est_vec, se_vec = run(latent, counts, udata)
             except CompscoreError as exc:
-                out[est] = exc
-        return out
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_replicate, range(nrep)))
-    else:
-        results = [one_replicate(r) for r in range(nrep)]
-
-    for r, out in enumerate(results):
-        for est, value in out.items():
-            if isinstance(value, Exception):
-                messages[est].append(f"replicate {r}: {value}")
+                messages[est].append(f"replicate {r}: {exc}")
                 continue
-            est_vec, se_vec = value
             estimates[est][r] = est_vec
             if se_vec is not None:
                 se_store[est][r] = se_vec

@@ -263,10 +263,13 @@ def test_bench_workflow(tmp_path):
     replicates = (out / "replicates.csv").read_text().splitlines()
     assert len(replicates) == 1 + 2 * 4 * 3
 
-    # byte-identical rerun, and thread count does not change results
+    # byte-identical rerun; studies take no thread-count flag
     before = (out / "summary.csv").read_bytes()
-    assert run_cli("bench", "--config", cfg, "--out", out, "--threads", 4) == 0
+    assert run_cli("bench", "--config", cfg, "--out", out) == 0
     assert (out / "summary.csv").read_bytes() == before
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--config", cfg, "--out", out, "--threads", 2)
+    assert exc.value.code == 2
 
 
 def test_config_rejections(tmp_path):

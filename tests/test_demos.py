@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, Python or shell, runs to completion against the
+package in src/."""
 
 import os
 import subprocess
@@ -8,14 +9,24 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted(d for d in (ROOT / "demos").iterdir() if d.suffix in (".py", ".sh"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # shell demos call `compscore`; this shim runs the CLI module from src/
+    shim = tmp_path / "bin" / "compscore"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m compscore.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        PATH=f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}",
+    )
+    cmd = ["bash", str(demo)] if demo.suffix == ".sh" else [sys.executable, str(demo)]
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        cmd,
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -227,8 +227,8 @@ def test_chunks_read_their_own_streams():
 
 
 def test_concurrent_callers_share_one_pool(monkeypatch):
-    """Callers on several threads (as a threaded study makes) create the
-    chunk pool once and still get the draws a lone caller gets."""
+    """Callers on several threads create the chunk pool once and still
+    get the draws a lone caller gets."""
     want = sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(16)).proportions
     created = []
 

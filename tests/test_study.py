@@ -1,11 +1,12 @@
 """The replicated simulation-study harness: summary identities,
-reproducibility across thread counts, estimator compatibility, and
-failure accounting."""
+reproducibility per seed, estimator compatibility, and failure
+accounting."""
 
 import numpy as np
 import pytest
 
-from compscore.errors import ConfigError, StudyFailureError
+from compscore import study
+from compscore.errors import ConfigError, SingularSystemError, StudyFailureError
 from compscore.study import StudyConfig, run_study
 
 
@@ -53,19 +54,13 @@ def test_rbias_definition():
     assert cell.rbias == pytest.approx(cell.bias / cell.se)
 
 
-def test_reproducible_and_thread_invariant():
+def test_reproducible():
     base = StudyConfig(model="model15", estimators=(1, 5), n=300, replicates=6, seed=33)
     s1 = run_study(base)
     s2 = run_study(base)
-    s4 = run_study(
-        StudyConfig(model="model15", estimators=(1, 5), n=300, replicates=6, seed=33, threads=4)
-    )
     for est in (1, 5):
         np.testing.assert_array_equal(
             s1.replicate_estimates[est], s2.replicate_estimates[est]
-        )
-        np.testing.assert_array_equal(
-            s1.replicate_estimates[est], s4.replicate_estimates[est]
         )
     s_other = run_study(
         StudyConfig(model="model15", estimators=(1,), n=300, replicates=6, seed=34)
@@ -128,3 +123,48 @@ def test_failure_accounting_aborts():
     # 5 rows cannot identify the 10-part model's 54 parameters
     with pytest.raises(StudyFailureError, match="estimator 1 failed on 5/5"):
         run_study(StudyConfig(model="model6", estimators=(1,), n=5, replicates=5, seed=38))
+
+
+def _failing_fit_hybrid(monkeypatch, fail_calls):
+    """Make the study's fit_hybrid raise on the given (0-based) calls."""
+    real = study.fit_hybrid
+    calls = []
+
+    def fit(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 in fail_calls:
+            raise SingularSystemError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(study, "fit_hybrid", fit)
+
+
+def test_partial_failures_leave_nan_rows(monkeypatch):
+    config = StudyConfig(model="model3", estimators=(1,), n=200, replicates=10, seed=39)
+    clean = run_study(config)
+    _failing_fit_hybrid(monkeypatch, {2, 7})
+    summary = run_study(config)
+    assert summary.failures == {1: 2}
+    est, se = summary.replicate_estimates[1], summary.replicate_se[1]
+    failed = np.isnan(est).all(axis=1)
+    np.testing.assert_array_equal(np.flatnonzero(failed), [2, 7])
+    assert np.isnan(se[failed]).all() and not np.isnan(se[~failed]).any()
+    # fits draw no random numbers, so the other replicates match a clean run
+    np.testing.assert_array_equal(est[~failed], clean.replicate_estimates[1][~failed])
+    ok = est[~failed]
+    mean, spread = ok.mean(axis=0), ok.std(axis=0)
+    for i, lab in enumerate(summary.labels):
+        cell = summary.cell(1, lab)
+        assert cell.n_ok == 8
+        assert (cell.mean, cell.se) == (mean[i], spread[i])
+
+
+def test_failures_above_rate_name_first_three(monkeypatch):
+    _failing_fit_hybrid(monkeypatch, {1, 4, 6})
+    config = StudyConfig(model="model3", estimators=(1,), n=200, replicates=10, seed=39)
+    with pytest.raises(StudyFailureError) as exc:
+        run_study(config)
+    assert str(exc.value) == (
+        "estimator 1 failed on 3/10 replicates: "
+        "replicate 1: forced; replicate 4: forced; replicate 6: forced"
+    )
