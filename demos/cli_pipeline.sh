@@ -9,10 +9,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 echo "working in $work"
 
-# no pipe into head: under pipefail, a reader that quits early fails the
-# script when the writer's next line meets the closed pipe
-compscore presets list > "$work/presets.txt"
-head -6 "$work/presets.txt"
+compscore presets list | head -6
 
 echo
 echo "== simulate =="

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Draw from the bundled model presets and sanity-check the output.
 
-Continuous draws come from rejection samplers whose envelopes adapt
-during a warmup pass; count models thin a latent draw through a
+Continuous draws come from rejection samplers. The truncated Gaussian
+proposes from a Gaussian or a scaled Dirichlet, whichever has the
+smaller certified envelope; the interaction model's envelope adapts
+during a warm-up pass. Count models thin a latent draw through a
 multinomial. Everything is driven by one seed through named substreams.
 """
 
@@ -31,7 +33,7 @@ def describe(name, n=20_000, seed=42):
     data, stats = sample_model(entry.spec, n, rng.substream(0), return_stats=True)
     line = f"{name}: {data.n} rows, p={data.p}"
     if stats is not None:
-        line += (f", acceptance {stats.acceptance_rate:.3f}"
+        line += (f", {stats.proposal} proposal, acceptance {stats.acceptance_rate:.3f}"
                  f" ({stats.attempted} attempted)")
     print(line)
     print(f"  mean {np.round(data.proportions.mean(axis=0), 4)}")

@@ -8,11 +8,13 @@ manifest's duration field is the one exception).
 
 Exit codes: 0 success, 2 input or configuration problem, 3 numeric
 failure, 4 sampler failure. Errors print one machine-parsable line to
-stderr.
+stderr. A reader that closes stdout early (`compscore presets list |
+head -1`) is not an error: the run exits 0 and prints nothing more.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -263,13 +265,7 @@ def cmd_simulate(args):
         "totals": None if totals is None else int(totals),
     }
     if stats is not None:
-        sidecar["rejection"] = {
-            "attempted": stats.attempted,
-            "accepted": stats.accepted,
-            "envelope": stats.envelope,
-            "envelope_updates": stats.envelope_updates,
-            "envelope_trace": stats.envelope_trace,
-        }
+        sidecar["rejection"] = stats.to_dict()
     if totals is not None:
         counts = sample_multinomial_counts(latent, totals, rng.substream(1))
         files["counts.csv"] = lambda path: write_counts_csv(path, counts)
@@ -323,17 +319,7 @@ def cmd_diagnose(args):
         "grid_totals": None if args.grid_totals is None else int(args.grid_totals),
         "qq": int(args.qq),
     }
-    extra = None
-    stats = report.rejection
-    if stats is not None:
-        extra = {
-            "rejection": {
-                "attempted": stats.attempted,
-                "accepted": stats.accepted,
-                "acceptance_rate": stats.acceptance_rate,
-                "envelope_updates": stats.envelope_updates,
-            }
-        }
+    extra = None if report.rejection is None else {"rejection": report.rejection.to_dict()}
     files["manifest.json"] = dump_json(
         _manifest("diagnose", args.seed, [args.data, args.fit], resolved, started, extra=extra)
     )
@@ -540,7 +526,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as Python's signal docs advise: point stdout at devnull, so the
+        # interpreter's final flush cannot meet the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except CompscoreError as exc:
         if isinstance(exc, SamplerError):
             code = 4

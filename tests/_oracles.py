@@ -6,13 +6,14 @@ gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
 a dense assembly of the continuous route from full projected gradient
 tensors, a polynomial assembly of the count route with expanded
-factorial moments, and a row-by-row envelope rejection loop. Only the
-two assemblies and the rejection loop import from the package: the
-workspace container, the index map, the weight spec and the error
-types; for the dense assembly the per-statistic tables _mu_nu and
-_laplacian_values, which are themselves checked against finite
-differences; and for the rejection loop the chunk size and batch
-sizing, which fix which random streams it reads.
+factorial moments, a row-by-row envelope rejection loop, and
+inverse-CDF draws of a truncated Gaussian with independent
+coordinates. Only the two assemblies and the rejection loop import
+from the package: the workspace container, the index map, the weight
+spec and the error types; for the dense assembly the per-statistic
+tables _mu_nu and _laplacian_values, which are themselves checked
+against finite differences; and for the rejection loop the chunk size
+and batch sizing, which fix which random streams it reads.
 """
 
 import math
@@ -539,3 +540,31 @@ def chunked_hybrid_reference(spec, n, rng, warmup=1000, safety=1.1, initial_enve
             attempted += size
         rate = max(len(kept) / max(attempted - warmup, 1), 1e-8)
     return np.array(kept[:n]), attempted, trace
+
+
+def diagonal_truncated_gaussian_reference(spec, n, gen):
+    """Truncated-Gaussian rows for a diagonal interaction, drawn by a
+    route that shares nothing with the package's sampler.
+
+    With A diagonal, the untruncated Gaussian's coordinates are
+    independent, N(mu_j, sd_j^2) with mu_j = -b_j / (2 a_jj) and
+    sd_j^2 = -1 / (2 a_jj). Each is drawn on [0, inf) by inverse CDF, and
+    rows whose p-1 coordinates sum above 1 are rejected. What is left
+    has density proportional to exp(u'Au + b'u) on the simplex. gen is a
+    numpy Generator.
+    """
+    from scipy.special import ndtr, ndtri
+
+    diag = np.diag(spec.interaction)
+    assert np.array_equal(spec.interaction, np.diag(diag)), "needs a diagonal interaction"
+    mu = -np.asarray(spec.linear) / (2.0 * diag)
+    sd = np.sqrt(-0.5 / diag)
+    low = ndtr(-mu / sd)  # the mass below 0 of each coordinate
+    kept, count = [], 0
+    while count < n:
+        draw = mu + sd * ndtri(low + gen.uniform(size=(n, diag.size)) * (1.0 - low))
+        draw = draw[draw.sum(axis=1) <= 1.0]
+        kept.append(draw)
+        count += draw.shape[0]
+    free = np.vstack(kept)[:n]
+    return np.column_stack([free, 1.0 - free.sum(axis=1)])

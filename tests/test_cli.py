@@ -19,6 +19,13 @@ from compscore.io import dump_json, write_proportions_csv
 from compscore.samplers import CHUNK
 
 
+# the keys of RejectionStats.to_dict, which simulate and diagnose record
+REJECTION_KEYS = {
+    "proposal", "log_bound", "attempted", "accepted", "acceptance_rate",
+    "envelope", "envelope_updates", "envelope_trace",
+}
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -53,6 +60,11 @@ def test_simulate_then_fit_roundtrip(tmp_path, capsys):
     assert (sim_dir / "data.csv").exists()
     sidecar = _read_json(sim_dir / "sidecar.json")
     assert sidecar["model"] == "model3" and sidecar["totals"] is None
+    rejection = sidecar["rejection"]
+    assert set(rejection) == REJECTION_KEYS
+    assert rejection["proposal"] == "scaled-dirichlet" and rejection["accepted"] == 300
+    assert rejection["envelope_updates"] == 0 and rejection["envelope_trace"] == [1.0]
+    assert np.isfinite(rejection["log_bound"])
 
     cfg = _write_config(tmp_path / "fit.json.cfg", family="truncated-gaussian")
     fit_dir = tmp_path / "fit"
@@ -133,10 +145,36 @@ def test_diagnose_identical_across_blas_threads_and_cpus(tmp_path):
     assert all(p == payloads[0] for p in payloads[1:])
     assert b"attempted" not in payloads[0]
     rejection = _read_json(tmp_path / "diag0" / "manifest.json")["rejection"]
-    assert set(rejection) == {"attempted", "accepted", "acceptance_rate", "envelope_updates"}
+    assert set(rejection) == REJECTION_KEYS
+    assert rejection["proposal"] == "dirichlet" and rejection["log_bound"] is None
     assert rejection["accepted"] == 20000
     assert rejection["attempted"] > 4 * CHUNK  # several chunks, so the pool ran
     assert rejection["acceptance_rate"] == 20000 / rejection["attempted"]
+
+
+@pytest.mark.parametrize(
+    "unbuffered, reader", [("1", "head -1"), ("1", "true"), (None, "true")],
+    ids=["unbuffered-head", "unbuffered-true", "buffered-true"],
+)
+def test_closed_stdout_exits_0(tmp_path, unbuffered, reader):
+    """A reader that quits early is not an error, with stdout buffered
+    or not: under pipefail the pipeline exits 0 and stderr stays empty.
+    `true` closes the pipe before the CLI writes anything."""
+    shim = tmp_path / "compscore"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m compscore.cli "$@"\n')
+    shim.chmod(0o755)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compscore.__file__)))
+    env = dict(os.environ, PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run(
+        ["bash", "-c", f"set -o pipefail; compscore presets list | {reader}"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_simulate_discrete_writes_counts(tmp_path):

@@ -1,12 +1,20 @@
-"""Regenerate the bundled synthetic microbiome dataset.
+"""Draw a synthetic microbiome count table like the bundled one.
 
 Draws n rows from the model1 preset (the bundled real-data-scale hybrid
-fit), thins them to multinomial counts, and writes the package data CSV.
-The seed is fixed so the artifact is reproducible; rerunning this script
-must not change the checked-in file.
+fit), thins them to multinomial counts and writes a counts CSV to the
+required --out path:
+
+    python tools/make_bundled_dataset.py --out counts.csv
+
+The checked-in src/compscore/data/synthetic_microbiome_counts.csv was
+drawn with this seed by the hybrid sampler as it stood at commit
+6385eb3. Commit c17b9c7 gave that sampler per-chunk substreams, so
+today's sampler draws a different table from the same seed. The
+checked-in file is kept as it is, because the benchmark's reference
+fits depend on its bytes; this tool no longer rewrites it.
 """
 
-import os
+import argparse
 
 from compscore import registry
 from compscore.core import CountDataset
@@ -18,21 +26,19 @@ N = 92
 TOTALS = 2000
 NAMES = ("taxon1", "taxon2", "taxon3", "taxon4", "other")
 
-OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "src", "compscore", "data", "synthetic_microbiome_counts.csv",
-)
-
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="path of the counts CSV to write")
+    args = parser.parse_args()
     entry = registry.get("model1")
     rng = RngConfig(SEED)
     latent, _ = sample_hybrid(entry.spec, N, rng.substream(0))
     counts = sample_multinomial_counts(latent, TOTALS, rng.substream(1))
     counts = CountDataset(counts.counts, totals=counts.totals, names=NAMES)
-    write_counts_csv(OUT, counts)
+    write_counts_csv(args.out, counts)
     zeros = (counts.counts == 0).mean(axis=0)
-    print(f"wrote {OUT}: {counts.n} rows, zero fractions {zeros.round(2)}")
+    print(f"wrote {args.out}: {counts.n} rows, zero fractions {zeros.round(2)}")
 
 
 if __name__ == "__main__":
