@@ -24,7 +24,11 @@ everything to that sparse table and the radial components nu_i = z'mu_i:
   with m = sum_j theta_j mu_j, a gather of O(q) work per row.
 
 W, d, V and the plug-in covariance are assembled from the same per-row
-features in blocks of rows; W and Sigma_0 are symmetrized explicitly.
+features in blocks of rows, sized by a cache budget (BLOCK_ENTRIES) so
+that one block's features stay in a core's L2. d and V are read off
+block sums of h^2 u_ext, h^2 nu, h^2 kappa nu and h^2 u_ext omega' by
+the read-off the moment route shares; W and Sigma_0 are symmetrized
+explicitly.
 
 The same machinery covers the Dirichlet family, whose sufficient
 statistics are logarithms; cancellation of the weight against 1/u leaves
@@ -58,15 +62,15 @@ __all__ = [
     "fit_dirichlet_moments",
 ]
 
-BLOCK_ROWS = 8192
-# Per-row features held at once: a block has at most this many rows x q.
-BLOCK_ENTRIES = 1 << 21
+# Entries of one width-wide feature array per block of rows: 1 MiB of
+# float64, half a core's L2, so a block's per-row features stay in cache.
+BLOCK_ENTRIES = 1 << 17
 
 _hsq = squared_weight
 
 
-def _blocks(n, q):
-    size = min(BLOCK_ROWS, max(1, BLOCK_ENTRIES // q))
+def _blocks(n, width):
+    size = max(1, BLOCK_ENTRIES // width)
     for start in range(0, n, size):
         yield start, min(start + size, n)
 
@@ -162,17 +166,12 @@ def _g_apply(u_ext, w, lay):
     return c0 * u_ext[:, r0] * w[:, s0] + c1 * u_ext[:, r1] * w[:, s1]
 
 
-def _laplacian_rows(u_ext, nu, lay):
-    """Sphere Laplacian of each statistic from u_ext and nu. Linear in
-    (u_ext, nu), so it applies to sums of rows as well. Each column of
-    lap_map holds one nonzero, or two powers of two, so every entry of
-    the product rounds once whatever the BLAS summation order."""
-    return u_ext @ lay.lap_map - lay.lap_kappa * nu
-
-
 def _laplacian_values(u, imap):
-    """Sphere Laplacian of each sufficient statistic (block of rows)."""
-    return _laplacian_rows(_extend(u), _nu_values(u, imap), _layout(imap.p))
+    """Sphere Laplacian of each sufficient statistic (block of rows). Each
+    column of lap_map holds one nonzero, or two powers of two, so every
+    entry of the product rounds once whatever the BLAS summation order."""
+    lay = _layout(imap.p)
+    return _extend(u) @ lay.lap_map - lay.lap_kappa * _nu_values(u, imap)
 
 
 def _weight_direction(u, hsq, weight):
@@ -192,26 +191,17 @@ def _weight_direction(u, hsq, weight):
     return omega[:, :-1], smooth
 
 
-def _wgrad_rows(hsq, nu, u_ext, omega, kappa, lay):
-    return -2.0 * hsq[:, None] * (_g_apply(u_ext, omega, lay) - kappa[:, None] * nu)
-
-
-def _row_features(u, weight, imap, lay):
-    """The per-row features W, d, V and Sigma_0 are built from, for a
-    block of squared coordinates u = z * z."""
+def _row_features(u, weight, imap):
+    """u_ext, h^2, nu, omega and kappa for a block of squared coordinates."""
     hsq = _hsq(u, weight)
-    omega, kappa = _weight_direction(u, hsq, weight)
-    u_ext = _extend(u)
-    nu = _nu_values(u, imap)
-    return u_ext, hsq, nu, _laplacian_rows(u_ext, nu, lay), omega, kappa
+    return (_extend(u), hsq, _nu_values(u, imap)) + _weight_direction(u, hsq, weight)
 
 
 def _wgrad_obs(u, imap, weight):
     """Per-observation weight-derivative term (block), signs included:
     -grad h^2 . (P mu_i)."""
-    lay = _layout(imap.p)
-    u_ext, hsq, nu, _, omega, kappa = _row_features(u, weight, imap, lay)
-    return _wgrad_rows(hsq, nu, u_ext, omega, kappa, lay)
+    u_ext, hsq, nu, omega, kappa = _row_features(u, weight, imap)
+    return -2.0 * hsq[:, None] * (_g_apply(u_ext, omega, _layout(imap.p)) - kappa[:, None] * nu)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +298,18 @@ def _gram_mu(third, lay):
     return out
 
 
-def _g_sum(s_ext, lay, p):
-    """(q, p) matrix sum over rows of h^2 G_ic, from s_ext = sum h^2 u_ext."""
-    g = np.zeros((lay.coef.shape[0], p))
-    rows = np.arange(g.shape[0])[:, None]
-    np.add.at(g, (rows, lay.coord), lay.coef * s_ext[lay.partner])
-    return g
+def _linear_terms(s_u, s_nu, s_knu, s_uw, lay):
+    """Laplacian, weight-gradient and shape-coupling terms from sums over
+    rows: s_u of h^2 u_ext, s_nu of h^2 nu, s_knu of h^2 kappa nu and
+    s_uw of h^2 u_ext omega'. Each term's row function is linear in
+    u_ext, nu and u_ext omega' once h^2 and kappa are given; V's sum of
+    h^2 G_ic is a scatter of s_u through the layout."""
+    (c0, c1), (r0, r1), (s0, s1) = lay.coef.T, lay.partner.T, lay.coord.T
+    lap = lay.lap_kappa * s_nu - s_u @ lay.lap_map
+    wgrad = -2.0 * (c0 * s_uw[r0, s0] + c1 * s_uw[r1, s1] - s_knu)
+    g = np.zeros((lay.coef.shape[0], s_u.shape[0]))
+    np.add.at(g, (np.arange(g.shape[0])[:, None], lay.coord), lay.coef * s_u[lay.partner])
+    return lap, wgrad, g - s_nu[:, None]
 
 
 def _symmetric(mat):
@@ -342,37 +338,34 @@ def build_workspace(z, weight, shape=None, imap=None):
     lay = _layout(p)
     nu_gram = np.zeros((q, q))
     third = np.zeros((k, p, p))
-    lap = np.zeros(q)
-    wgrad = np.zeros(q)
-    hsq_nu = np.zeros(q)
-    hsq_u = np.zeros(p)
+    s_nu = np.zeros((2, q))
+    s_u = np.zeros(p)
+    s_uw = np.zeros((p, k))
     for start, stop in _blocks(n, q):
-        zb = z[start:stop]
-        u_ext, hsq, nu, lap_rows, omega, kappa = _row_features(zb * zb, weight, imap, lay)
-        hnu = np.sqrt(hsq)[:, None] * nu
-        nu_gram += hnu.T @ hnu
+        u_ext, hsq, nu, omega, kappa = _row_features(z[start:stop] ** 2, weight, imap)
         hu = hsq[:, None] * u_ext
+        s_u += hu.sum(axis=0)
+        s_uw += hu.T @ omega
+        s_nu += np.stack([hsq, hsq * kappa]) @ nu
         # One small X'X (a SYRK) per coordinate: forming all of them in
         # one general GEMM gave different bits under 1 and 2 BLAS threads.
         root = np.sqrt(hu[:, :k])
         for c in range(k):
             x = root[:, c : c + 1] * u_ext
             third[c] += x.T @ x
-        lap -= (hsq[:, None] * lap_rows).sum(axis=0)
-        wgrad += _wgrad_rows(hsq, nu, u_ext, omega, kappa, lay).sum(axis=0)
-        hsq_nu += (hsq[:, None] * nu).sum(axis=0)
-        hsq_u += hu.sum(axis=0)
+        nu *= np.sqrt(hsq)[:, None]
+        nu_gram += nu.T @ nu
 
-    gram = _gram_mu(third, lay) - nu_gram
+    lap, wgrad, shape_matrix = _linear_terms(s_u / n, s_nu[0] / n, s_nu[1] / n, s_uw / n, lay)
     return EstimatorWorkspace(
         imap=imap,
         weight=weight,
         shape=shape,
         n=n,
-        gram=_symmetric(gram) / n,
-        laplacian_term=lap / n,
-        weight_gradient_term=wgrad / n,
-        shape_matrix=(_g_sum(hsq_u, lay, p) - hsq_nu[:, None]) / n,
+        gram=_symmetric(_gram_mu(third, lay) - nu_gram) / n,
+        laplacian_term=lap,
+        weight_gradient_term=wgrad,
+        shape_matrix=shape_matrix,
         z=z,
     )
 
@@ -527,7 +520,8 @@ def _error_moment(workspace, theta_full, mask):
 
     Per row, with w_c = u_c (G'theta)_c + (1 + 2 shape)_c + 2 omega_c,
     the residual is h^2 (G w - nu (nu'theta + sum(1 + 2 shape) + 2 kappa)
-    + laplacian).
+    + laplacian), built in place: the Laplacian's u_ext @ lap_map first,
+    then G w, then nu scaled once by its radial factor and lap_kappa.
     """
     imap = workspace.imap
     k = imap.p - 1
@@ -539,12 +533,16 @@ def _error_moment(workspace, theta_full, mask):
     np.add.at(contract, (lay.partner, lay.coord), lay.coef * theta_full[:, None])
     total = np.zeros((free.size, free.size))
     for start, stop in _blocks(workspace.n, imap.q):
-        zb = workspace.z[start:stop]
-        u_ext, hsq, nu, lap, omega, kappa = _row_features(zb * zb, workspace.weight, imap, lay)
-        w = u_ext[:, :k] * (u_ext @ contract) + pi2[:k] + 2.0 * omega
+        u = workspace.z[start:stop] ** 2
+        u_ext, hsq, nu, omega, kappa = _row_features(u, workspace.weight, imap)
+        hw = hsq[:, None] * (u[:, :k] * (u_ext @ contract) + pi2[:k] + 2.0 * omega)
         radial = nu @ theta_full + pi2.sum() + 2.0 * kappa
-        resid = _g_apply(u_ext, w, lay) - radial[:, None] * nu + lap
-        resid = hsq[:, None] * resid[:, free]
+        resid = (hsq[:, None] * u_ext) @ lay.lap_map
+        resid += _g_apply(u_ext, hw, lay)
+        nu *= hsq[:, None] * (radial[:, None] + lay.lap_kappa)
+        resid -= nu
+        if free.size < imap.q:
+            resid = resid[:, free]
         total += resid.T @ resid
     return _symmetric(total) / workspace.n
 

@@ -11,8 +11,8 @@ whose C(p + 3, 4) distinct entries are monomial means E[prod_j u_j^alpha_j]
 with alpha_p = 1 and degrees p to p + 4. build_workspace_from_moments
 reads the system off T with the continuous route's own helpers: the
 Gram from the third moments T[:p-1, :, :, p-1] minus the Gram of nu, and
-d and V from the continuous route's row functions, which are linear in
-(u_ext, nu) and so apply to E[h^2 u_ext] and E[h^2 nu] directly.
+d and V from the continuous route's read-off of the sums E[h^2 u_ext] and
+E[h^2 nu], with omega = 1 and kappa = p.
 
 A moment provider supplies the means: any object with p, n and
 means(table), which returns the mean of prod_j u_j^table[k, j] for every
@@ -37,12 +37,10 @@ from .errors import ConfigError, DataError, InsufficientTotalsError
 from .fitting import (
     EstimatorWorkspace,
     _blocks,
-    _g_sum,
     _gram_mu,
-    _laplacian_rows,
     _layout,
+    _linear_terms,
     _symmetric,
-    _wgrad_rows,
     solve,
 )
 from .weights import WeightSpec
@@ -257,13 +255,10 @@ def build_workspace_from_moments(provider, shape=None):
     nu_gram = nu_map @ tensor.reshape(p * p, p * p) @ nu_map.T
     hsq_nu = nu_map @ tensor[:, :, k, k].reshape(-1)
     hsq_u = tensor[:, k, k, k]
-    # d's row functions are linear in (u_ext, nu) at fixed h^2, omega and
-    # kappa, and the uncapped product weight has omega = 1 and kappa = p
-    # on every row, so they apply to the sums directly.
-    lap = -_laplacian_rows(hsq_u[None], hsq_nu[None], lay)[0]
-    wgrad = _wgrad_rows(
-        np.ones(1), hsq_nu[None], hsq_u[None], np.ones((1, k)), np.full(1, float(p)), lay
-    )[0]
+    # the uncapped product weight has omega = 1 and kappa = p on every row
+    lap, wgrad, shape_matrix = _linear_terms(
+        hsq_u, hsq_nu, p * hsq_nu, np.repeat(hsq_u[:, None], k, axis=1), lay
+    )
     return EstimatorWorkspace(
         imap=imap,
         weight=WeightSpec("product"),
@@ -272,7 +267,7 @@ def build_workspace_from_moments(provider, shape=None):
         gram=_symmetric(_gram_mu(tensor[:k, :, :, k], lay) - nu_gram),
         laplacian_term=lap,
         weight_gradient_term=wgrad,
-        shape_matrix=_g_sum(hsq_u, lay, p) - hsq_nu[:, None],
+        shape_matrix=shape_matrix,
         z=None,
     )
 

@@ -207,8 +207,10 @@ def _rejection(
     accepted or raise an envelope of at least env0. Acceptance runs
     here, in chunk order: a row is kept when coin <= ratio / env and it
     lies past the warm-up, and a ratio above the envelope first raises
-    it to safety * ratio. Returns the (n, p) rows and RejectionStats,
-    which record proposal and log_bound as given.
+    it to safety * ratio. The run ends at the n-th acceptance: attempted
+    counts the proposals through that one, and no later proposal raises
+    the envelope. Returns the (n, p) rows and RejectionStats, which
+    record proposal and log_bound as given.
     Once PATIENCE proposals past the warm-up give an acceptance rate
     below MIN_RATE, raises fail(rate, attempted, envelope, trace).
     """
@@ -238,16 +240,21 @@ def _rejection(
                     with np.errstate(invalid="ignore"):
                         acc = coins[seg] <= ratio[seg] / env
                     acc &= pos[seg] + attempted >= warmup
-                    sel = rows[seg][acc]
-                    if sel.shape[0]:
-                        kept.append(sel)
-                        kept_count += sel.shape[0]
+                    hits = np.flatnonzero(acc)[: n - kept_count]
+                    kept.append(rows[seg][hits])
+                    kept_count += hits.size
+                    if kept_count == n:
+                        # the run ends at the n-th acceptance
+                        size = int(pos[seg][hits[-1]]) + 1
+                        break
                 if stop < m:
                     env = safety * float(ratio[stop])
                     trace.append(env)
                 # stop == start retests the violator against the raised envelope
                 start = stop
             attempted += size
+            if kept_count == n:
+                break
         effective = max(attempted - warmup, 1)
         rate = max(kept_count / effective, 1e-8)
         if effective >= PATIENCE and kept_count < effective * MIN_RATE:
@@ -261,7 +268,7 @@ def _rejection(
         proposal=proposal,
         log_bound=log_bound,
     )
-    return np.vstack(kept)[:n], stats
+    return np.vstack(kept), stats
 
 
 def _energy(a_k, b_k, ut):

@@ -505,8 +505,10 @@ def chunked_hybrid_reference(spec, n, rng, warmup=1000, safety=1.1, initial_enve
     the same density ratios, then visits every proposal in order: a
     ratio above the envelope raises it to safety * ratio, and the
     proposal is kept when coin <= ratio / envelope and it lies past the
-    warm-up. Returns (rows, attempted, envelope_trace). No patience
-    check: callers pass models the sampler can serve.
+    warm-up. The walk stops at the n-th kept proposal, and attempted
+    counts the proposals through it. Returns (rows, attempted,
+    envelope_trace). No patience check: callers pass models the sampler
+    can serve.
     """
     from compscore.samplers import CHUNK, _next_batch
 
@@ -537,9 +539,10 @@ def chunked_hybrid_reference(spec, n, rng, warmup=1000, safety=1.1, initial_enve
                     trace.append(env)
                 if coin <= r / env and attempted + i >= warmup:
                     kept.append(u[i])
+                    if len(kept) == n:
+                        return np.array(kept), attempted + i + 1, trace
             attempted += size
         rate = max(len(kept) / max(attempted - warmup, 1), 1e-8)
-    return np.array(kept[:n]), attempted, trace
 
 
 def diagonal_truncated_gaussian_reference(spec, n, gen):

@@ -1,5 +1,6 @@
 """The structured assembly of the continuous route against the dense
-reference in _oracles, and the memory it needs at larger p."""
+reference in _oracles, its independence of the row blocking, and the
+memory it needs at larger p."""
 
 import tracemalloc
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import dense_error_moment, dense_fit, dense_workspace
-from compscore.core import ContinuousDataset, ModelSpec, index_map, sqrt_transform
+from compscore import fitting
+from compscore.core import ContinuousDataset, CountDataset, ModelSpec, index_map, sqrt_transform
 from compscore.fitting import _error_moment, build_workspace, fit_hybrid
+from compscore.moments import EmpiricalMoments, FactorialMoments
 from compscore.weights import KINDS, WeightSpec, cap_from_quantile
 
 # Largest difference allowed, relative to the largest entry of the dense value.
@@ -85,4 +88,55 @@ def test_wide_fit_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 600e6
+    assert np.all(np.isfinite(fit.standard_errors))
+
+
+def test_block_partition_invariance(monkeypatch):
+    """W, d, V and Sigma_0 for every weight kind, and both moment
+    providers' means, agree whether the rows come one per block, in
+    cache-sized blocks (two for the fit, several for the means), or
+    in one block."""
+    p, n = 10, 2500
+    data = _rows_with_zeros_and_ties(p, n, 11, 20, 20)
+    z = sqrt_transform(data)
+    shape = np.linspace(-0.5, 2.0, p)
+    rng = np.random.default_rng(11)
+    theta = rng.standard_normal(index_map(p).q)
+    full = np.ones(theta.size, dtype=bool)
+    counts = CountDataset(np.array([rng.multinomial(60, row) for row in data.proportions]))
+    table = np.indices((4,) * 4).reshape(4, -1).T
+    table = np.concatenate([table, np.ones((len(table), p - 4), dtype=int)], axis=1)
+
+    def values():
+        out = []
+        for kind in KINDS:
+            a_c = cap_from_quantile(z, kind, 0.6) if "capped" in kind else 1.0
+            ws = build_workspace(z, WeightSpec(kind, a_c), shape=shape)
+            out += [ws.gram, ws.linear_term, ws.shape_matrix, _error_moment(ws, theta, full)]
+        providers = (EmpiricalMoments(data.proportions), FactorialMoments(counts))
+        return out + [provider.means(table) for provider in providers]
+
+    assert len(list(fitting._blocks(n, theta.size))) == 2
+    default = values()
+    for entries in (1, 1 << 40):
+        monkeypatch.setattr(fitting, "BLOCK_ENTRIES", entries)
+        for got, want in zip(values(), default):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_wide_fit_memory_is_independent_of_n():
+    """p=40 (q=819), n=2e4 with standard errors. Both passes hold one
+    cache-sized block of per-row features at a time, so the peak is the
+    data and a few q x q matrices; one (n, q) feature array is 131 MB."""
+    p, n = 40, 20_000
+    shape = np.linspace(-0.5, 4.0, p)
+    data = ContinuousDataset(np.random.default_rng(41).dirichlet(shape + 1.0, size=n))
+    weight = WeightSpec("capped-min", cap_from_quantile(sqrt_transform(data), "capped-min", 0.9))
+    tracemalloc.start()
+    try:
+        fit = fit_hybrid(data, shape, weight, estimate_linear=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
     assert np.all(np.isfinite(fit.standard_errors))

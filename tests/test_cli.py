@@ -13,8 +13,8 @@ import pytest
 
 import compscore
 from compscore.cli import main
-from compscore.core import ContinuousDataset
-from compscore.fitting import BLOCK_ROWS
+from compscore.core import ContinuousDataset, index_map
+from compscore.fitting import _blocks
 from compscore.io import dump_json, write_proportions_csv
 from compscore.samplers import CHUNK
 
@@ -90,7 +90,8 @@ def test_simulate_then_fit_roundtrip(tmp_path, capsys):
 def test_fit_identical_across_blas_threads(tmp_path):
     """A continuous p=10 fit over several row blocks writes the same
     fit.json bytes with one and with two BLAS threads."""
-    rows = 2 * BLOCK_ROWS + 3000
+    rows = 19384
+    assert len(list(_blocks(rows, index_map(10).q))) >= 3
     u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
     data = tmp_path / "data.csv"
     write_proportions_csv(data, ContinuousDataset(u))

@@ -4,6 +4,8 @@ sandwich covariance, and the Dirichlet-family route."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import fd_grad, linear_cg
 from compscore.core import ContinuousDataset, index_map, sqrt_transform
@@ -24,7 +26,7 @@ from compscore.fitting import (
     standard_errors,
 )
 from compscore.samplers import RngConfig, sample_dirichlet
-from compscore.weights import WeightSpec, weight_value
+from compscore.weights import KINDS, WeightSpec, cap_from_quantile, weight_value
 
 ALL_KINDS = (
     WeightSpec("product"),
@@ -140,6 +142,33 @@ def test_permutation_equivariance():
         a2, b2 = imap.unpack(fit2.estimates)
         np.testing.assert_allclose(a2, a1[np.ix_(perm, perm)], rtol=1e-8)
         np.testing.assert_allclose(b2, b1[perm], rtol=1e-8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([3, 5, 10]),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_relabelling_equivariance(p, kind, seed, data):
+    """Permuting categories 1 .. p-1, with p kept last, permutes the
+    estimates and the rows and columns of cov_scaled the same way."""
+    perm = np.array(data.draw(st.permutations(range(p - 1)), label="perm"))
+    rng = np.random.default_rng(seed)
+    u = rng.dirichlet(rng.uniform(1.0, 3.0, p), size=400)
+    shape = rng.uniform(-0.5, 2.0, p)
+    weight = WeightSpec(kind, cap_from_quantile(np.sqrt(u), kind, 0.7) if "capped" in kind else 1.0)
+    imap = index_map(p)
+    # position in the original parameter vector of each relabelled parameter
+    a, b = imap.unpack(np.arange(imap.q, dtype=float))
+    order = imap.pack(a[np.ix_(perm, perm)], b[perm]).astype(int)
+    full = np.append(perm, p - 1)
+    fit = fit_hybrid(u, shape, weight, estimate_linear=True)
+    relabelled = fit_hybrid(u[:, full], shape[full], weight, estimate_linear=True)
+    for got, want in ((relabelled.estimates, fit.estimates[order]),
+                      (relabelled.cov_scaled, fit.cov_scaled[np.ix_(order, order)])):
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def test_masks_and_fixed_values():
