@@ -17,18 +17,21 @@ G_ic a constant or 4 u_l, and two identities on the unit sphere reduce
 everything to that sparse table and the radial components nu_i = z'mu_i:
 
 - Gram: (P mu_i)'(P mu_j) = mu_i'mu_j - nu_i nu_j, with P = I - z z'.
-  So W is a sum of third moments of u gathered through the table, minus
-  one GEMM of the h * nu features.
+  Both products are means of h^2 times two degree-2 monomials of
+  u_ext = (u_1 .. u_{p-1}, 1), so W is a gather of one D x D matrix
+  S = mean of h^2 f f', with f = (nu / scale, 1) the D = p (p + 1) / 2
+  such monomials.
 - Residual: z'(sum_j theta_j P mu_j) = 0, so the covariance residual
   h^2 (P mu_i)'(sum_j theta_j P mu_j) is h^2 (mu_i'm - nu_i nu'theta)
   with m = sum_j theta_j mu_j, a gather of O(q) work per row.
 
 W, d, V and the plug-in covariance are assembled from the same per-row
 features in blocks of rows, sized by a cache budget (BLOCK_ENTRIES) so
-that one block's features stay in a core's L2. d and V are read off
-block sums of h^2 u_ext, h^2 nu, h^2 kappa nu and h^2 u_ext omega' by
-the read-off the moment route shares; W and Sigma_0 are symmetrized
-explicitly.
+that one block's features stay in a core's L2. Per block the assembly
+adds one SYRK of h f to S and two sums in the weight's direction,
+h^2 u_ext omega' and h^2 kappa nu. One read-off (_system) turns them
+into W, d and V; the moment route fills S from monomial means and
+calls the same read-off. W and Sigma_0 are symmetrized explicitly.
 
 The same machinery covers the Dirichlet family, whose sufficient
 statistics are logarithms; cancellation of the weight against 1/u leaves
@@ -121,6 +124,10 @@ class _Layout:
     homogeneous of degree deg in z loses deg (deg + p - 2) t_i =
     (deg + p - 2) nu_i on the sphere, so lap_kappa is p + 2 for the
     quadratic statistics and p for the linear ones.
+
+    Every slot of statistic i with a nonzero coef carries the monomial
+    f_i = u_ext[coord] u_ext[partner], and nu_i = scale_i f_i (scale 4, 8,
+    2 by kind). f_q is the constant 1, and f[lin[a]] = u_ext_a.
     """
 
     coord: np.ndarray
@@ -128,6 +135,8 @@ class _Layout:
     coef: np.ndarray
     lap_map: np.ndarray
     lap_kappa: np.ndarray
+    scale: np.ndarray
+    lin: np.ndarray
 
 
 def _layout(p):
@@ -151,7 +160,8 @@ def _layout(p):
     np.add.at(lap_map, (partner, np.arange(imap.q)[:, None]), lam * coef)
     lap_kappa = np.full(imap.q, p + 2.0)
     lap_kappa[l] = p
-    return _Layout(coord, partner, coef, lap_map, lap_kappa)
+    lin = np.arange(l.start, imap.q + 1)  # the linear statistics, then the constant
+    return _Layout(coord, partner, coef, lap_map, lap_kappa, coef.sum(axis=1), lin)
 
 
 def _extend(u):
@@ -284,36 +294,38 @@ class EstimatorWorkspace:
         return 0.5 * theta @ self.gram @ theta - theta @ self.linear_term
 
 
-def _gram_mu(third, lay):
-    """sum over rows of h^2 mu_i'mu_j from the third moments
-    third[c, r, t] = sum h^2 u_c u_ext_r u_ext_t: mu_i'mu_j adds
-    u_c G_ic G_jc over the coordinates c both statistics touch."""
-    out = 0.0
-    for s in range(2):
-        for t in range(2):
-            cs, ct = lay.coord[:, s], lay.coord[:, t]
-            vals = third[cs[:, None], lay.partner[:, s][:, None], lay.partner[:, t][None, :]]
-            coef = lay.coef[:, s][:, None] * lay.coef[:, t][None, :]
-            out = out + np.where(cs[:, None] == ct[None, :], coef * vals, 0.0)
-    return out
-
-
-def _linear_terms(s_u, s_nu, s_knu, s_uw, lay):
-    """Laplacian, weight-gradient and shape-coupling terms from sums over
-    rows: s_u of h^2 u_ext, s_nu of h^2 nu, s_knu of h^2 kappa nu and
-    s_uw of h^2 u_ext omega'. Each term's row function is linear in
-    u_ext, nu and u_ext omega' once h^2 and kappa are given; V's sum of
-    h^2 G_ic is a scatter of s_u through the layout."""
-    (c0, c1), (r0, r1), (s0, s1) = lay.coef.T, lay.partner.T, lay.coord.T
-    lap = lay.lap_kappa * s_nu - s_u @ lay.lap_map
-    wgrad = -2.0 * (c0 * s_uw[r0, s0] + c1 * s_uw[r1, s1] - s_knu)
-    g = np.zeros((lay.coef.shape[0], s_u.shape[0]))
-    np.add.at(g, (np.arange(g.shape[0])[:, None], lay.coord), lay.coef * s_u[lay.partner])
-    return lap, wgrad, g - s_nu[:, None]
-
-
 def _symmetric(mat):
     return 0.5 * (mat + mat.T)
+
+
+def _system(s, lay, s_uw=None, s_knu=None):
+    """W, the Laplacian term, the weight-gradient term and V from the
+    pair moments s = mean of h^2 f f' (D x D), s_uw = mean of
+    h^2 u_ext omega' and s_knu = mean of h^2 kappa nu. None stands for
+    the uncapped product weight: omega = 1 and kappa = p on every row.
+
+    Every term is a gather of s: h^2 u_ext and h^2 nu average to
+    s[lin, q] and scale * s[:q, q], nu_i nu_j is scale_i scale_j f_i f_j,
+    and mu_i'mu_j adds coef_is coef_jt f_i u_ext[partner_jt] over the
+    slots s, t on a shared coordinate. d's row functions are linear in
+    u_ext, nu and u_ext omega' once h^2 and kappa are given; V's mean of
+    h^2 G_ic is a scatter of s_u through the layout.
+    """
+    q, p = lay.scale.size, lay.lin.size
+    (c0, c1), (r0, r1), (k0, k1) = lay.coef.T, lay.partner.T, lay.coord.T
+    s_u, s_nu = s[lay.lin, q], lay.scale * s[:q, q]
+    if s_uw is None:
+        s_uw, s_knu = np.repeat(s_u[:, None], p - 1, axis=1), p * s_nu
+    mu_mu = 0.0
+    for t in range(2):
+        shared = sum(lay.coef[:, [r]] * (lay.coord[:, [r]] == lay.coord[:, t]) for r in range(2))
+        mu_mu = mu_mu + shared * lay.coef[:, t] * s[:q, lay.lin[lay.partner[:, t]]]
+    gram = mu_mu - np.outer(lay.scale, lay.scale) * s[:q, :q]
+    lap = lay.lap_kappa * s_nu - s_u @ lay.lap_map
+    wgrad = -2.0 * (c0 * s_uw[r0, k0] + c1 * s_uw[r1, k1] - s_knu)
+    g = np.zeros((q, p))
+    np.add.at(g, (np.arange(q)[:, None], lay.coord), lay.coef * s_u[lay.partner])
+    return _symmetric(gram), lap, wgrad, g - s_nu[:, None]
 
 
 def build_workspace(z, weight, shape=None, imap=None):
@@ -336,33 +348,23 @@ def build_workspace(z, weight, shape=None, imap=None):
 
     q, k = imap.q, p - 1
     lay = _layout(p)
-    nu_gram = np.zeros((q, q))
-    third = np.zeros((k, p, p))
-    s_nu = np.zeros((2, q))
-    s_u = np.zeros(p)
+    s = np.zeros((q + 1, q + 1))
     s_uw = np.zeros((p, k))
-    for start, stop in _blocks(n, q):
+    s_knu = np.zeros(q)
+    for start, stop in _blocks(n, q + 1):
         u_ext, hsq, nu, omega, kappa = _row_features(z[start:stop] ** 2, weight, imap)
-        hu = hsq[:, None] * u_ext
-        s_u += hu.sum(axis=0)
-        s_uw += hu.T @ omega
-        s_nu += np.stack([hsq, hsq * kappa]) @ nu
-        # One small X'X (a SYRK) per coordinate: forming all of them in
-        # one general GEMM gave different bits under 1 and 2 BLAS threads.
-        root = np.sqrt(hu[:, :k])
-        for c in range(k):
-            x = root[:, c : c + 1] * u_ext
-            third[c] += x.T @ x
-        nu *= np.sqrt(hsq)[:, None]
-        nu_gram += nu.T @ nu
+        s_uw += (hsq[:, None] * u_ext).T @ omega
+        s_knu += (hsq * kappa) @ nu
+        f = np.concatenate([nu / lay.scale, u_ext[:, k:]], axis=1) * np.sqrt(hsq)[:, None]
+        s += f.T @ f  # one SYRK of (nu / scale, 1) scaled by h
 
-    lap, wgrad, shape_matrix = _linear_terms(s_u / n, s_nu[0] / n, s_nu[1] / n, s_uw / n, lay)
+    gram, lap, wgrad, shape_matrix = _system(s / n, lay, s_uw / n, s_knu / n)
     return EstimatorWorkspace(
         imap=imap,
         weight=weight,
         shape=shape,
         n=n,
-        gram=_symmetric(_gram_mu(third, lay) - nu_gram) / n,
+        gram=gram,
         laplacian_term=lap,
         weight_gradient_term=wgrad,
         shape_matrix=shape_matrix,

@@ -1,18 +1,19 @@
 """Moment-route assembly of the score-matching system.
 
 Under the uncapped product weight h^2 = prod_j u_j, every entry of W, d
-and V is a mean of h^2 times a polynomial of degree at most 4 in
+and V is a mean of h^2 times a product of two degree-2 monomials of
 u_ext = (u_1 .. u_{p-1}, 1), the vector of the continuous route's
-layout. So the whole system is a linear function of one symmetric tensor
+layout. So the whole system is a linear function of the continuous
+route's pair moments
 
-    T[a, b, c, d] = E[h^2 u_ext_a u_ext_b u_ext_c u_ext_d],
+    S[a, b] = E[h^2 f_a f_b],   f = (u_l^2, u_j u_k, u_l, 1),
 
-whose C(p + 3, 4) distinct entries are monomial means E[prod_j u_j^alpha_j]
-with alpha_p = 1 and degrees p to p + 4. build_workspace_from_moments
-reads the system off T with the continuous route's own helpers: the
-Gram from the third moments T[:p-1, :, :, p-1] minus the Gram of nu, and
-d and V from the continuous route's read-off of the sums E[h^2 u_ext] and
-E[h^2 nu], with omega = 1 and kappa = p.
+over the monomials f_i = nu_i / scale_i of the q statistics and the
+constant, D = q + 1 = p (p + 1) / 2 in all. Its C(p + 3, 4) distinct entries are monomial means E[prod_j
+u_j^alpha_j] with alpha_p = 1 and degrees p to p + 4.
+build_workspace_from_moments fills S from those means and reads W, d
+and V off it with the continuous route's own read-off, with omega = 1
+and kappa = p.
 
 A moment provider supplies the means: any object with p, n and
 means(table), which returns the mean of prod_j u_j^table[k, j] for every
@@ -34,15 +35,7 @@ import numpy as np
 
 from .core import CountDataset, ModelSpec, index_map
 from .errors import ConfigError, DataError, InsufficientTotalsError
-from .fitting import (
-    EstimatorWorkspace,
-    _blocks,
-    _gram_mu,
-    _layout,
-    _linear_terms,
-    _symmetric,
-    solve,
-)
+from .fitting import EstimatorWorkspace, _blocks, _layout, _system, solve
 from .weights import WeightSpec
 
 __all__ = [
@@ -216,19 +209,20 @@ class FactorialMoments:
 # workspace from moments
 
 
-def _moment_tensor(provider):
-    """T[a, b, c, d] = E[h^2 u_ext_a u_ext_b u_ext_c u_ext_d] under
-    h^2 = prod_j u_j, from the means of its distinct entries."""
+def _pair_moments(provider, lay):
+    """S[a, b] = E[h^2 f_a f_b] under h^2 = prod_j u_j, for the monomials
+    f_i = u_ext[coord_i] u_ext[partner_i] and the constant, from the
+    means of its distinct entries."""
     p = provider.p
-    dims = (p,) * 4
-    quads = np.sort(np.indices(dims).reshape(4, -1), axis=0)
-    keys, inverse = np.unique(np.ravel_multi_index(quads, dims), return_inverse=True)
-    table = np.ones((keys.size, p), dtype=np.intp)
-    rows = np.arange(keys.size)
-    for idx in np.unravel_index(keys, dims):
-        table[rows, idx] += 1
+    pairs = np.vstack([np.column_stack([lay.coord[:, 0], lay.partner[:, 0]]), [p - 1, p - 1]])
+    quads = np.hstack([np.repeat(pairs, len(pairs), axis=0), np.tile(pairs, (len(pairs), 1))])
+    quads.sort(axis=1)
+    _, first, inverse = np.unique(
+        np.ravel_multi_index(quads.T, (p,) * 4), return_index=True, return_inverse=True
+    )
+    table = 1 + (quads[first, :, None] == np.arange(p)).sum(axis=1)
     table[:, -1] = 1  # u_ext's last entry is the constant 1, not u_p
-    return provider.means(table)[inverse.reshape(-1)].reshape(dims)
+    return provider.means(table)[inverse.reshape(-1)].reshape(len(pairs), len(pairs))
 
 
 def build_workspace_from_moments(provider, shape=None):
@@ -245,26 +239,15 @@ def build_workspace_from_moments(provider, shape=None):
         raise ConfigError("shape vector length does not match p")
     if np.any(shape <= -1.0):
         raise ConfigError("every shape parameter must exceed -1")
-    k = p - 1
     lay = _layout(p)
-    tensor = _moment_tensor(provider)
-    # nu_i = sum_s coef[i, s] u_ext[coord[i, s]] u_ext[partner[i, s]]
-    nu_map = np.zeros((imap.q, p, p))
-    np.add.at(nu_map, (np.arange(imap.q)[:, None], lay.coord, lay.partner), lay.coef)
-    nu_map = nu_map.reshape(imap.q, p * p)
-    nu_gram = nu_map @ tensor.reshape(p * p, p * p) @ nu_map.T
-    hsq_nu = nu_map @ tensor[:, :, k, k].reshape(-1)
-    hsq_u = tensor[:, k, k, k]
     # the uncapped product weight has omega = 1 and kappa = p on every row
-    lap, wgrad, shape_matrix = _linear_terms(
-        hsq_u, hsq_nu, p * hsq_nu, np.repeat(hsq_u[:, None], k, axis=1), lay
-    )
+    gram, lap, wgrad, shape_matrix = _system(_pair_moments(provider, lay), lay)
     return EstimatorWorkspace(
         imap=imap,
         weight=WeightSpec("product"),
         shape=shape,
         n=provider.n,
-        gram=_symmetric(_gram_mu(tensor[:k, :, :, k], lay) - nu_gram),
+        gram=gram,
         laplacian_term=lap,
         weight_gradient_term=wgrad,
         shape_matrix=shape_matrix,

@@ -275,13 +275,13 @@ def dense_fit(z, weight, shape, mask):
 # ---------------------------------------------------------------------------
 # polynomial reference assembly of the count route
 #
-# The package reads the product-weight system off one moment tensor with
-# the continuous route's helpers, and estimates monomial means from counts
-# in closed form. The reference below is the first version of the route:
-# every statistic's gradient, nu, Laplacian and weight term written out as
-# sparse polynomials (dicts from exponent tuples to coefficients), and each
-# monomial mean of counts expanded through u_p = 1 - sum of the others into
-# reduced factorial moments, one composition at a time.
+# The package reads the product-weight system off one pair-moment matrix
+# with the continuous route's read-off, and estimates monomial means from
+# counts in closed form. The reference below is the first version of the
+# route: every statistic's gradient, nu, Laplacian and weight term written
+# out as sparse polynomials (dicts from exponent tuples to coefficients),
+# and each monomial mean of counts expanded through u_p = 1 - sum of the
+# others into reduced factorial moments, one composition at a time.
 
 
 def _pmul(a, b):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import fd_grad, linear_cg
+from compscore import fitting
 from compscore.core import ContinuousDataset, index_map, sqrt_transform
 from compscore.errors import (
     ConfigError,
@@ -16,6 +17,7 @@ from compscore.errors import (
 )
 from compscore.fitting import (
     _dirichlet_ratios,
+    _error_moment,
     build_workspace,
     fit_dirichlet,
     fit_dirichlet_moments,
@@ -26,7 +28,7 @@ from compscore.fitting import (
     standard_errors,
 )
 from compscore.samplers import RngConfig, sample_dirichlet
-from compscore.weights import KINDS, WeightSpec, cap_from_quantile, weight_value
+from compscore.weights import KINDS, WeightSpec, cap_from_quantile, squared_weight, weight_value
 
 ALL_KINDS = (
     WeightSpec("product"),
@@ -169,6 +171,40 @@ def test_relabelling_equivariance(p, kind, seed, data):
     for got, want in ((relabelled.estimates, fit.estimates[order]),
                       (relabelled.cov_scaled, fit.cov_scaled[np.ix_(order, order)])):
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([3, 5, 10]),
+    kind=st.sampled_from(["product", "min"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_squared_weight_homogeneity(p, kind, seed):
+    """Every term of the system is linear in h^2. With h^2 scaled by 1/4,
+    a power of two, W, d and V scale by exactly 1/4 and Sigma_0 by 1/16,
+    and the estimates and cov_scaled stay put. Uncapped kinds only: a
+    cap would bind on other rows."""
+    rng = np.random.default_rng(seed)
+    z = np.sqrt(rng.dirichlet(rng.uniform(1.0, 3.0, p), size=400))
+    shape = rng.uniform(-0.5, 2.0, p)
+    weight = WeightSpec(kind)
+    theta = rng.standard_normal(index_map(p).q)
+    full = np.ones(theta.size, dtype=bool)
+
+    def system():
+        ws = build_workspace(z, weight, shape=shape)
+        return ws, solve(ws), _error_moment(ws, theta, full)
+
+    ws, fit, sigma0 = system()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_hsq", lambda u, w: 0.25 * squared_weight(u, w))
+        quarter, quarter_fit, quarter_sigma0 = system()
+    for name in ("gram", "laplacian_term", "weight_gradient_term", "shape_matrix", "linear_term"):
+        np.testing.assert_array_equal(getattr(quarter, name), 0.25 * getattr(ws, name))
+    np.testing.assert_array_equal(quarter_sigma0, sigma0 / 16.0)
+    for got, want in ((quarter_fit.estimates, fit.estimates),
+                      (quarter_fit.cov_scaled, fit.cov_scaled)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_masks_and_fixed_values():
