@@ -22,16 +22,18 @@ everything to that sparse table and the radial components nu_i = z'mu_i:
   S = mean of h^2 f f', with f = (nu / scale, 1) the D = p (p + 1) / 2
   such monomials.
 - Residual: z'(sum_j theta_j P mu_j) = 0, so the covariance residual
-  h^2 (P mu_i)'(sum_j theta_j P mu_j) is h^2 (mu_i'm - nu_i nu'theta)
-  with m = sum_j theta_j mu_j, a gather of O(q) work per row.
+  is h^2 (mu_i'm - nu_i nu'theta) with m = sum_j theta_j mu_j, plus the
+  linear terms; per row it is built from two (p-1)-vectors u and e
+  (see _error_moment), O(q) work and no gather.
 
-W, d, V and the plug-in covariance are assembled from the same per-row
-features in blocks of rows, sized by a cache budget (BLOCK_ENTRIES) so
-that one block's features stay in a core's L2. Per block the assembly
-adds one SYRK of h f to S and two sums in the weight's direction,
-h^2 u_ext omega' and h^2 kappa nu. One read-off (_system) turns them
-into W, d and V; the moment route fills S from monomial means and
-calls the same read-off. W and Sigma_0 are symmetrized explicitly.
+Both passes run over blocks of rows sized by a cache budget
+(BLOCK_ENTRIES), feature-major: a block is u' = (p, rows), and every
+q-wide array is written in contiguous row slices, one multiply per
+leading coordinate j (u_j times u_{j+1..p-1}). Per block the assembly
+adds one SYRK of h f to S and the sums h^2 u_ext omega' and h^2 kappa f
+in the weight's direction. One read-off (_system) turns them into W, d
+and V; the moment route fills S from monomial means and calls the same
+read-off. W and Sigma_0 are symmetrized explicitly.
 
 The same machinery covers the Dirichlet family, whose sufficient
 statistics are logarithms; cancellation of the weight against 1/u leaves
@@ -82,30 +84,57 @@ def _blocks(n, width):
 # per-block statistic tables
 
 
-def _nu_values(u, imap):
-    """Radial components nu_i = z' mu_i of every statistic's gradient."""
-    ud = u[:, : imap.n_diag]
-    return np.concatenate(
-        [4.0 * ud * ud, 8.0 * u[:, imap.cross_j] * u[:, imap.cross_k], 2.0 * ud],
-        axis=1,
-    )
+def _pairs(a, b, out):
+    """Write a_j b_l + a_l b_j (a_j a_l when b is None) for the cross
+    statistics j < l, in index-map order, into out (n_cross, rows), for
+    feature-major a, b (p-1, rows): one multiply per leading j, no gather."""
+    k = a.shape[0]
+    stop = 0
+    for j in range(k - 1):
+        start, stop = stop, stop + k - 1 - j
+        np.multiply(a[j], a[j + 1 :] if b is None else b[j + 1 :], out=out[start:stop])
+        if b is not None:
+            out[start:stop] += b[j] * a[j + 1 :]
+    return out
+
+
+def _monomials(u):
+    """f = (u_j^2, u_j u_l for j < l, u_j, 1), the D = p (p + 1) / 2
+    degree-2 monomials of u_ext, feature-major (D, rows) from u (p, rows);
+    nu = scale * f[:q]."""
+    k = u.shape[0] - 1
+    f = np.empty(((k + 1) * (k + 2) // 2, u.shape[1]))
+    np.multiply(u[:k], u[:k], out=f[:k])
+    _pairs(u[:k], None, f[k : -k - 1])
+    f[-k - 1 : -1] = u[:k]
+    f[-1] = 1.0
+    return f
+
+
+def _statistic_rows(u, e, t):
+    """Rows [u (e + t) | u_j e_l + u_l e_j | e + t u] (q, rows) for u, e
+    (p-1, rows) and t per row. Times the slot-0 coefficients (4, 4, 2 by
+    kind) this gives the covariance residual (see _error_moment), the
+    sphere Laplacian (e = 1 - (p + 2) u, t = 2) and G omega - kappa nu
+    (e = omega - kappa u, t = 0)."""
+    k = u.shape[0]
+    out = np.empty((k * (k + 3) // 2, u.shape[1]))
+    np.multiply(u, e + t, out=out[:k])
+    _pairs(u, e, out[k:-k])
+    np.add(e, t * u, out=out[-k:])
+    return out
 
 
 def _mu_nu(z, u, imap):
     """Dense gradient rows mu_i and radial components nu_i for every
     sufficient statistic, for a block of observations (inspection and
-    tests; the assembly uses the sparse layout)."""
-    nb = z.shape[0]
-    k = imap.n_diag
-    m = np.zeros((nb, imap.q, imap.p))
-    rows_d = np.arange(k)
-    rows_c = np.arange(k, k + imap.n_cross)
-    rows_l = np.arange(k + imap.n_cross, imap.q)
-    m[:, rows_d, imap.diag_levels] = 4.0 * z[:, :k] * u[:, :k]
-    m[:, rows_c, imap.cross_j] = 4.0 * z[:, imap.cross_j] * u[:, imap.cross_k]
-    m[:, rows_c, imap.cross_k] = 4.0 * u[:, imap.cross_j] * z[:, imap.cross_k]
-    m[:, rows_l, imap.linear_levels] = 2.0 * z[:, :k]
-    return m, _nu_values(u, imap)
+    tests; the row passes form neither)."""
+    lay = _layout(imap.p)
+    u_ext = np.concatenate([u[:, :-1], np.ones((z.shape[0], 1))], axis=1)
+    m = np.zeros((z.shape[0], imap.q, imap.p))
+    for coord, partner, coef in zip(lay.coord.T, lay.partner.T, lay.coef.T):
+        m[:, np.arange(imap.q), coord] += coef * z[:, coord] * u_ext[:, partner]
+    return m, lay.scale * _monomials(u.T)[:-1].T
 
 
 @dataclass(frozen=True)
@@ -164,54 +193,40 @@ def _layout(p):
     return _Layout(coord, partner, coef, lap_map, lap_kappa, coef.sum(axis=1), lin)
 
 
-def _extend(u):
-    """u_ext = (u_1 .. u_{p-1}, 1) for a block of rows."""
-    return np.concatenate([u[:, :-1], np.ones((u.shape[0], 1))], axis=1)
-
-
-def _g_apply(u_ext, w, lay):
-    """Rows of sum_c G_ic w_c for per-row coordinate vectors w (nb, p-1):
-    the two layout slots summed explicitly, with no (nb, q, 2) gather."""
-    (c0, c1), (r0, r1), (s0, s1) = lay.coef.T, lay.partner.T, lay.coord.T
-    return c0 * u_ext[:, r0] * w[:, s0] + c1 * u_ext[:, r1] * w[:, s1]
-
-
 def _laplacian_values(u, imap):
-    """Sphere Laplacian of each sufficient statistic (block of rows). Each
-    column of lap_map holds one nonzero, or two powers of two, so every
-    entry of the product rounds once whatever the BLAS summation order."""
-    lay = _layout(imap.p)
-    return _extend(u) @ lay.lap_map - lay.lap_kappa * _nu_values(u, imap)
+    """Sphere Laplacian of each sufficient statistic (block of rows),
+    element-wise, so each row's values do not depend on the block."""
+    ut = u.T[: imap.p - 1]
+    lap = _statistic_rows(ut, 1.0 - (imap.p + 2.0) * ut, 2.0)
+    return (_layout(imap.p).coef[:, :1] * lap).T
 
 
-def _weight_direction(u, hsq, weight):
-    """omega, kappa with grad h^2 . mu_i = 2 h^2 (G omega)_i and
-    z . grad h^2 = 2 kappa h^2, both zero where the cap binds.
+def _row_features(u, weight):
+    """h^2, omega (p-1, rows) and kappa for a feature-major block u (p,
+    rows) of squared coordinates, with grad h^2 . mu_i = 2 h^2 (G omega)_i
+    and z . grad h^2 = 2 kappa h^2, both zero where the cap binds.
 
     Product kinds: grad h^2 = 2 h^2 / z_j on every coordinate, so omega
     is all ones and kappa = p. Min kinds: grad h^2 = 2 z_a e_a on the
     argmin a (ties take the lowest index), so omega = e_a and kappa = 1.
     """
-    nb, p = u.shape
+    p, nb = u.shape
+    hsq = _hsq(u.T, weight)
     smooth = (hsq < weight.a_c * weight.a_c).astype(float)
     if weight.product_family:
-        return np.repeat(smooth[:, None], p - 1, axis=1), p * smooth
-    omega = np.zeros((nb, p))
-    omega[np.arange(nb), np.argmin(u, axis=1)] = smooth
-    return omega[:, :-1], smooth
-
-
-def _row_features(u, weight, imap):
-    """u_ext, h^2, nu, omega and kappa for a block of squared coordinates."""
-    hsq = _hsq(u, weight)
-    return (_extend(u), hsq, _nu_values(u, imap)) + _weight_direction(u, hsq, weight)
+        return hsq, np.broadcast_to(smooth, (p - 1, nb)), p * smooth
+    omega = np.zeros((p, nb))
+    omega[np.argmin(u, axis=0), np.arange(nb)] = smooth
+    return hsq, omega[:-1], smooth
 
 
 def _wgrad_obs(u, imap, weight):
     """Per-observation weight-derivative term (block), signs included:
-    -grad h^2 . (P mu_i)."""
-    u_ext, hsq, nu, omega, kappa = _row_features(u, weight, imap)
-    return -2.0 * hsq[:, None] * (_g_apply(u_ext, omega, _layout(imap.p)) - kappa[:, None] * nu)
+    -grad h^2 . (P mu_i) = -2 h^2 (G omega - kappa nu)_i."""
+    ut = np.ascontiguousarray(u.T)
+    hsq, omega, kappa = _row_features(ut, weight)
+    rows = _statistic_rows(ut[:-1], omega - kappa * ut[:-1], 0.0)
+    return (-2.0 * hsq * _layout(imap.p).coef[:, :1] * rows).T
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +259,7 @@ def gradient_table(z, imap=None):
     lap = _laplacian_values(u, imap)
     with np.errstate(divide="ignore"):
         inv = np.where(z[0] > 0.0, 1.0 / np.where(z[0] > 0.0, z[0], 1.0), np.inf)
-    log_mu = np.diag(inv)
-    return GradientTable(
-        mu=mu[0],
-        nu=nu[0],
-        laplacian=lap[0],
-        log_mu=log_mu,
-        log_nu=np.ones(imap.p),
-    )
+    return GradientTable(mu[0], nu[0], lap[0], log_mu=np.diag(inv), log_nu=np.ones(imap.p))
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +360,17 @@ def build_workspace(z, weight, shape=None, imap=None):
     s_uw = np.zeros((p, k))
     s_knu = np.zeros(q)
     for start, stop in _blocks(n, q + 1):
-        u_ext, hsq, nu, omega, kappa = _row_features(z[start:stop] ** 2, weight, imap)
-        s_uw += (hsq[:, None] * u_ext).T @ omega
-        s_knu += (hsq * kappa) @ nu
-        f = np.concatenate([nu / lay.scale, u_ext[:, k:]], axis=1) * np.sqrt(hsq)[:, None]
-        s += f.T @ f  # one SYRK of (nu / scale, 1) scaled by h
+        u = np.square(z[start:stop].T, order="C")
+        hsq, omega, kappa = _row_features(u, weight)
+        f = _monomials(u)
+        s_uw += (hsq * f[q - k :]) @ omega.T
+        s_knu += f[:q] @ (hsq * kappa)
+        f *= np.sqrt(hsq)
+        s += f @ f.T  # one SYRK of the monomials scaled by h
 
-    gram, lap, wgrad, shape_matrix = _system(s / n, lay, s_uw / n, s_knu / n)
-    return EstimatorWorkspace(
-        imap=imap,
-        weight=weight,
-        shape=shape,
-        n=n,
-        gram=gram,
-        laplacian_term=lap,
-        weight_gradient_term=wgrad,
-        shape_matrix=shape_matrix,
-        z=z,
-    )
+    # _system returns gram, laplacian_term, weight_gradient_term, shape_matrix
+    system = _system(s / n, lay, s_uw / n, lay.scale * s_knu / n)
+    return EstimatorWorkspace(imap, weight, shape, n, *system, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +499,7 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
     theta_full[free] = theta_f
 
     cov = _sandwich(workspace, theta_full, mask, evals, evecs) if with_se else None
-    result = FitResult(
+    return FitResult(
         labels=labels,
         estimates=theta_f,
         n=workspace.n,
@@ -513,40 +514,39 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
             "shape": [float(v) for v in workspace.shape],
         },
     )
-    return result
 
 
 def _error_moment(workspace, theta_full, mask):
     """Second pass: Sigma_0 = mean of (R(z) theta - r(z)) outer products
-    over the free block, from the per-row features.
+    over the free block, from two (p-1)-vectors per row.
 
-    Per row, with w_c = u_c (G'theta)_c + (1 + 2 shape)_c + 2 omega_c,
-    the residual is h^2 (G w - nu (nu'theta + sum(1 + 2 shape) + 2 kappa)
-    + laplacian), built in place: the Laplacian's u_ext @ lap_map first,
-    then G w, then nu scaled once by its radial factor and lap_kappa.
+    Per row, with Theta the symmetric interaction block and b the linear
+    part of theta, g = G'theta = 4 Theta u + 2 b and nu'theta = u . g.
+    With c = h^2 (nu'theta + sum(1 + 2 shape) + 2 kappa + p + 2) and
+    e = h^2 (u g + (1 + 2 shape) + 2 omega + 1) - c u, the residual
+    h^2 (G w - nu (nu'theta + sum(1 + 2 shape) + 2 kappa) + laplacian) is
+    _statistic_rows(u, e, 2 h^2) times the slot-0 coefficients 4, 4, 2,
+    which scale Sigma_0 once at the end (powers of two, so exactly).
     """
     imap = workspace.imap
-    k = imap.p - 1
-    lay = _layout(imap.p)
+    p, k = imap.p, imap.p - 1
     free = np.flatnonzero(mask)
     pi2 = 1.0 + 2.0 * workspace.shape
-    # per row, G'theta = u_ext @ contract
-    contract = np.zeros((imap.p, k))
-    np.add.at(contract, (lay.partner, lay.coord), lay.coef * theta_full[:, None])
+    interaction, linear = imap.unpack(theta_full)
     total = np.zeros((free.size, free.size))
     for start, stop in _blocks(workspace.n, imap.q):
-        u = workspace.z[start:stop] ** 2
-        u_ext, hsq, nu, omega, kappa = _row_features(u, workspace.weight, imap)
-        hw = hsq[:, None] * (u[:, :k] * (u_ext @ contract) + pi2[:k] + 2.0 * omega)
-        radial = nu @ theta_full + pi2.sum() + 2.0 * kappa
-        resid = (hsq[:, None] * u_ext) @ lay.lap_map
-        resid += _g_apply(u_ext, hw, lay)
-        nu *= hsq[:, None] * (radial[:, None] + lay.lap_kappa)
-        resid -= nu
+        u = np.square(workspace.z[start:stop].T, order="C")
+        hsq, omega, kappa = _row_features(u, workspace.weight)
+        u = u[:k]
+        g = 4.0 * interaction @ u + 2.0 * linear[:, None]
+        c = hsq * (np.einsum("ij,ij->j", u, g) + (pi2.sum() + p + 2.0) + 2.0 * kappa)
+        e = hsq * (u * g + (pi2[:k, None] + 1.0) + 2.0 * omega) - c * u
+        resid = _statistic_rows(u, e, 2.0 * hsq)
         if free.size < imap.q:
-            resid = resid[:, free]
-        total += resid.T @ resid
-    return _symmetric(total) / workspace.n
+            resid = resid[free]
+        total += resid @ resid.T
+    fac = _layout(p).coef[free, 0]
+    return _symmetric(total) * np.outer(fac, fac) / workspace.n
 
 
 def _sandwich(workspace, theta_full, mask, evals, evecs):

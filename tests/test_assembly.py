@@ -74,6 +74,43 @@ def test_structured_matches_dense(p, kind, seed, zero_rows, tie_rows, quantile):
     _close(fit.cov_scaled, cov)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 5, 10]),
+    kind=st.sampled_from(KINDS),
+    free=st.sampled_from(["interaction", "linear", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.integers(0, 40),
+    tie_rows=st.integers(0, 40),
+)
+def test_error_moment_matches_dense_on_free_blocks(p, kind, free, seed, zero_rows, tie_rows):
+    """Sigma_0 over interaction-only, linear-only and random free blocks,
+    at a random theta whose fixed entries are nonzero too. At p=2 there
+    is one category pair and no cross statistic, so the workspace is
+    checked as well."""
+    data = _rows_with_zeros_and_ties(p, 400, seed, zero_rows, tie_rows)
+    z = sqrt_transform(data)
+    weight = WeightSpec(kind, cap_from_quantile(z, kind, 0.6) if "capped" in kind else 1.0)
+    shape = np.linspace(-0.5, 2.0, p)
+    imap = index_map(p)
+    rng = np.random.default_rng(seed)
+    if free == "random":
+        mask = rng.random(imap.q) < 0.5
+        mask[rng.integers(imap.q)] = True
+    else:
+        mask = np.zeros(imap.q, dtype=bool)
+        mask[imap.linear_slice if free == "linear" else slice(0, imap.linear_slice.start)] = True
+    theta = rng.standard_normal(imap.q)
+
+    ws = build_workspace(z, weight, shape=shape)
+    dense = dense_workspace(z, weight, shape=shape)
+    _close(_error_moment(ws, theta, mask), dense_error_moment(dense, theta, mask))
+    if p == 2:
+        _close(ws.gram, dense.gram)
+        _close(ws.linear_term, dense.linear_term)
+        _close(ws.shape_matrix, dense.shape_matrix)
+
+
 def test_wide_fit_memory_is_bounded():
     """p=40 (q=819), n=2000 with standard errors. One dense (rows, q, p)
     gradient tensor at this size is 524 MB; the assembly forms none."""

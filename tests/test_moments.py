@@ -241,7 +241,7 @@ def _close_workspace(got, want):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(p=st.sampled_from([2, 3, 4, 5]), n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1))
 def test_moment_workspace_matches_polynomial_oracle(p, n, seed):
-    """The system read off the moment tensor against every entry written
+    """The system read off the pair-moment matrix S against every entry written
     out as a polynomial, for both providers, with rows excluded from the
     higher-degree factorial moments."""
     x = _small_total_counts(p, n, seed, top=p + 7)
