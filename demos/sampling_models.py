@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Draw from the bundled model presets and sanity-check the output.
 
-Continuous draws come from rejection samplers. The truncated Gaussian
-proposes from a Gaussian or a scaled Dirichlet, whichever has the
-smaller certified envelope; the interaction model's envelope adapts
-during a warm-up pass. Count models thin a latent draw through a
+Continuous draws come from rejection samplers with certified envelopes.
+The interaction model proposes from a scaled Dirichlet; the truncated
+Gaussian from a Gaussian or a scaled Dirichlet, whichever has the
+smaller envelope. Count models thin a latent draw through a
 multinomial. Everything is driven by one seed through named substreams.
 """
 
@@ -47,8 +47,8 @@ if __name__ == "__main__":
     # boundary-corner 3-part model, the workhorse of the studies
     describe("model3")
 
-    # interaction plus boundary-heavy shapes; acceptance is lower because
-    # the envelope must cover the energy term
+    # interaction plus boundary-heavy shapes; the scaled Dirichlet's
+    # envelope covers the energy term, and about a quarter is kept
     describe("model2")
 
     # pure dirichlet with one huge shape

@@ -70,11 +70,7 @@ class InfeasibleTruncationError(SamplerError):
 
 
 class EnvelopeFailureError(SamplerError):
-    """Envelope rejection sampler cannot make progress.
-
-    Carries the envelope constant trace for diagnosis.
-    """
-
-    def __init__(self, message, trace=()):
-        self.trace = list(trace)
-        super().__init__(message)
+    """The interaction-model sampler keeps too few proposals: its
+    certified envelope constant is so far above the target's normalising
+    constant (as when A has a large positive eigenvalue) that fewer than
+    a MIN_RATE share of PATIENCE proposals is accepted."""

@@ -4,43 +4,39 @@ All randomness flows from an RngConfig: a top-level seed plus a tuple of
 substream indices fed to numpy's SeedSequence, so any component of a
 larger run can be reproduced in isolation.
 
-The truncated Gaussian, density proportional to exp(u'Au + b'u) on the
-simplex with A negative definite, is sampled by batch rejection from
-one of two proposals, whichever has the smaller envelope constant M
-(so the larger acceptance rate Z / M, Z being the target's unknown
-normalising constant); Devroye, Non-Uniform Random Variate Generation
-(1986), ch. II.3:
+The interaction model has density proportional to
+exp(u'Au + b'u) prod u_j^(alpha_j - 1) on the simplex, alpha = shape + 1;
+the truncated Gaussian is its alpha = 1 case with A negative definite.
+Both are sampled by batch rejection with a certified envelope constant
+M, so the acceptance rate is Z / M, Z being the target's unknown
+normalising constant (Devroye, Non-Uniform Random Variate Generation
+(1986), ch. II.3). The proposal is
 
-* the matching untruncated Gaussian N(mu, Sigma), Sigma = -A^{-1} / 2,
-  which equals the target inside the simplex up to the constant
+* the scaled Dirichlet (Monti, Mateu-Figueras & Pawlowsky-Glahn 2011),
+  u = normalise(G / lam) with G_j ~ Gamma(alpha_j) and lam_p = 1, whose
+  density is Gamma(P) prod(lam^alpha u^(alpha - 1)) /
+  (prod Gamma(alpha_j) (lam'u)^P), P = sum(alpha). The log density ratio
+  is f(u) = u'Au + b'u + P log(lam'u), less
+  log Gamma(P) - sum log Gamma(alpha_j) + alpha'log lam. With A negative
+  semidefinite f is concave on the simplex: Newton steps on the faces of
+  the simplex find a near-maximiser u, and the Frank-Wolfe gap
+  max_j g_j - g'u (g the gradient of f at u) added to f(u) certifies an
+  upper bound on max f however early they stop. Otherwise A is split by
+  eigenvalue sign, A = A- + A+; u'A+u is convex, so its maximum on the
+  simplex is max_j (A+)_jj at a vertex, and that plus the bound for the
+  concave A- part bounds f. A proposal is kept with probability
+  exp(f(u) - bound). lam is chosen by damped steps that lower log M,
+  which is convex in log lam;
+* for the truncated Gaussian, also the matching untruncated Gaussian
+  N(mu, Sigma), Sigma = -A^{-1} / 2, which equals the target inside the
+  simplex up to the constant
   log M = mu'Sigma^{-1}mu / 2 + (k/2) log 2 pi + log|Sigma| / 2 (k = p - 1);
-  a draw is kept when it lies in the simplex;
-* the scaled Dirichlet with unit shapes, u = normalise(E / lam) with
-  E_j ~ Exp(1) and lam_p = 1, whose density is
-  Gamma(p) prod(lam) / (lam'u)^p. The log density ratio is
-  f(u) = u'Au + b'u + p log(lam'u), less log Gamma(p) + sum log lam,
-  and f is concave on the simplex, so max f is a small concave problem.
-  Newton steps on the faces of the simplex find a near-maximiser u, and
-  the Frank-Wolfe gap max_j g_j - g'u (g the gradient of f at u) added
-  to f(u) certifies an upper bound however early they stop. A proposal
-  is kept with probability exp(f(u) - bound). lam is chosen by damped
-  steps that lower log M, which is convex in log lam.
+  a draw is kept when it lies in the simplex. The truncated Gaussian
+  takes whichever of its two proposals has the smaller M.
 
-The choice is made once per (p, A, b) and cached; it draws nothing, so
-the draws depend only on the seed. Both envelopes are certified bounds,
-so the shared rejection loop runs with envelope 1 and no warm-up, and
-its envelope-raising branch only guards against rounding. Among the
-presets the Gaussian wins for model4 and model5 (their draws are those
-of the Gaussian-only sampler of earlier versions, bit for bit), and the
-scaled Dirichlet for model3 (so also model15) and model6, which keep
-38% and 9.7% of their proposals instead of 27% and 1.7%.
-
-The general interaction model is sampled by rejection from its
-Dirichlet base with an empirically updated envelope constant: whenever
-a proposal's density ratio exceeds the current envelope, the envelope
-is raised to 1.1 times that ratio and sampling continues, after a fixed
-warm-up of discarded proposals. The envelope trace is kept for
-diagnosis.
+The proposal is built once per spec and cached; it draws nothing, so
+the draws depend only on the seed. The README lists what the presets
+pick and keep.
 
 Both rejection samplers draw their proposals in chunks of CHUNK rows.
 Each proposal batch is split into chunks, and the c-th chunk of a run,
@@ -52,16 +48,9 @@ count changes a single bit. Workers transform proposals with einsum,
 never a BLAS product: concurrent calls into a threaded BLAS contend
 with each other (with a BLAS product, a truncated-Gaussian run took
 1.4 times as long on two workers as on one under two OpenBLAS threads),
-and the proposals then do not depend on the BLAS library at all.
-
-A worker returns only the rows of its chunk that can matter, and the
-main thread then accepts them in chunk order, exactly as if it had
-walked every proposal. A worker keeps the rows with
-coin <= ratio / env0, env0 being the envelope when the chunk was sent
-out. The envelope only grows, so every other row has
-ratio < coin * env0 <= env: it can neither be accepted later nor raise
-the envelope. The Gaussian proposal's ratio is 1 inside the simplex, so
-its workers keep exactly the draws inside the simplex.
+and the proposals then do not depend on the BLAS library at all. A
+worker returns the rows of its chunk that it accepts, and the main
+thread keeps the first n of them in chunk order.
 """
 
 import functools
@@ -69,7 +58,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -159,20 +148,15 @@ class RngConfig:
 
 @dataclass
 class RejectionStats:
-    """Bookkeeping for a rejection run. proposal is "gaussian",
-    "scaled-dirichlet" or "dirichlet"; log_bound is the log of the
-    certified envelope constant M of the truncated Gaussian's proposal
-    (its acceptance rate is Z / M), and None for the empirical envelope
-    of the interaction model. envelope_trace holds every value the
-    envelope constant took, first to last."""
+    """Bookkeeping for a rejection run. proposal is "gaussian" or
+    "scaled-dirichlet", and log_bound is the log of its certified
+    envelope constant M, so log(acceptance_rate) + log_bound estimates
+    the log normalising constant of the target."""
 
     attempted: int
     accepted: int
-    envelope: float = 1.0
-    envelope_updates: int = 0
-    envelope_trace: list = None
-    proposal: str = None
-    log_bound: float = None
+    proposal: str
+    log_bound: float
 
     @property
     def acceptance_rate(self):
@@ -180,16 +164,7 @@ class RejectionStats:
 
     def to_dict(self):
         """The stats as a JSON-ready dict, the form the CLI records."""
-        return {
-            "proposal": self.proposal,
-            "log_bound": self.log_bound,
-            "attempted": self.attempted,
-            "accepted": self.accepted,
-            "acceptance_rate": self.acceptance_rate,
-            "envelope": self.envelope,
-            "envelope_updates": self.envelope_updates,
-            "envelope_trace": self.envelope_trace,
-        }
+        return {**asdict(self), "acceptance_rate": self.acceptance_rate}
 
 
 def _next_batch(remaining, rate_guess):
@@ -197,25 +172,16 @@ def _next_batch(remaining, rate_guess):
     return max(4096, min(est, 262_144))
 
 
-def _rejection(
-    n, rng, propose, fail, rate, proposal, log_bound=None, warmup=0, safety=1.1, envelope=1.0
-):
+def _rejection(n, rng, propose, error, rate, proposal):
     """The batch loop both rejection samplers share.
 
-    propose(rng, size, env0) draws one chunk and returns the positions,
-    rows, density ratios and coins of the proposals that can still be
-    accepted or raise an envelope of at least env0. Acceptance runs
-    here, in chunk order: a row is kept when coin <= ratio / env and it
-    lies past the warm-up, and a ratio above the envelope first raises
-    it to safety * ratio. The run ends at the n-th acceptance: attempted
-    counts the proposals through that one, and no later proposal raises
-    the envelope. Returns the (n, p) rows and RejectionStats, which
-    record proposal and log_bound as given.
-    Once PATIENCE proposals past the warm-up give an acceptance rate
-    below MIN_RATE, raises fail(rate, attempted, envelope, trace).
+    propose(rng, size) draws one chunk and returns the positions and
+    rows of the proposals it accepts. The rows are kept in chunk order
+    and the run ends at the n-th acceptance: attempted counts the
+    proposals through that one. Returns the (n, p) rows and
+    RejectionStats. Once PATIENCE proposals give an acceptance rate
+    below MIN_RATE, raises error.
     """
-    env = float(envelope)
-    trace = [env]
     kept = []
     kept_count = 0
     attempted = 0
@@ -226,48 +192,22 @@ def _rejection(
         subs = [rng.substream(chunks + i) for i in range(len(sizes))]
         chunks += len(sizes)
         if len(sizes) == 1:
-            results = [propose(subs[0], sizes[0], env)]
+            results = [propose(subs[0], sizes[0])]
         else:
-            results = _executor().map(propose, subs, sizes, [env] * len(sizes))
-        for size, (pos, rows, ratio, coins) in zip(sizes, results):
-            start = 0
-            m = pos.shape[0]
-            while start < m:
-                over = ratio[start:] > env
-                stop = m if not over.any() else start + int(np.argmax(over))
-                if stop > start:
-                    seg = slice(start, stop)
-                    with np.errstate(invalid="ignore"):
-                        acc = coins[seg] <= ratio[seg] / env
-                    acc &= pos[seg] + attempted >= warmup
-                    hits = np.flatnonzero(acc)[: n - kept_count]
-                    kept.append(rows[seg][hits])
-                    kept_count += hits.size
-                    if kept_count == n:
-                        # the run ends at the n-th acceptance
-                        size = int(pos[seg][hits[-1]]) + 1
-                        break
-                if stop < m:
-                    env = safety * float(ratio[stop])
-                    trace.append(env)
-                # stop == start retests the violator against the raised envelope
-                start = stop
-            attempted += size
+            results = _executor().map(propose, subs, sizes)
+        for size, (pos, rows) in zip(sizes, results):
+            take = min(pos.size, n - kept_count)
+            kept.append(rows[:take])
+            kept_count += take
             if kept_count == n:
+                attempted += int(pos[take - 1]) + 1
                 break
-        effective = max(attempted - warmup, 1)
-        rate = max(kept_count / effective, 1e-8)
-        if effective >= PATIENCE and kept_count < effective * MIN_RATE:
-            raise fail(kept_count / effective, attempted, env, trace)
-    stats = RejectionStats(
-        attempted=attempted,
-        accepted=n,
-        envelope=env,
-        envelope_updates=len(trace) - 1,
-        envelope_trace=trace,
-        proposal=proposal,
-        log_bound=log_bound,
-    )
+            attempted += size
+        rate = max(kept_count / attempted, 1e-8)
+        if attempted >= PATIENCE and kept_count < attempted * MIN_RATE:
+            raise error(f"acceptance rate {kept_count / attempted:.2e} after {attempted} "
+                        f"proposals; log envelope constant {proposal.log_bound:.4g}")
+    stats = RejectionStats(attempted, n, proposal.name, proposal.log_bound)
     return np.vstack(kept), stats
 
 
@@ -275,36 +215,45 @@ def _energy(a_k, b_k, ut):
     """u'Au + b'u for each column of ut, the first k coordinates of the
     proposals (one column each). einsum, not a BLAS product: see the
     module docstring."""
-    return ((np.einsum("ij,jb->ib", a_k, ut) + b_k[:, None]) * ut).sum(axis=0)
+    out = np.einsum("ij,jb->ib", a_k, ut)
+    out += b_k[:, None]
+    out *= ut
+    return out.sum(axis=0)
 
 
-def _face_newton(a, lam, g, s, face):
+def _face_newton(a, lam, total, g, s, face):
     """The Newton step for f (see _log_ratio_bound) within the face of
     the simplex whose coordinates are marked in face: the d maximising
     g'd + d'Hd / 2 subject to sum(d) = 0, with H the Hessian of f and
-    s = lam'u. H is negative definite on that subspace."""
+    s = lam'u. H is negative semidefinite on that subspace; where it is
+    singular, the least-squares step serves."""
     p = lam.size
     idx = np.flatnonzero(face)
     m = idx.size
     kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * a[np.ix_(idx, idx)] - p * np.outer(lam[idx], lam[idx]) / (s * s)
+    kkt[:m, :m] = 2.0 * a[np.ix_(idx, idx)] - total * np.outer(lam[idx], lam[idx]) / (s * s)
     kkt[:m, m] = kkt[m, :m] = 1.0
+    rhs = np.append(-g[idx], 0.0)
+    try:
+        step = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     d = np.zeros(p)
-    d[idx] = np.linalg.solve(kkt, np.append(-g[idx], 0.0))[:m]
+    d[idx] = step[:m]
     return d
 
 
-def _log_ratio_bound(a, b, lam, u=None):
-    """A certified upper bound on f(u) = u'Au + b'u + p log(lam'u) over
-    the simplex, and the point u it was found at.
+def _log_ratio_bound(a, b, lam, total, u=None):
+    """A certified upper bound on f(u) = u'Au + b'u + total log(lam'u)
+    over the simplex, and the point u it was found at.
 
-    a is (p, p) negative semidefinite and b is (p,), lam > 0, so f is
-    concave. Newton steps on the face of the simplex that holds u (the
-    coordinates still positive) climb f, with a ratio test that drops a
-    coordinate when it reaches 0 and a backtracking line search. Once
-    the face is solved and the largest gradient entry lies off it, that
-    coordinate joins the face (at a face optimum its Newton step is
-    positive). By concavity, every v in the simplex has
+    a is (p, p) negative semidefinite and b is (p,), lam > 0 and
+    total > 0, so f is concave. Newton steps on the face of the simplex
+    that holds u (the coordinates still positive) climb f, with a ratio
+    test that drops a coordinate when it reaches 0 and a backtracking
+    line search. Once the face is solved and the largest gradient entry
+    lies off it, that coordinate joins the face (at a face optimum its
+    Newton step is positive). By concavity, every v in the simplex has
     f(v) <= f(u) + g'(v - u) <= f(u) + max_j g_j - g'u, g the gradient at
     u; adding that Frank-Wolfe gap makes the bound hold however early
     the iteration stops. A relative slack of 1e-12 covers rounding.
@@ -314,10 +263,10 @@ def _log_ratio_bound(a, b, lam, u=None):
     free = u > 0.0
 
     def value(v):
-        return v @ a @ v + b @ v + p * math.log(lam @ v)
+        return v @ a @ v + b @ v + total * math.log(lam @ v)
 
     def gradient(v):
-        return 2.0 * (a @ v) + b + p * lam / (lam @ v)
+        return 2.0 * (a @ v) + b + total * lam / (lam @ v)
 
     f = value(u)
     # the presets take at most 7 steps, random specs with p <= 10 at most
@@ -335,13 +284,13 @@ def _log_ratio_bound(a, b, lam, u=None):
         if not free[j] and g[free].max() - gu <= max(1e-3 * gap, tol):
             grown = free.copy()
             grown[j] = True
-            d = _face_newton(a, lam, g, s, grown)
+            d = _face_newton(a, lam, total, g, s, grown)
             if d[j] > 0.0:
                 free = grown
             else:
                 d = None
         if d is None:
-            d = _face_newton(a, lam, g, s, free)
+            d = _face_newton(a, lam, total, g, s, free)
         rise = g @ d
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(d < 0.0, -u / d, np.inf)
@@ -370,33 +319,36 @@ def _log_ratio_bound(a, b, lam, u=None):
     return bound + 1e-12 * (1.0 + abs(bound)), u
 
 
-def _scaled_dirichlet_scale(a, b):
-    """The scale lam (lam_p = 1) of the unit-shape scaled Dirichlet, and
-    the certified bound on max f at that lam (see _log_ratio_bound).
+def _scaled_dirichlet_scale(a, b, alpha):
+    """The scale lam (lam_p = 1) of the scaled Dirichlet with shapes
+    alpha, and the certified bound on max f at that lam (see
+    _log_ratio_bound, total = sum(alpha)).
 
-    The log envelope constant is max f - sum(log lam) - log Gamma(p),
+    The log envelope constant is max f - alpha'log lam plus a constant,
     convex in eta = log lam: a maximum of log-sum-exp terms less a
-    linear one. Its gradient is r - 1, r_j = p lam_j u_j / lam'u at the
-    maximiser u, so -log r is a descent direction. Damped steps along it
-    (clipped to 1 per coordinate) are kept only when they lower the
-    constant; eta is rounded to 1e-8, so rounding noise in the search
-    cannot change the proposals.
+    linear one. Its gradient is r - alpha, r_j = total lam_j u_j / lam'u
+    at the maximiser u, so -log(r / alpha) is a descent direction when
+    the maximiser is unique. Damped steps along it (clipped to 1 per
+    coordinate) are kept only when they lower the constant; eta is
+    rounded to 1e-8, so rounding noise in the search cannot change the
+    proposals.
     """
     p = b.size
+    total = alpha.sum()
     eta = np.zeros(p)
-    bound, u = _log_ratio_bound(a, b, np.ones(p))
+    bound, u = _log_ratio_bound(a, b, np.ones(p), total)
     t = 1.0
     for _ in range(30):
         lam = np.exp(eta)
         with np.errstate(divide="ignore"):
-            step = np.clip(np.log(p * lam * u / (lam @ u)), -1.0, 1.0)
+            step = np.clip(np.log(total * lam * u / (lam @ u) / alpha), -1.0, 1.0)
         if np.abs(step).max() < 1e-3:
             break
         while t >= 1e-3:
             trial = eta - t * step
             trial = np.round(trial - trial[-1], 8)
-            trial_bound, trial_u = _log_ratio_bound(a, b, np.exp(trial), u)
-            if trial_bound - trial.sum() < bound - eta.sum():
+            trial_bound, trial_u = _log_ratio_bound(a, b, np.exp(trial), total, u)
+            if trial_bound - (alpha * trial).sum() < bound - (alpha * eta).sum():
                 eta, bound, u = trial, trial_bound, trial_u
                 t = min(1.0, 2.0 * t)
                 break
@@ -407,14 +359,43 @@ def _scaled_dirichlet_scale(a, b):
 
 
 class _Proposal(NamedTuple):
-    """A truncated-Gaussian proposal: its name, the log of its envelope
-    constant M, and for the scaled Dirichlet its scale and the bound on
-    max f."""
+    """A proposal: its name, the log of its envelope constant M, and for
+    the scaled Dirichlet its shapes, its scale and the bound on max f."""
 
     name: str
     log_bound: float
+    alpha: np.ndarray = None
     lam: np.ndarray = None
     f_bound: float = None
+
+
+def _concave_split(a_k):
+    """The full (p, p) A- and the bound max_j (A+)_jj on u'A+u over the
+    simplex, for the split A = A- + A+ by eigenvalue sign of the (k, k)
+    block a_k. A without a positive eigenvalue is left whole."""
+    k = a_k.shape[0]
+    a = np.zeros((k + 1, k + 1))
+    a[:k, :k] = a_k
+    evals, evecs = np.linalg.eigh(a_k)
+    if evals[-1] <= 0.0:
+        return a, 0.0
+    a_plus = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+    a_plus = (a_plus + a_plus.T) / 2.0
+    a[:k, :k] -= a_plus
+    return a, np.diag(a_plus).max()
+
+
+def _scaled_dirichlet(a_k, b_k, alpha):
+    """The scaled-Dirichlet proposal with shapes alpha for the interaction
+    model with this (k, k) interaction and (k,) linear block."""
+    a, lift = _concave_split(a_k)
+    lam, f_bound = _scaled_dirichlet_scale(a, np.append(b_k, 0.0), alpha)
+    f_bound += lift
+    for arr in (alpha, lam):
+        arr.setflags(write=False)  # cached and shared by every caller
+    log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(alpha.sum())
+    log_bound = f_bound + log_beta - (alpha * np.log(lam)).sum()
+    return _Proposal("scaled-dirichlet", float(log_bound), alpha, lam, float(f_bound))
 
 
 def _tg_candidates(p, interaction, linear):
@@ -427,21 +408,46 @@ def _tg_candidates(p, interaction, linear):
     mu = np.linalg.solve(low.T, np.linalg.solve(low, b_k)) / 2.0
     # Sigma^{-1} mu = b and |Sigma| = 2^{-k} / |-A|
     log_gauss = b_k @ mu / 2.0 + k * math.log(math.pi) / 2.0 - np.log(np.diag(low)).sum()
-    a = np.zeros((p, p))
-    a[:k, :k] = a_k
-    lam, f_bound = _scaled_dirichlet_scale(a, np.append(b_k, 0.0))
-    lam.setflags(write=False)  # cached and shared by every caller
-    log_scaled = f_bound - math.lgamma(p) - np.log(lam).sum()
-    return (
-        _Proposal("gaussian", float(log_gauss)),
-        _Proposal("scaled-dirichlet", float(log_scaled), lam, f_bound),
-    )
+    return _Proposal("gaussian", float(log_gauss)), _scaled_dirichlet(a_k, b_k, np.ones(p))
 
 
 @functools.lru_cache(maxsize=32)
-def _tg_proposal(p, interaction, linear):
-    """The candidate with the smaller envelope constant, once per spec."""
-    return min(_tg_candidates(p, interaction, linear), key=lambda c: c.log_bound)
+def _proposal(p, interaction, linear, shape=None):
+    """The proposal for the model with these (k, k) interaction, (k,)
+    linear and (p,) shape bytes, built once per spec: the scaled
+    Dirichlet with shapes shape + 1, or for the truncated Gaussian
+    (shape None) whichever of its candidates has the smaller M."""
+    if shape is None:
+        return min(_tg_candidates(p, interaction, linear), key=lambda c: c.log_bound)
+    a_k = np.frombuffer(interaction).reshape(p - 1, p - 1)
+    return _scaled_dirichlet(a_k, np.frombuffer(linear), np.frombuffer(shape) + 1.0)
+
+
+def _scaled_dirichlet_proposer(a_k, b_k, proposal):
+    """The propose function of a scaled-Dirichlet proposal for _rejection:
+    a proposal u is kept when its coin is at most exp(f(u) - bound)."""
+    alpha, lam, f_bound = proposal.alpha, proposal.lam, proposal.f_bound
+    p, k = alpha.size, alpha.size - 1
+    total = alpha.sum()
+
+    def propose(sub, size):
+        # one column of gamma variates per proposal, drawn category by category
+        gen = sub.generator()
+        g = np.empty((p, size))
+        for j in range(p):
+            gen.standard_gamma(alpha[j], size, out=g[j])
+        coins = gen.uniform(size=size)
+        g_sum = g.sum(axis=0)
+        # in place: g becomes w = g / lam, then u = w / sum(w)
+        g /= lam[:, None]
+        w_sum = g.sum(axis=0)
+        g /= w_sum
+        # lam'u = sum(g) / sum(w)
+        expo = _energy(a_k, b_k, g[:k]) + total * np.log(g_sum / w_sum)
+        pos = np.flatnonzero(coins <= np.exp(expo - f_bound))
+        return pos, g[:, pos].T
+
+    return propose
 
 
 def _sample_truncated_gaussian(spec, n, rng):
@@ -455,12 +461,12 @@ def _sample_truncated_gaussian(spec, n, rng):
     p, k = spec.p, spec.p - 1
     a_k = np.ascontiguousarray(spec.interaction, dtype=float)
     b_k = np.ascontiguousarray(spec.linear, dtype=float)
-    proposal = _tg_proposal(p, a_k.tobytes(), b_k.tobytes())
+    proposal = _proposal(p, a_k.tobytes(), b_k.tobytes())
 
     if proposal.name == "gaussian":
         chol = np.linalg.cholesky(sigma)
 
-        def propose(sub, size, env0):
+        def propose(sub, size):
             # one row of normals per proposal, transformed into one column each
             draw = np.einsum("ij,bj->ib", chol, sub.generator().standard_normal((size, k)))
             draw += mu[:, None]
@@ -468,34 +474,11 @@ def _sample_truncated_gaussian(spec, n, rng):
             rows = np.empty((pos.shape[0], p))
             rows[:, :-1] = draw[:, pos].T
             rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
-            return pos, rows, np.ones(pos.shape[0]), np.zeros(pos.shape[0])
+            return pos, rows
 
     else:
-        lam, f_bound = proposal.lam, proposal.f_bound
-
-        def propose(sub, size, env0):
-            # one column of exponentials per proposal
-            gen = sub.generator()
-            e = gen.standard_exponential((p, size))
-            coins = gen.uniform(size=size)
-            w = e / lam[:, None]
-            total = w.sum(axis=0)
-            ut = w / total
-            # lam'u = sum(e) / total
-            expo = _energy(a_k, b_k, ut[:k]) + p * np.log(e.sum(axis=0) / total)
-            ratio = np.exp(expo - f_bound)
-            pos = np.flatnonzero(coins <= ratio / env0)
-            return pos, ut[:, pos].T, ratio[pos], coins[pos]
-
-    def fail(rate, attempted, env, trace):
-        return InfeasibleTruncationError(
-            f"acceptance rate {rate:.2e} after {attempted} "
-            "proposals; truncation region has no usable mass"
-        )
-
-    u, stats = _rejection(
-        n, rng, propose, fail, rate=0.5, proposal=proposal.name, log_bound=proposal.log_bound
-    )
+        propose = _scaled_dirichlet_proposer(a_k, b_k, proposal)
+    u, stats = _rejection(n, rng, propose, InfeasibleTruncationError, 0.5, proposal)
     return ContinuousDataset(u), stats
 
 
@@ -528,45 +511,23 @@ def sample_dirichlet(spec_or_shape, n, rng):
     return ContinuousDataset(u)
 
 
-def sample_hybrid(spec, n, rng, warmup=1000, safety=1.1, initial_envelope=1.0):
-    """Envelope rejection from the Dirichlet base measure.
+def sample_hybrid(spec, n, rng):
+    """Rejection sampling of the interaction model from the scaled
+    Dirichlet with shapes shape + 1 and a certified envelope (see the
+    module docstring).
 
-    Returns (dataset, RejectionStats). The envelope constant only ever
-    grows; proposals during the warm-up update it but are never kept,
-    which bounds the bias of an initially too-small envelope.
+    Returns (dataset, RejectionStats). Raises EnvelopeFailureError when
+    fewer than a MIN_RATE share of PATIENCE proposals is kept.
     """
-    k = spec.p - 1
-    # the last row and column of the full interaction and the last
-    # linear entry are zero, so the exponent needs u_1 .. u_{p-1} only
-    a_k = spec.full_interaction()[:k, :k]
-    b_k = spec.full_linear()[:k]
-    alpha = spec.shape + 1.0
     n = int(n)
     if n < 1:
         raise DataError("need at least one draw")
-
-    def propose(sub, size, env0):
-        gen = sub.generator()
-        u = gen.dirichlet(alpha, size=size)
-        coins = gen.uniform(size=size)
-        # overflow to inf is deliberate: an infinite ratio drives the
-        # envelope to inf and the patience check fails the run
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = np.exp(_energy(a_k, b_k, u[:, :k].T))
-            pos = np.flatnonzero(coins <= ratio / env0)
-        return pos, u[pos], ratio[pos], coins[pos]
-
-    def fail(rate, attempted, env, trace):
-        return EnvelopeFailureError(
-            f"acceptance rate {rate:.2e} after "
-            f"{attempted} proposals; envelope now {env:.3e}",
-            trace=trace,
-        )
-
-    u, stats = _rejection(
-        n, rng, propose, fail, rate=0.25, proposal="dirichlet",
-        warmup=warmup, safety=safety, envelope=initial_envelope,
-    )
+    a_k = np.ascontiguousarray(spec.interaction, dtype=float)
+    b_k = np.ascontiguousarray(spec.linear, dtype=float)
+    shape = np.ascontiguousarray(spec.shape, dtype=float)
+    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), shape.tobytes())
+    propose = _scaled_dirichlet_proposer(a_k, b_k, proposal)
+    u, stats = _rejection(n, rng, propose, EnvelopeFailureError, 0.25, proposal)
     return ContinuousDataset(u), stats
 
 

@@ -6,14 +6,16 @@ gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
 a dense assembly of the continuous route from full projected gradient
 tensors, a polynomial assembly of the count route with expanded
-factorial moments, a row-by-row envelope rejection loop, and
-inverse-CDF draws of a truncated Gaussian with independent
-coordinates. Only the two assemblies and the rejection loop import
-from the package: the workspace container, the index map, the weight
-spec and the error types; for the dense assembly the per-statistic
-tables _mu_nu and _laplacian_values, which are themselves checked
-against finite differences; and for the rejection loop the chunk size
-and batch sizing, which fix which random streams it reads.
+factorial moments, a row-by-row envelope rejection loop, rejection
+from the Dirichlet base with no computed bound, and inverse-CDF draws
+of a truncated Gaussian with independent coordinates. Only the two
+assemblies and the row-by-row rejection loop import from the package:
+the workspace container, the index map, the weight spec and the error
+types; for the dense assembly the per-statistic tables _mu_nu and
+_laplacian_values, which are themselves checked against finite
+differences; and for the row-by-row loop the chunk size, the batch
+sizing and the proposal's scale and bound, which fix which random
+streams it reads and what it accepts.
 """
 
 import math
@@ -497,27 +499,24 @@ class ExpandedFactorialMoments:
         return out
 
 
-def chunked_hybrid_reference(spec, n, rng, warmup=1000, safety=1.1, initial_envelope=1.0):
-    """sample_hybrid walked one proposal at a time, with no prefilter.
+def chunked_hybrid_reference(spec, n, rng):
+    """sample_hybrid walked one proposal at a time.
 
     Reads the same chunk streams as the sampler (chunk c of the run from
-    rng.substream(c), batches sized by samplers._next_batch) and computes
-    the same density ratios, then visits every proposal in order: a
-    ratio above the envelope raises it to safety * ratio, and the
-    proposal is kept when coin <= ratio / envelope and it lies past the
-    warm-up. The walk stops at the n-th kept proposal, and attempted
-    counts the proposals through it. Returns (rows, attempted,
-    envelope_trace). No patience check: callers pass models the sampler
-    can serve.
+    rng.substream(c), batches sized by samplers._next_batch), draws the
+    same scaled-Dirichlet proposals with the scale and bound of
+    samplers._proposal, and computes the same density ratios. It then
+    visits every proposal in order and keeps it when coin <= ratio. The
+    walk stops at the n-th kept proposal, and attempted counts the
+    proposals through it. Returns (rows, attempted). No patience check:
+    callers pass models the sampler can serve.
     """
-    from compscore.samplers import CHUNK, _next_batch
+    from compscore.samplers import CHUNK, _next_batch, _proposal
 
     k = spec.p - 1
-    a_k = spec.full_interaction()[:k, :k]
-    b_k = spec.full_linear()[:k]
-    alpha = spec.shape + 1.0
-    env = float(initial_envelope)
-    trace = [env]
+    a_k, b_k, shape = spec.interaction, spec.linear, spec.shape
+    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), shape.tobytes())
+    alpha = shape + 1.0
     kept = []
     attempted = 0
     chunk = 0
@@ -528,21 +527,46 @@ def chunked_hybrid_reference(spec, n, rng, warmup=1000, safety=1.1, initial_enve
             size = min(CHUNK, batch - lo)
             gen = rng.substream(chunk).generator()
             chunk += 1
-            u = gen.dirichlet(alpha, size=size)
+            g = np.empty((spec.p, size))
+            for j in range(spec.p):
+                gen.standard_gamma(alpha[j], size, out=g[j])
             coins = gen.uniform(size=size)
-            ut = u[:, :k].T
-            with np.errstate(over="ignore"):
-                ratio = np.exp(((np.einsum("ij,jb->ib", a_k, ut) + b_k[:, None]) * ut).sum(axis=0))
+            w = g / proposal.lam[:, None]
+            ut = w / w.sum(axis=0)
+            energy = ((np.einsum("ij,jb->ib", a_k, ut[:k]) + b_k[:, None]) * ut[:k]).sum(axis=0)
+            log_scale = alpha.sum() * np.log(g.sum(axis=0) / w.sum(axis=0))
+            ratio = np.exp(energy + log_scale - proposal.f_bound)
             for i, (r, coin) in enumerate(zip(ratio.tolist(), coins.tolist())):
-                if r > env:
-                    env = safety * r
-                    trace.append(env)
-                if coin <= r / env and attempted + i >= warmup:
-                    kept.append(u[i])
+                if coin <= r:
+                    kept.append(ut[:, i])
                     if len(kept) == n:
-                        return np.array(kept), attempted + i + 1, trace
+                        return np.array(kept), attempted + i + 1
             attempted += size
-        rate = max(len(kept) / max(attempted - warmup, 1), 1e-8)
+        rate = max(len(kept) / attempted, 1e-8)
+
+
+def dirichlet_base_hybrid_reference(spec, n, gen):
+    """Interaction-model rows drawn by rejection from the Dirichlet base,
+    with no computed bound.
+
+    For b = 0 and a negative-semidefinite A the energy u'Au is at most 0
+    on the simplex and reaches 0 at the vertex u = e_p (the last row and
+    column of A are zero), so a Dirichlet(shape + 1) draw kept with
+    probability exp(u'Au) is an exact draw of the target. gen is a numpy
+    Generator.
+    """
+    a_k = np.asarray(spec.interaction)
+    assert not np.any(spec.linear), "needs a zero linear term"
+    assert np.linalg.eigvalsh(a_k).max() <= 0.0, "needs a negative-semidefinite interaction"
+    k = spec.p - 1
+    kept, count = [], 0
+    while count < n:
+        u = gen.dirichlet(spec.shape + 1.0, size=n)
+        ratio = np.exp(np.einsum("bi,ij,bj->b", u[:, :k], a_k, u[:, :k]))
+        u = u[gen.uniform(size=n) <= ratio]
+        kept.append(u)
+        count += u.shape[0]
+    return np.vstack(kept)[:n]
 
 
 def diagonal_truncated_gaussian_reference(spec, n, gen):

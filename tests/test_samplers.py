@@ -1,6 +1,7 @@
 """Samplers: reproducibility, support constraints, distributional
 oracles (1-d quadrature, exact moments), and failure modes."""
 
+import math
 import multiprocessing
 import os
 import subprocess
@@ -15,7 +16,11 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.stats import ks_2samp
 
-from _oracles import chunked_hybrid_reference, diagonal_truncated_gaussian_reference
+from _oracles import (
+    chunked_hybrid_reference,
+    diagonal_truncated_gaussian_reference,
+    dirichlet_base_hybrid_reference,
+)
 from compscore import registry, samplers
 from compscore.core import ContinuousDataset, ModelSpec
 from compscore.errors import (
@@ -99,7 +104,7 @@ def test_infeasible_truncation_fails_fast():
         linear=[5000.0, 5000.0],  # untruncated mean (5, 5), far outside
     )
     data, stats = sample_model(near, 100, RngConfig(2), return_stats=True)
-    assert stats.proposal == "scaled-dirichlet" and stats.envelope_updates == 0
+    assert stats.proposal == "scaled-dirichlet"
     assert np.all(data.proportions[:, 2] < 0.01)
     far = ModelSpec(
         family="truncated-gaussian",
@@ -114,17 +119,18 @@ def test_infeasible_truncation_fails_fast():
 def _force_proposal(monkeypatch, name):
     """Make the truncated-Gaussian sampler use the named proposal."""
 
-    def pick(*key):
-        return next(c for c in samplers._tg_candidates(*key) if c.name == name)
+    def pick(p, interaction, linear):
+        return next(c for c in samplers._tg_candidates(p, interaction, linear) if c.name == name)
 
-    monkeypatch.setattr(samplers, "_tg_proposal", pick)
+    monkeypatch.setattr(samplers, "_proposal", pick)
 
 
 def test_proposal_choice_and_certified_envelopes():
     """The closed-form choice gives the Gaussian to the concentrated
     model4 and model5 and the scaled Dirichlet to model3 (and so to
-    model15, its thinned twin) and model6. Both envelopes are certified,
-    so over 50 seeds the envelope never rises."""
+    model15, its thinned twin) and model6; the interaction models model1
+    and model2 take the scaled Dirichlet. Its envelope is certified: over
+    50 seeds of 1000 proposals no log density ratio exceeds the bound."""
     want = {"model3": "scaled-dirichlet", "model4": "gaussian", "model5": "gaussian",
             "model6": "scaled-dirichlet", "model15": "scaled-dirichlet"}
     for name, proposal in want.items():
@@ -133,11 +139,19 @@ def test_proposal_choice_and_certified_envelopes():
         key = (spec.p, spec.interaction.tobytes(), spec.linear.tobytes())
         assert stats.proposal == proposal
         assert stats.log_bound == min(c.log_bound for c in samplers._tg_candidates(*key))
-    for name in ("model3", "model6"):
+    for name in ("model1", "model2", "model3", "model6"):
         spec = registry.get(name).spec
+        shape = None if spec.family == "truncated-gaussian" else spec.shape.tobytes()
+        proposal = samplers._proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(), shape)
+        assert proposal.name == "scaled-dirichlet"
+        alpha = spec.shape + 1.0
+        a = spec.full_interaction()
         for seed in range(50):
-            _, stats = sample_model(spec, 1000, RngConfig(seed), return_stats=True)
-            assert stats.envelope_updates == 0 and stats.envelope_trace == [1.0]
+            w = np.random.default_rng(seed).gamma(alpha, size=(1000, spec.p)) / proposal.lam
+            u = w / w.sum(axis=1, keepdims=True)
+            f = (np.einsum("bi,ij,bj->b", u, a, u) + u @ spec.full_linear()
+                 + alpha.sum() * np.log(u @ proposal.lam))
+            assert f.max() <= proposal.f_bound
 
 
 def test_sampling_imports_no_scipy():
@@ -185,7 +199,7 @@ def test_both_proposals_agree_on_model3(monkeypatch):
     for i, name in enumerate(("gaussian", "scaled-dirichlet")):
         _force_proposal(monkeypatch, name)
         data, stats = sample_model(TGAUSS3, n, RngConfig(23 + i), return_stats=True)
-        assert stats.proposal == name and stats.envelope_updates == 0
+        assert stats.proposal == name
         draws[name] = data.proportions
         log_z[name] = np.log(stats.acceptance_rate) + stats.log_bound
     pvals = [ks_2samp(draws["gaussian"][:, j], draws["scaled-dirichlet"][:, j],
@@ -197,29 +211,48 @@ def test_both_proposals_agree_on_model3(monkeypatch):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_log_ratio_bound_is_certified_and_tight(data):
-    """For random negative-definite A, b and lam, the bound on
-    f(u) = u'Au + b'u + p log(lam'u) over the simplex is at least f at
-    every vertex and at 20000 scaled-Dirichlet proposals, and within
-    1e-8 of the best of scipy's SLSQP from five starts."""
+    """For random A, b, lam and shapes alpha in [0.05, 3], the bound on
+    f(u) = u'Au + b'u + P log(lam'u), P = sum(alpha), over the simplex is
+    at least f at every vertex and at 20000 scaled-Dirichlet proposals
+    with those shapes; so is the bound of the proposal built for that
+    spec, at its own lam. A is negative definite or has one or two
+    positive eigenvalues up to 5, which the split into A- and A+ covers.
+    For negative-definite A the bound is within 1e-8 of the best of
+    scipy's SLSQP from five starts."""
     p = data.draw(st.integers(2, 10), label="p")
     k = p - 1
-    eig = np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
+    eig = -np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
+    positive = data.draw(st.integers(0, min(2, k)), label="positive")
+    eig[:positive] = data.draw(st.lists(st.floats(0.05, 5.0), min_size=positive, max_size=positive),
+                               label="positive eig")
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     basis = np.linalg.qr(gen.standard_normal((k, k)))[0]
+    a_k = (basis * eig) @ basis.T
+    a_k = (a_k + a_k.T) / 2.0
     a = np.zeros((p, p))
-    a[:k, :k] = -(basis * eig) @ basis.T
+    a[:k, :k] = a_k
     b = np.zeros(p)
     b[:k] = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k), label="linear")
+    alpha = np.array(data.draw(st.lists(st.floats(0.05, 3.0), min_size=p, max_size=p), label="alpha"))
+    total = alpha.sum()
     lam = np.exp(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p), label="loglam"))
-    bound, _ = samplers._log_ratio_bound(a, b, lam)
+    a_minus, lift = samplers._concave_split(a_k)
+    bound = samplers._log_ratio_bound(a_minus, b, lam, total)[0] + lift
 
-    def f(u):
-        return np.einsum("...i,ij,...j->...", u, a, u) + u @ b + p * np.log(u @ lam)
+    def f(u, lam=lam):
+        return np.einsum("...i,ij,...j->...", u, a, u) + u @ b + total * np.log(u @ lam)
 
-    w = gen.standard_exponential((20_000, p)) / lam
-    sampled = f(w / w.sum(axis=1, keepdims=True))
-    vertices = np.diag(a) + b + p * np.log(lam)
-    assert sampled.max() <= bound and vertices.max() <= bound
+    def proposals(lam):
+        w = gen.gamma(alpha, size=(20_000, p)) / lam
+        return w / w.sum(axis=1, keepdims=True)
+
+    vertices = np.diag(a) + b + total * np.log(lam)
+    assert f(proposals(lam)).max() <= bound and vertices.max() <= bound
+    built = samplers._scaled_dirichlet(a_k, b[:k], alpha)
+    assert f(proposals(built.lam), built.lam).max() <= built.f_bound
+    assert (np.diag(a) + b + total * np.log(built.lam)).max() <= built.f_bound
+    if positive:
+        return
     best = vertices.max()
     for start in [np.full(p, 1.0 / p)] + list(gen.dirichlet(np.ones(p), size=4)):
         res = optimize.minimize(
@@ -251,21 +284,26 @@ def test_dirichlet_means():
 
 
 def test_hybrid_flat_energy_accepts_everything():
-    """With A = 0 and b = 0 the density ratio is identically 1, so the
-    envelope never updates and every post-warmup proposal is kept: one
-    proposal batch covers the request."""
-    spec = ModelSpec(family="hybrid", p=3, shape=[0.5, -0.2, 1.0])
-    data, stats = sample_hybrid(spec, 3000, RngConfig(6), warmup=0)
+    """With A = 0 and b = 0 the target is the Dirichlet base itself: the
+    proposal keeps lam = 1, its log envelope constant is log B(alpha),
+    and every proposal is kept, so one proposal batch covers the
+    request."""
+    shape = np.array([0.5, -0.2, 1.0])
+    spec = ModelSpec(family="hybrid", p=3, shape=shape)
+    data, stats = sample_hybrid(spec, 3000, RngConfig(6))
     assert data.n == 3000
-    assert stats.envelope == 1.0
-    assert stats.envelope_updates == 0
-    assert stats.envelope_trace == [1.0]
+    assert stats.proposal == "scaled-dirichlet"
+    log_beta = sum(math.lgamma(a) for a in shape + 1.0) - math.lgamma((shape + 1.0).sum())
+    assert abs(stats.log_bound - log_beta) < 1e-9
+    assert stats.acceptance_rate >= 0.99
     # a single batch sized for a 25% rate guess satisfies n when
     # everything is accepted
     assert stats.attempted <= int(3000 / 0.25 * 1.2) + 64
 
 
 def test_hybrid_envelope_growth_and_determinism():
+    """The envelope is certified and never grows; what is left to check
+    is that a seed fixes the draws and the stats."""
     spec = ModelSpec(
         family="hybrid",
         p=3,
@@ -274,24 +312,24 @@ def test_hybrid_envelope_growth_and_determinism():
     )
     data, stats = sample_hybrid(spec, 800, RngConfig(7))
     assert data.n == 800
-    trace = np.array(stats.envelope_trace)
-    assert np.all(np.diff(trace) > 0)  # the envelope only grows
-    assert stats.envelope == trace[-1]
     assert 0.0 < stats.acceptance_rate < 1.0
     again, stats2 = sample_hybrid(spec, 800, RngConfig(7))
     np.testing.assert_array_equal(data.proportions, again.proportions)
-    assert stats2.envelope_trace == stats.envelope_trace
+    assert stats2 == stats
 
 
 def test_hybrid_unbounded_energy_fails():
-    # positive curvature pushes the density ratio past any envelope
+    """Positive curvature puts the envelope constant M at e^4000 / 2 (A+
+    is all of A), and the acceptance rate Z / M is about 3e-8, far below
+    MIN_RATE, so the run fails."""
     spec = ModelSpec(
         family="hybrid", p=3, interaction=[[4000.0, 0.0], [0.0, 0.0]]
     )
-    with pytest.raises(EnvelopeFailureError) as err:
+    proposal = samplers._proposal(3, spec.interaction.tobytes(), spec.linear.tobytes(),
+                                  spec.shape.tobytes())
+    assert abs(proposal.log_bound - (4000.0 - math.log(2.0))) < 1e-6
+    with pytest.raises(EnvelopeFailureError):
         sample_hybrid(spec, 1000, RngConfig(8))
-    trace = err.value.trace
-    assert len(trace) >= 2 and trace[-1] > trace[0]
 
 
 def test_sample_model_dispatch():
@@ -312,28 +350,24 @@ def test_sample_model_dispatch():
         data.proportions, sample_truncated_gaussian(TGAUSS3, 50, rng).proportions
     )
     assert stats.accepted == 50 and stats.attempted >= 50
-    assert stats.envelope == 1.0 and stats.envelope_updates == 0
-    assert stats.envelope_trace == [1.0]
     hspec = ModelSpec(family="hybrid", p=3, shape=[0.0, 0.0, 0.0])
     data, stats = sample_model(hspec, 50, rng, return_stats=True)
     assert stats is not None and stats.accepted == 50
 
 
 def _draw_both_samplers():
-    """model1 with a low starting envelope (several updates, about 170
-    chunks) and TGAUSS3 (four chunks), each with its RejectionStats."""
+    """model1 (about 70 chunks) and TGAUSS3 (four chunks), each with its
+    RejectionStats."""
     model1 = registry.get("model1").spec
     return (
-        sample_hybrid(model1, 100_000, RngConfig(12), initial_envelope=0.05),
+        sample_hybrid(model1, 100_000, RngConfig(12)),
         sample_model(TGAUSS3, 30_000, RngConfig(13), return_stats=True),
     )
 
 
 def test_draws_do_not_depend_on_the_worker_count(monkeypatch):
     reference = _draw_both_samplers()
-    hybrid_stats = reference[0][1]
-    assert hybrid_stats.envelope_updates >= 3
-    assert hybrid_stats.attempted > 100 * CHUNK
+    assert reference[0][1].attempted > 50 * CHUNK
     assert reference[1][1].attempted > 2 * CHUNK
     for workers in (1, 3):
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -341,21 +375,24 @@ def test_draws_do_not_depend_on_the_worker_count(monkeypatch):
             got = _draw_both_samplers()
         for (data, stats), (want, want_stats) in zip(got, reference):
             np.testing.assert_array_equal(data.proportions, want.proportions)
-            assert stats == want_stats  # envelope trace included
+            assert stats == want_stats
 
 
 def test_chunks_read_their_own_streams():
-    """With a flat energy and no warm-up every proposal is kept, so the
-    output is the chunks in order: chunk c is the start of
-    rng.substream(c), and no two chunks repeat a draw."""
+    """With a flat energy every proposal is kept, so the output is the
+    chunks in order: chunk c is the start of rng.substream(c), one row
+    of Gamma(shape_j + 1) variates per category normalised (lam = 1),
+    and no two chunks repeat a draw."""
     shape = np.array([0.5, -0.2, 1.0])
     spec = ModelSpec(family="hybrid", p=3, shape=shape)
     rng = RngConfig(14)
-    data, stats = sample_hybrid(spec, 3 * CHUNK, rng, warmup=0)
+    data, stats = sample_hybrid(spec, 3 * CHUNK, rng)
+    assert stats.attempted == 3 * CHUNK
     u = data.proportions
     for c in range(3):
         gen = rng.substream(c).generator()
-        chunk = ContinuousDataset(gen.dirichlet(shape + 1.0, size=CHUNK))
+        g = np.stack([gen.standard_gamma(a, CHUNK) for a in shape + 1.0])
+        chunk = ContinuousDataset((g / g.sum(axis=0)).T)
         np.testing.assert_array_equal(u[c * CHUNK : (c + 1) * CHUNK], chunk.proportions)
     assert np.unique(u, axis=0).shape[0] == u.shape[0]
     tg = sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(15)).proportions
@@ -417,33 +454,45 @@ def test_forked_child_gets_its_own_pool():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_prefilter_matches_unfiltered_reference(data):
-    """The workers' prefilter drops only proposals that can neither be
-    kept nor raise the envelope: sample_hybrid equals the row-by-row loop
-    over every proposal, bit for bit, envelope trace included. A 40000-row
-    warm-up ends inside the third chunk."""
+    """Workers return only the proposals they accept, and the main
+    thread keeps them in chunk order: sample_hybrid equals the
+    row-by-row walk over every proposal, bit for bit, attempted
+    included. A has zero, one or two positive eigenvalues."""
     p = data.draw(st.integers(3, 5), label="p")
     k = p - 1
-    eig = np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
+    eig = -np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
+    positive = data.draw(st.integers(0, 2), label="positive")
+    eig[:positive] = data.draw(st.lists(st.floats(0.05, 5.0), min_size=positive, max_size=positive),
+                               label="positive eig")
     basis = np.linalg.qr(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((k, k)))[0]
     spec = ModelSpec(
         family="hybrid",
         p=p,
-        interaction=-(basis * eig) @ basis.T,
+        interaction=(basis * eig) @ basis.T,
         linear=data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k), label="linear"),
         shape=data.draw(st.lists(st.floats(-0.9, 2.0), min_size=p, max_size=p), label="shape"),
     )
     n = data.draw(st.integers(200, 3000), label="n")
-    warmup = data.draw(st.sampled_from([0, 1000, 40_000]), label="warmup")
-    envelope = data.draw(st.sampled_from([0.5, 1.0]), label="initial_envelope")
     rng = RngConfig(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    got, stats = sample_hybrid(spec, n, rng, warmup=warmup, initial_envelope=envelope)
-    rows, attempted, trace = chunked_hybrid_reference(
-        spec, n, rng, warmup=warmup, initial_envelope=envelope
-    )
+    got, stats = sample_hybrid(spec, n, rng)
+    rows, attempted = chunked_hybrid_reference(spec, n, rng)
     np.testing.assert_array_equal(got.proportions, ContinuousDataset(rows).proportions)
     assert stats.attempted == attempted
-    assert stats.envelope_trace == trace
-    assert stats.envelope_updates == len(trace) - 1
+
+
+@pytest.mark.parametrize("name", ["model2", "model1"])
+def test_hybrid_matches_dirichlet_base_reference(name):
+    """model2 (p=3) and model1 (p=5) have b = 0 and a negative-definite
+    A, so the Dirichlet base with envelope 1 draws them exactly with no
+    computed bound. 20000 sampler rows pass a two-sample KS test against
+    20000 reference rows in every category, at the level the truncated
+    Gaussian's two proposals are held to."""
+    spec = registry.get(name).spec
+    n = 20_000
+    got = sample_hybrid(spec, n, RngConfig(31))[0].proportions
+    want = dirichlet_base_hybrid_reference(spec, n, np.random.default_rng(32))
+    pvals = [ks_2samp(got[:, j], want[:, j], method="asymp").pvalue for j in range(spec.p)]
+    assert min(pvals) > 0.0033, pvals
 
 
 def test_multinomial_counts_moments():

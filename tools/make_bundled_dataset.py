@@ -8,8 +8,10 @@ required --out path:
 
 The checked-in src/compscore/data/synthetic_microbiome_counts.csv was
 drawn with this seed by the hybrid sampler as it stood at commit
-6385eb3. Commit c17b9c7 gave that sampler per-chunk substreams, so
-today's sampler draws a different table from the same seed. The
+6385eb3. Commit c17b9c7 gave that sampler per-chunk substreams, and the
+sampler after commit 31bbd6a proposes from a scaled Dirichlet with a
+certified envelope instead of the Dirichlet base with an empirical one,
+so today's sampler draws a different table from the same seed. The
 checked-in file is kept as it is, because the benchmark's reference
 fits depend on its bytes; this tool no longer rewrites it.
 """
