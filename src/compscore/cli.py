@@ -13,6 +13,7 @@ head -1`) is not an error: the run exits 0 and prints nothing more.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__, registry
-from .core import counts_to_proportions, sqrt_transform
+from .core import FAMILIES, ModelSpec, counts_to_proportions, sqrt_transform
 from .diagnostics import marginal_report
 from .errors import (
     CompscoreError,
@@ -30,7 +31,6 @@ from .errors import (
     SingularSystemError,
     StudyFailureError,
 )
-from .fitting import fit_dirichlet, fit_dirichlet_moments, fit_hybrid
 from .io import (
     _fmt,
     dump_json,
@@ -44,9 +44,8 @@ from .io import (
     write_output_dir,
     write_proportions_csv,
 )
-from .moments import fit_from_counts
 from .samplers import RngConfig, sample_model, sample_multinomial_counts
-from .study import StudyConfig, run_study
+from .study import StudyConfig, check_route, fit_route, run_study
 from .weights import KINDS, WeightSpec, cap_from_quantile
 
 __all__ = ["main"]
@@ -69,12 +68,23 @@ def _parse_exclude(text):
     return idx
 
 
-def _load_config(path, known):
+def _number(value, what):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _load_config(path, known):
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if data.get("schema_version") != 1:
@@ -100,7 +110,7 @@ def _manifest(subcommand, seed, inputs, config, started, extra=None):
     return doc
 
 
-def _resolve_weight(config_weight, arg_weight, arg_ac, z_for_auto=None):
+def _resolve_weight(config_weight, arg_weight, arg_ac, data=None):
     cfg = dict(config_weight or {})
     unknown = sorted(set(cfg) - {"kind", "a_c"})
     if unknown:
@@ -113,19 +123,17 @@ def _resolve_weight(config_weight, arg_weight, arg_ac, z_for_auto=None):
     if arg_ac is not None:
         if not capped:
             raise ConfigError(f"--ac does not apply to the uncapped kind {kind!r}")
-        if isinstance(arg_ac, str) and arg_ac.startswith("auto"):
+        if arg_ac.startswith("auto"):
             quantile = 0.90
             if ":" in arg_ac:
-                quantile = float(arg_ac.split(":", 1)[1])
-            if z_for_auto is None:
+                quantile = _number(arg_ac.split(":", 1)[1], "the --ac auto quantile")
+            if data is None:
                 raise ConfigError("--ac auto needs per-observation data")
-            a_c = cap_from_quantile(z_for_auto, kind, quantile)
+            a_c = cap_from_quantile(sqrt_transform(data), kind, quantile)
         else:
-            a_c = float(arg_ac)
+            a_c = _number(arg_ac, "--ac")
     if capped:
-        if a_c is None:
-            a_c = 0.1
-        return WeightSpec(kind, float(a_c))
+        return WeightSpec(kind, 0.1 if a_c is None else _number(a_c, "weight a_c"))
     return WeightSpec(kind)
 
 
@@ -149,7 +157,7 @@ def cmd_fit(args):
     started = time.monotonic()
     cfg = _load_config(args.config, _FIT_KEYS)
     family = cfg.get("family")
-    if family not in ("hybrid", "truncated-gaussian", "dirichlet"):
+    if family not in FAMILIES:
         raise ConfigError(f"config family must be set; got {family!r}")
     data_kind = cfg.get("data_kind", "proportions")
     if data_kind not in ("proportions", "counts"):
@@ -157,7 +165,13 @@ def cmd_fit(args):
     estimator = args.estimator or cfg.get("estimator", "continuous")
     if estimator not in ("continuous", "factorial", "moment"):
         raise ConfigError(f"estimator must be continuous, factorial or moment, got {estimator!r}")
-    ridge = float(cfg.get("ridge", 0.0))
+    check_route(family, estimator, data_kind == "counts")
+    shape = cfg.get("shape")
+    if family == "hybrid" and shape is None:
+        raise ConfigError("hybrid fits need a shape vector in the config")
+    if family == "dirichlet" and shape is not None:
+        raise ConfigError("dirichlet fits estimate shapes; remove shape from config")
+    ridge = _number(cfg.get("ridge", 0.0), "ridge")
     exclude = _parse_exclude(args.exclude_rows)
 
     counts = None
@@ -166,63 +180,23 @@ def cmd_fit(args):
         data = counts_to_proportions(counts)
     else:
         data = read_proportions_csv(args.data, exclude_rows=exclude)
-
-    if estimator == "factorial":
-        if family == "dirichlet":
-            raise ConfigError("the factorial route needs polynomial statistics; "
-                              "dirichlet fits use estimator=continuous")
-        if counts is None:
-            raise ConfigError("the factorial route needs data_kind=counts")
-    if estimator == "moment" and family != "dirichlet":
-        raise ConfigError("estimator=moment is the dirichlet baseline")
-
-    shape = cfg.get("shape")
-    if family == "hybrid":
-        if shape is None:
-            raise ConfigError("hybrid fits need a shape vector in the config")
-        shape = np.asarray(shape, dtype=float)
-        if shape.shape != (data.p,):
-            raise ConfigError(f"shape must have length {data.p}")
-    elif family == "truncated-gaussian":
-        if shape is not None and np.any(np.asarray(shape, dtype=float) != 0.0):
-            raise ConfigError("truncated-gaussian fits have zero shapes")
-        shape = np.zeros(data.p)
-    elif shape is not None:
-        raise ConfigError("dirichlet fits estimate shapes; remove shape from config")
+    spec = ModelSpec(
+        family,
+        data.p,
+        shape=shape,
+        estimate_interaction=cfg.get("estimate_interaction", True),
+        estimate_linear=cfg.get("estimate_linear", False),
+    )
 
     weight = None
     if estimator != "moment":
-        z_auto = sqrt_transform(data) if estimator == "continuous" else None
-        weight = _resolve_weight(cfg.get("weight"), args.weight, args.ac, z_auto)
+        auto_data = data if estimator == "continuous" else None
+        weight = _resolve_weight(cfg.get("weight"), args.weight, args.ac, auto_data)
         if estimator == "factorial" and weight.kind != "product":
             if args.weight or cfg.get("weight"):
                 raise ConfigError("the factorial route supports only the product weight")
             weight = WeightSpec("product")
-
-    if family == "dirichlet":
-        if estimator == "moment":
-            result = fit_dirichlet_moments(data)
-        else:
-            result = fit_dirichlet(data, weight, ridge=ridge)
-    elif estimator == "factorial":
-        result = fit_from_counts(
-            counts,
-            shape,
-            estimate_interaction=cfg.get("estimate_interaction", True),
-            estimate_linear=cfg.get("estimate_linear", False),
-            ridge=ridge,
-        )
-        result.config["family"] = family
-    else:
-        result = fit_hybrid(
-            data,
-            shape,
-            weight,
-            estimate_interaction=cfg.get("estimate_interaction", True),
-            estimate_linear=cfg.get("estimate_linear", False),
-            ridge=ridge,
-        )
-        result.config["family"] = family
+    result = fit_route(spec, estimator, data, counts, weight, ridge)
 
     resolved = dict(cfg)
     resolved["estimator"] = estimator
@@ -293,9 +267,7 @@ def cmd_diagnose(args):
         data = counts_to_proportions(counts)
     else:
         data = read_proportions_csv(args.data, exclude_rows=exclude)
-    with open(args.fit) as fh:
-        fit_doc = json.load(fh)
-    spec = model_spec_from_fit(fit_doc)
+    spec = model_spec_from_fit(_read_json(args.fit))
     rng = RngConfig(args.seed).substream(0)
     report = marginal_report(
         data,
@@ -336,17 +308,7 @@ def cmd_diagnose(args):
 # bench
 
 
-_BENCH_KEYS = (
-    "model",
-    "estimators",
-    "n",
-    "replicates",
-    "seed",
-    "totals",
-    "cap_min",
-    "cap_product",
-    "ridge",
-)
+_BENCH_KEYS = tuple(f.name for f in dataclasses.fields(StudyConfig))
 
 
 def _cell(value):
@@ -358,35 +320,16 @@ def _cell(value):
 def cmd_bench(args):
     started = time.monotonic()
     cfg = _load_config(args.config, _BENCH_KEYS)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    config = StudyConfig(
-        model=cfg.get("model", ""),
-        estimators=tuple(cfg.get("estimators", (1,))),
-        n=int(cfg.get("n", 1000)),
-        replicates=int(cfg.get("replicates", 100)),
-        seed=seed,
-        totals=cfg.get("totals"),
-        cap_min=cfg.get("cap_min"),
-        cap_product=cfg.get("cap_product"),
-        ridge=float(cfg.get("ridge", 0.0)),
-    )
+    if "model" not in cfg:
+        raise ConfigError(f"{args.config}: a study config needs a model")
+    kwargs = {key: value for key, value in cfg.items() if key in _BENCH_KEYS}
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    config = StudyConfig(**kwargs)
     summary = run_study(config)
 
-    header = [
-        "estimator",
-        "parameter",
-        "truth",
-        "mean",
-        "bias",
-        "se",
-        "rmse",
-        "rbias",
-        "n_ok",
-        "se_est_p5",
-        "se_est_p50",
-        "se_est_p95",
-    ]
-    rows = [header] + [[_cell(row[key]) for key in header] for row in summary.to_rows()]
+    records = summary.to_rows()
+    rows = [list(records[0])] + [[_cell(v) for v in row.values()] for row in records]
 
     rep_rows = [["estimator", "replicate", "parameter", "estimate", "se_estimate"]]
     for est in sorted(summary.replicate_estimates):
@@ -409,14 +352,14 @@ def cmd_bench(args):
                 )
 
     resolved = dict(cfg)
-    resolved["seed"] = seed
+    resolved["seed"] = config.seed
     files = {
         "summary.csv": _csv_text(rows),
         "replicates.csv": _csv_text(rep_rows),
         "manifest.json": dump_json(
             _manifest(
                 "bench",
-                seed,
+                config.seed,
                 [args.config],
                 resolved,
                 started,

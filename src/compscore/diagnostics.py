@@ -9,7 +9,7 @@ overdispersed its simulated spreads fall well short of the observed
 ones, which is the signature the report is designed to show.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -101,20 +101,7 @@ class DiagnosticReport:
             "n_observed": int(self.n_observed),
             "n_simulated": int(self.n_simulated),
             "grid_totals": None if self.grid_totals is None else int(self.grid_totals),
-            "categories": [
-                {
-                    "name": c.name,
-                    "ks_statistic": c.ks_statistic,
-                    "ks_pvalue": c.ks_pvalue,
-                    "ties": c.ties,
-                    "observed_mean": c.observed_mean,
-                    "observed_sd": c.observed_sd,
-                    "simulated_mean": c.simulated_mean,
-                    "simulated_sd": c.simulated_sd,
-                    "degenerate": c.degenerate,
-                }
-                for c in self.categories
-            ],
+            "categories": [asdict(c) for c in self.categories],
             "qq": {
                 name: {"observed": list(map(float, o)), "simulated": list(map(float, s))}
                 for name, (o, s) in self.qq.items()

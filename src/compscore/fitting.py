@@ -202,9 +202,10 @@ def _laplacian_values(u, imap):
 
 
 def _row_features(u, weight):
-    """h^2, omega (p-1, rows) and kappa for a feature-major block u (p,
+    """h^2, omega (p, rows) and kappa for a feature-major block u (p,
     rows) of squared coordinates, with grad h^2 . mu_i = 2 h^2 (G omega)_i
-    and z . grad h^2 = 2 kappa h^2, both zero where the cap binds.
+    (G reads omega's first p-1 rows), z_j (grad h^2)_j = 2 h^2 omega_j and
+    z . grad h^2 = 2 kappa h^2, all zero where the cap binds.
 
     Product kinds: grad h^2 = 2 h^2 / z_j on every coordinate, so omega
     is all ones and kappa = p. Min kinds: grad h^2 = 2 z_a e_a on the
@@ -214,10 +215,10 @@ def _row_features(u, weight):
     hsq = _hsq(u.T, weight)
     smooth = (hsq < weight.a_c * weight.a_c).astype(float)
     if weight.product_family:
-        return hsq, np.broadcast_to(smooth, (p - 1, nb)), p * smooth
+        return hsq, np.broadcast_to(smooth, (p, nb)), p * smooth
     omega = np.zeros((p, nb))
     omega[np.argmin(u, axis=0), np.arange(nb)] = smooth
-    return hsq, omega[:-1], smooth
+    return hsq, omega, smooth
 
 
 def _wgrad_obs(u, imap, weight):
@@ -225,7 +226,7 @@ def _wgrad_obs(u, imap, weight):
     -grad h^2 . (P mu_i) = -2 h^2 (G omega - kappa nu)_i."""
     ut = np.ascontiguousarray(u.T)
     hsq, omega, kappa = _row_features(ut, weight)
-    rows = _statistic_rows(ut[:-1], omega - kappa * ut[:-1], 0.0)
+    rows = _statistic_rows(ut[:-1], omega[:-1] - kappa * ut[:-1], 0.0)
     return (-2.0 * hsq * _layout(imap.p).coef[:, :1] * rows).T
 
 
@@ -363,7 +364,7 @@ def build_workspace(z, weight, shape=None, imap=None):
         u = np.square(z[start:stop].T, order="C")
         hsq, omega, kappa = _row_features(u, weight)
         f = _monomials(u)
-        s_uw += (hsq * f[q - k :]) @ omega.T
+        s_uw += (hsq * f[q - k :]) @ omega[:-1].T
         s_knu += f[:q] @ (hsq * kappa)
         f *= np.sqrt(hsq)
         s += f @ f.T  # one SYRK of the monomials scaled by h
@@ -540,7 +541,7 @@ def _error_moment(workspace, theta_full, mask):
         u = u[:k]
         g = 4.0 * interaction @ u + 2.0 * linear[:, None]
         c = hsq * (np.einsum("ij,ij->j", u, g) + (pi2.sum() + p + 2.0) + 2.0 * kappa)
-        e = hsq * (u * g + (pi2[:k, None] + 1.0) + 2.0 * omega) - c * u
+        e = hsq * (u * g + (pi2[:k, None] + 1.0) + 2.0 * omega[:-1]) - c * u
         resid = _statistic_rows(u, e, 2.0 * hsq)
         if free.size < imap.q:
             resid = resid[free]
@@ -677,20 +678,14 @@ def _dirichlet_ratios(u, weight):
     return out
 
 
-def _dirichlet_wgrad_obs(u, weight, ratios):
-    """Per-observation weight-derivative term for the log statistics."""
-    cap = weight.a_c * weight.a_c
-    nb, p = u.shape
-    if weight.product_family:
-        hsq = _hsq(u, weight)
-        smooth = (hsq < cap).astype(float)
-        return -2.0 * smooth[:, None] * (ratios - p * hsq[:, None])
-    amin = np.argmin(u, axis=1)
-    ua = u[np.arange(nb), amin]
-    smooth = ua < cap
-    vals = np.where(smooth[:, None], np.broadcast_to(2.0 * ua[:, None], u.shape), 0.0)
-    vals[np.arange(nb), amin] = np.where(smooth, -2.0 * (1.0 - ua), 0.0)
-    return vals
+def _dirichlet_rows(u, weight):
+    """Per row: h^2, the ratios h^2 / u_j and the linear term of the log
+    statistics, whose weight part -grad h^2 . P(e_j / z_j) is
+    -2 (omega_j h^2 / u_j - kappa h^2) in _row_features' terms."""
+    hsq, omega, kappa = _row_features(u.T, weight)
+    ratios = _dirichlet_ratios(u, weight)
+    wgrad = -2.0 * (ratios * omega.T - (kappa * hsq)[:, None])
+    return hsq, ratios, (u.shape[1] - 2.0) * hsq[:, None] + ratios + wgrad
 
 
 def fit_dirichlet(data, weight, ridge=0.0, with_se=True):
@@ -709,9 +704,7 @@ def fit_dirichlet(data, weight, ridge=0.0, with_se=True):
             "its shape parameter is not identifiable"
         )
 
-    hsq = _hsq(u, weight)
-    ratios = _dirichlet_ratios(u, weight)
-    lin = (p - 2.0) * hsq[:, None] + ratios + _dirichlet_wgrad_obs(u, weight, ratios)
+    hsq, ratios, lin = _dirichlet_rows(u, weight)
     gram = np.diag(ratios.mean(axis=0)) - hsq.mean() * np.ones((p, p))
     d = lin.mean(axis=0)
 

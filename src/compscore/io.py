@@ -155,8 +155,11 @@ def model_spec_from_fit(fit_dict):
     """Rebuild a sampleable ModelSpec from a written fit artifact."""
     config = fit_dict.get("config", {})
     family = config.get("family")
-    labels = fit_dict["labels"]
-    estimates = fit_dict["estimates"]
+    try:
+        labels = fit_dict["labels"]
+        estimates = fit_dict["estimates"]
+    except KeyError as exc:
+        raise ConfigError(f"fit artifact is missing key {exc}") from None
     if family == "dirichlet":
         return ModelSpec(family="dirichlet", p=len(labels), shape=np.asarray(estimates))
     shape = np.asarray(config.get("shape"), dtype=float)

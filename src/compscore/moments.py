@@ -93,9 +93,6 @@ class EmpiricalMoments:
     def monomial_mean(self, alpha):
         return float(self.means([alpha])[0])
 
-    def poly_mean(self, poly):
-        return sum(c * self.monomial_mean(e) for e, c in poly.items())
-
     def requested(self):
         return sorted(self._requested)
 

@@ -9,33 +9,42 @@ chunks and in BLAS.
 
 Estimator roster (weights use the entry's presets unless overridden):
 
-1. capped-min weight, closed form
-2. capped-product weight, closed form
-3. product weight, closed form
-4. min weight, closed form
-5. factorial-moment route (count data, product weight)
-6. Dirichlet moment matching (baseline, Dirichlet family only)
+1. continuous route, capped-min weight
+2. continuous route, capped-product weight
+3. continuous route, product weight
+4. continuous route, min weight
+5. factorial route (count data, product weight; not the Dirichlet family)
+6. moment route (Dirichlet moment matching, a Dirichlet-family baseline)
 
 Discrete entries are thinned to counts; estimators 1-4 then run on the
 observed proportions x/m while estimator 5 consumes the counts directly.
+check_route and fit_route below are the one home of these routes, for
+studies and for `compscore fit` alike.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import registry
-from .core import counts_to_proportions, index_map
+from .core import FAMILY_DIRICHLET, counts_to_proportions, index_map
 from .errors import CompscoreError, ConfigError, StudyFailureError
 from .fitting import fit_dirichlet, fit_dirichlet_moments, fit_hybrid
 from .moments import fit_from_counts
 from .samplers import RngConfig, sample_model, sample_multinomial_counts
 from .weights import WeightSpec
 
-__all__ = ["StudyConfig", "StudySummary", "CellSummary", "run_study"]
+__all__ = ["StudyConfig", "StudySummary", "CellSummary", "check_route", "fit_route", "run_study"]
 
-ESTIMATOR_IDS = (1, 2, 3, 4, 5, 6)
-_WEIGHT_KINDS = {1: "capped-min", 2: "capped-product", 3: "product", 4: "min"}
+# estimator id -> (route, weight kind); see check_route for the routes
+_ROUTES = {
+    1: ("continuous", "capped-min"),
+    2: ("continuous", "capped-product"),
+    3: ("continuous", "product"),
+    4: ("continuous", "min"),
+    5: ("factorial", None),
+    6: ("moment", None),
+}
 MAX_FAILURE_RATE = 0.20
 
 
@@ -58,10 +67,24 @@ class StudyConfig:
     ridge: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(int(e) for e in self.estimators))
+        # configs arrive as parsed JSON: cast each number field, or reject it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            try:
+                if f.type is tuple:
+                    value = tuple(int(e) for e in value)
+                elif f.type in (int, float):
+                    value = f.type(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"study {f.name} {value!r} does not convert to {f.type.__name__}"
+                ) from None
+            object.__setattr__(self, f.name, value)
         if not self.estimators:
             raise ConfigError("at least one estimator is required")
-        bad = [e for e in self.estimators if e not in ESTIMATOR_IDS]
+        bad = [e for e in self.estimators if e not in _ROUTES]
         if bad:
             raise ConfigError(f"unknown estimator id(s) {bad}; valid: 1..6")
         if self.replicates < 2:
@@ -105,96 +128,79 @@ class StudySummary:
         return self.cells[(int(estimator), label)]
 
     def to_rows(self):
+        """One dict per cell, by estimator then parameter; the keys are
+        the columns of summary.csv."""
         rows = []
-        for (est, label), c in sorted(self.cells.items(), key=lambda kv: (kv[0][0], self.labels.index(kv[0][1]))):
-            qs = self.se_quantiles.get((est, label), (None, None, None))
-            rows.append(
-                {
-                    "estimator": est,
-                    "parameter": label,
-                    "truth": c.truth,
-                    "mean": c.mean,
-                    "bias": c.bias,
-                    "se": c.se,
-                    "rmse": c.rmse,
-                    "rbias": c.rbias,
-                    "n_ok": c.n_ok,
-                    "se_est_p5": qs[0],
-                    "se_est_p50": qs[1],
-                    "se_est_p95": qs[2],
-                }
-            )
+        for est, label in sorted(self.cells, key=lambda k: (k[0], self.labels.index(k[1]))):
+            p5, p50, p95 = self.se_quantiles.get((est, label), (None, None, None))
+            row = {"estimator": est, "parameter": label, **asdict(self.cells[est, label])}
+            rows.append({**row, "se_est_p5": p5, "se_est_p50": p50, "se_est_p95": p95})
         return rows
 
 
+def check_route(family, route, have_counts):
+    """Raise ConfigError unless `route` can fit `family` on this data.
+
+    Routes: "continuous" (closed form on proportions, any family),
+    "factorial" (factorial moments of counts, hybrid and
+    truncated-Gaussian families) and "moment" (the Dirichlet
+    moment-matching baseline).
+    """
+    if route == "factorial":
+        if family == FAMILY_DIRICHLET:
+            raise ConfigError(
+                "the factorial route needs polynomial statistics; "
+                "the dirichlet family has logarithmic ones"
+            )
+        if not have_counts:
+            raise ConfigError("the factorial route needs count data")
+    elif route == "moment" and family != FAMILY_DIRICHLET:
+        raise ConfigError("the moment route is a dirichlet-family baseline")
+
+
+def fit_route(spec, route, data, counts, weight, ridge):
+    """Fit spec's free parameters by a route that check_route passed.
+
+    data holds the proportions and counts the count table, which only
+    the factorial route reads; the factorial and moment routes ignore
+    weight. result.config["family"] is spec.family.
+    """
+    options = dict(
+        estimate_interaction=spec.estimate_interaction,
+        estimate_linear=spec.estimate_linear,
+        ridge=ridge,
+    )
+    if route == "moment":
+        result = fit_dirichlet_moments(data)
+    elif spec.family == FAMILY_DIRICHLET:
+        result = fit_dirichlet(data, weight, ridge=ridge)
+    elif route == "factorial":
+        result = fit_from_counts(counts, spec.shape, **options)
+    else:
+        result = fit_hybrid(data, spec.shape, weight, **options)
+    result.config["family"] = spec.family
+    return result
+
+
 def _roster(entry, config):
-    """Per-estimator fit callables returning (estimates, se or None)."""
-    spec = entry.spec
-    dirichlet = spec.family == "dirichlet"
-    caps = {
-        "capped-min": config.cap_min if config.cap_min is not None else entry.cap_min,
-        "capped-product": config.cap_product
-        if config.cap_product is not None
-        else entry.cap_product,
-    }
-
-    def closed_form(est):
-        kind = _WEIGHT_KINDS[est]
-        weight = WeightSpec(kind, caps[kind]) if kind in caps else WeightSpec(kind)
-        if dirichlet:
-            def run(latent, counts, udata):
-                res = fit_dirichlet(udata, weight, ridge=config.ridge)
-                return res.estimates, res.standard_errors
-        else:
-            def run(latent, counts, udata):
-                res = fit_hybrid(
-                    udata,
-                    spec.shape,
-                    weight,
-                    estimate_interaction=spec.estimate_interaction,
-                    estimate_linear=spec.estimate_linear,
-                    ridge=config.ridge,
-                )
-                return res.estimates, res.standard_errors
-        return run
-
-    def factorial(latent, counts, udata):
-        res = fit_from_counts(
-            counts,
-            spec.shape,
-            estimate_interaction=spec.estimate_interaction,
-            estimate_linear=spec.estimate_linear,
-            ridge=config.ridge,
-        )
-        return res.estimates, None
-
-    def moment(latent, counts, udata):
-        res = fit_dirichlet_moments(udata)
-        return res.estimates, None
-
+    """Estimator id -> (route, weight), with the entry's cap presets
+    unless the config overrides them."""
+    caps = {"capped-min": config.cap_min, "capped-product": config.cap_product}
     roster = {}
     for est in config.estimators:
-        if est in _WEIGHT_KINDS:
-            roster[est] = closed_form(est)
-        elif est == 5:
-            if dirichlet:
-                raise ConfigError(
-                    "estimator 5 needs polynomial statistics; "
-                    "the dirichlet family has logarithmic ones"
-                )
-            if not entry.discrete:
-                raise ConfigError("estimator 5 needs count data (a discrete entry)")
-            roster[est] = factorial
-        else:
-            if not dirichlet:
-                raise ConfigError("estimator 6 is a dirichlet-family baseline")
-            roster[est] = moment
+        route, kind = _ROUTES[est]
+        check_route(entry.spec.family, route, entry.discrete)
+        weight = None
+        if kind is not None:
+            cap = caps.get(kind)
+            weight = entry.weight(kind) if cap is None else WeightSpec(kind, cap)
+        roster[est] = (route, weight)
     return roster
 
 
 def _truth(entry):
     spec = entry.spec
-    if spec.family == "dirichlet":
+    if spec.family == FAMILY_DIRICHLET:
         labels = [f"shape{j+1}" for j in range(spec.p)]
         return labels, spec.shape.copy()
     imap = index_map(spec.p)
@@ -229,15 +235,15 @@ def run_study(config):
         if entry.discrete:
             counts = sample_multinomial_counts(latent, totals, rng.substream(1))
             udata = counts_to_proportions(counts)
-        for est, run in roster.items():
+        for est, (route, weight) in roster.items():
             try:
-                est_vec, se_vec = run(latent, counts, udata)
+                res = fit_route(spec, route, udata, counts, weight, config.ridge)
             except CompscoreError as exc:
                 messages[est].append(f"replicate {r}: {exc}")
                 continue
-            estimates[est][r] = est_vec
-            if se_vec is not None:
-                se_store[est][r] = se_vec
+            estimates[est][r] = res.estimates
+            if res.standard_errors is not None:
+                se_store[est][r] = res.standard_errors
 
     summary = StudySummary(config=config, labels=labels, truth=truth)
     for est in roster:
@@ -257,28 +263,14 @@ def run_study(config):
         rmse = np.sqrt(np.mean((vals - truth) ** 2, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             rbias = np.where(se > 0, bias / se, np.nan)
+        stats = np.stack([truth, mean, bias, se, rmse, rbias], axis=1)
         for i, lab in enumerate(labels):
-            summary.cells[(est, lab)] = CellSummary(
-                truth=float(truth[i]),
-                mean=float(mean[i]),
-                bias=float(bias[i]),
-                se=float(se[i]),
-                rmse=float(rmse[i]),
-                rbias=float(rbias[i]),
-                n_ok=n_ok,
-            )
-        ses = se_store[est][ok]
-        if not np.isnan(ses).all():
-            for i, lab in enumerate(labels):
-                col = ses[:, i]
-                col = col[~np.isnan(col)]
-                if col.size:
-                    p5, p50, p95 = np.percentile(col, [5, 50, 95])
-                    summary.se_quantiles[(est, lab)] = (
-                        float(p5),
-                        float(p50),
-                        float(p95),
-                    )
+            summary.cells[(est, lab)] = CellSummary(*map(float, stats[i]), n_ok=n_ok)
+            col = se_store[est][ok, i]
+            col = col[~np.isnan(col)]
+            if col.size:
+                quantiles = np.percentile(col, [5, 50, 95])
+                summary.se_quantiles[(est, lab)] = tuple(map(float, quantiles))
         summary.replicate_estimates[est] = estimates[est]
         summary.replicate_se[est] = se_store[est]
     return summary

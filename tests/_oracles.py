@@ -6,7 +6,8 @@ gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
 a dense assembly of the continuous route from full projected gradient
 tensors, a polynomial assembly of the count route with expanded
-factorial moments, a row-by-row envelope rejection loop, rejection
+factorial moments, the Dirichlet weight term written out per weight
+kind, a row-by-row envelope rejection loop, rejection
 from the Dirichlet base with no computed bound, and inverse-CDF draws
 of a truncated Gaussian with independent coordinates. Only the two
 assemblies and the row-by-row rejection loop import from the package:
@@ -172,6 +173,25 @@ def dense_wgrad_obs(u, imap, weight):
         factor = np.where(raw < cap, raw, 0.0)
         return -2.0 * factor[:, None] * _dense_wgrad_product_values(u, imap)
     return -_dense_wgrad_min_values(u, imap, cap)
+
+
+def dirichlet_wgrad_obs(u, weight, ratios):
+    """Weight-derivative term of the Dirichlet log statistics, per row and
+    written out per weight kind: -2 (h^2 / u_j - p h^2) for product
+    kinds, and for min kinds 2 u_a off the argmin a and -2 (1 - u_a) on
+    it (lowest index on ties); zero where the cap binds."""
+    cap = weight.a_c * weight.a_c
+    nb, p = u.shape
+    if weight.product_family:
+        hsq = _dense_hsq(u, weight)
+        smooth = (hsq < cap).astype(float)
+        return -2.0 * smooth[:, None] * (ratios - p * hsq[:, None])
+    amin = np.argmin(u, axis=1)
+    ua = u[np.arange(nb), amin]
+    smooth = ua < cap
+    vals = np.where(smooth[:, None], np.broadcast_to(2.0 * ua[:, None], u.shape), 0.0)
+    vals[np.arange(nb), amin] = np.where(smooth, -2.0 * (1.0 - ua), 0.0)
+    return vals
 
 
 def _dense_shape_gram_values(u, imap):

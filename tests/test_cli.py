@@ -14,9 +14,11 @@ import pytest
 import compscore
 from compscore.cli import main
 from compscore.core import ContinuousDataset, index_map
+from compscore.errors import ConfigError
 from compscore.fitting import _blocks
 from compscore.io import dump_json, write_proportions_csv
 from compscore.samplers import CHUNK
+from compscore.study import StudyConfig, run_study
 
 
 # the keys of RejectionStats.to_dict, which simulate and diagnose record
@@ -307,7 +309,7 @@ def test_bench_workflow(tmp_path):
     assert exc.value.code == 2
 
 
-def test_config_rejections(tmp_path):
+def test_config_rejections(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     run_cli("simulate", "--model", "model3", "--n", 50, "--out", sim_dir)
     data = sim_dir / "data.csv"
@@ -340,6 +342,61 @@ def test_config_rejections(tmp_path):
     # no partial outputs appear on failure
     for name in ("o1", "o2", "o3", "o4", "o5"):
         assert not (tmp_path / name).exists()
+
+    # malformed values: one error line with exit code 2, no traceback and
+    # no output directory
+    tg = _write_config(tmp_path / "tg.json", family="truncated-gaussian")
+    bad_ridge = _write_config(tmp_path / "r.json", family="truncated-gaussian", ridge="x")
+    bad_n = _write_config(tmp_path / "b.json", model="model3", n="abc", replicates=2)
+    unlabelled = tmp_path / "nolabels.json"
+    unlabelled.write_text(dump_json({"estimates": [1.0], "config": {"family": "dirichlet"}}))
+    diagnose = ["diagnose", "--data", data, "--n-sim", 100, "--fit"]
+    cases = [
+        ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "xyz"],
+        ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "auto:abc"],
+        ["fit", "--data", data, "--config", bad_ridge],
+        ["bench", "--config", bad_n],
+        diagnose + [not_json],
+        diagnose + [unlabelled],
+    ]
+    capsys.readouterr()
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"m{i}"
+        assert run_cli(*argv, "--out", out) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=2 kind=ConfigError"), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, estimator, data_kind, model, study_estimator",
+    [
+        ("dirichlet", "factorial", "counts", "model9", 5),
+        ("hybrid", "moment", "proportions", "model3", 6),
+        ("truncated-gaussian", "factorial", "proportions", "model3", 5),
+    ],
+    ids=["dirichlet-factorial", "hybrid-moment", "factorial-on-proportions"],
+)
+def test_fit_and_bench_share_route_rule(
+    tmp_path, capsys, family, estimator, data_kind, model, study_estimator
+):
+    """`compscore fit` rejects an incompatible family, route and data kind
+    with exit 2 and the very message the study roster raises for the
+    matching estimator id and preset."""
+    with pytest.raises(ConfigError) as study_error:
+        run_study(StudyConfig(model=model, estimators=(study_estimator,), replicates=2))
+    sim_dir = tmp_path / "sim"
+    run_cli("simulate", "--model", "model15", "--n", 50, "--out", sim_dir)
+    data = sim_dir / ("counts.csv" if data_kind == "counts" else "latent.csv")
+    extra = {"shape": [0.0, 0.0, 0.0]} if family == "hybrid" else {}
+    cfg = _write_config(tmp_path / "cfg.json", family=family, data_kind=data_kind,
+                        estimator=estimator, **extra)
+    capsys.readouterr()
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == f'error code=2 kind=ConfigError msg="{study_error.value}"\n'
+    assert not out.exists()
 
 
 def test_singular_fit_exits_3(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fd_grad, linear_cg
+from _oracles import dirichlet_wgrad_obs, fd_grad, linear_cg
 from compscore import fitting
 from compscore.core import ContinuousDataset, index_map, sqrt_transform
 from compscore.errors import (
@@ -17,6 +17,7 @@ from compscore.errors import (
 )
 from compscore.fitting import (
     _dirichlet_ratios,
+    _dirichlet_rows,
     _error_moment,
     build_workspace,
     fit_dirichlet,
@@ -323,6 +324,31 @@ def test_dirichlet_ratio_conventions():
     # non-binding cap follows the smooth branch
     loose = _dirichlet_ratios(u[:1], WeightSpec("capped-min", 0.8))
     np.testing.assert_allclose(loose[0], mn[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p=st.integers(2, 6),
+    cells=st.lists(st.integers(0, 3), min_size=12, max_size=120),
+    weight=st.sampled_from(
+        [WeightSpec("product"), WeightSpec("min")]
+        + [WeightSpec(kind, a_c) for kind in ("capped-product", "capped-min")
+           for a_c in (0.05, 0.2, 0.45)]
+    ),
+)
+def test_dirichlet_weight_term_matches_per_kind_formula(p, cells, weight):
+    """The Dirichlet linear term built from _row_features equals, bit for
+    bit, the per-kind formula, on small-integer tables full of zeros and
+    argmin ties, with caps that bind on some rows and not on others."""
+    table = np.array(cells[: len(cells) // p * p], dtype=float).reshape(-1, p)
+    table = table[table.sum(axis=1) > 0]
+    if not table.size:
+        return
+    u = table / table.sum(axis=1, keepdims=True)
+    _, ratios, lin = _dirichlet_rows(u, weight)
+    want = (p - 2.0) * squared_weight(u, weight)[:, None] + ratios
+    want = want + dirichlet_wgrad_obs(u, weight, ratios)
+    assert np.array_equal(lin, want)
 
 
 def test_dirichlet_recovery():
