@@ -111,6 +111,8 @@ def _manifest(subcommand, seed, inputs, config, started, extra=None):
 
 
 def _resolve_weight(config_weight, arg_weight, arg_ac, data=None):
+    if config_weight is not None and not isinstance(config_weight, dict):
+        raise ConfigError(f"weight must be a JSON object, got {config_weight!r}")
     cfg = dict(config_weight or {})
     unknown = sorted(set(cfg) - {"kind", "a_c"})
     if unknown:

@@ -319,11 +319,14 @@ class ModelSpec:
         if p < 2:
             raise DimensionError(f"need p >= 2, got {p}")
         k = p - 1
-        a = np.zeros((k, k)) if self.interaction is None else np.array(
-            self.interaction, dtype=float
-        )
-        b = np.zeros(k) if self.linear is None else np.array(self.linear, dtype=float)
-        s = np.zeros(p) if self.shape is None else np.array(self.shape, dtype=float)
+        try:
+            a = np.zeros((k, k)) if self.interaction is None else np.array(
+                self.interaction, dtype=float
+            )
+            b = np.zeros(k) if self.linear is None else np.array(self.linear, dtype=float)
+            s = np.zeros(p) if self.shape is None else np.array(self.shape, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FamilyError(f"model parameters must be numbers ({exc})") from None
         if a.shape != (k, k):
             raise FamilyError(f"interaction must be ({k}, {k}), got {a.shape}")
         if b.shape != (k,):
@@ -334,8 +337,8 @@ class ModelSpec:
         if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * scale:
             raise FamilyError("interaction matrix must be symmetric")
         a = 0.5 * (a + a.T)
-        if np.any(s <= -1.0):
-            raise FamilyError("every shape parameter must exceed -1")
+        if not np.all((s > -1.0) & np.isfinite(s)):
+            raise FamilyError("every shape parameter must be finite and exceed -1")
         if self.family == FAMILY_TRUNCATED_GAUSSIAN and np.any(s != 0.0):
             raise FamilyError("truncated-Gaussian family requires zero shapes")
         if self.family == FAMILY_DIRICHLET and (np.any(a != 0.0) or np.any(b != 0.0)):

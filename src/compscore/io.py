@@ -153,7 +153,11 @@ def model_spec_from_dict(d):
 
 def model_spec_from_fit(fit_dict):
     """Rebuild a sampleable ModelSpec from a written fit artifact."""
+    if not isinstance(fit_dict, dict):
+        raise ConfigError("a fit artifact must be a JSON object")
     config = fit_dict.get("config", {})
+    if not isinstance(config, dict):
+        raise ConfigError("the config of a fit artifact must be a JSON object")
     family = config.get("family")
     try:
         labels = fit_dict["labels"]
@@ -162,8 +166,10 @@ def model_spec_from_fit(fit_dict):
         raise ConfigError(f"fit artifact is missing key {exc}") from None
     if family == "dirichlet":
         return ModelSpec(family="dirichlet", p=len(labels), shape=np.asarray(estimates))
-    shape = np.asarray(config.get("shape"), dtype=float)
-    p = shape.shape[0]
+    shape = config.get("shape")
+    if not isinstance(shape, list):
+        raise ConfigError(f"a {family} fit artifact needs config.shape, a list")
+    p = len(shape)
     imap = index_map(p)
     theta = np.zeros(imap.q)
     for lab, val in zip(labels, estimates):

@@ -25,8 +25,14 @@ normalising constant (Devroye, Non-Uniform Random Variate Generation
   eigenvalue sign, A = A- + A+; u'A+u is convex, so its maximum on the
   simplex is max_j (A+)_jj at a vertex, and that plus the bound for the
   concave A- part bounds f. A proposal is kept with probability
-  exp(f(u) - bound). lam is chosen by damped steps that lower log M,
-  which is convex in log lam;
+  exp(f(u) - bound). lam minimises log M, which is convex in log lam:
+  by the minimax theorem it is proportional to alpha / u* for the
+  maximiser u* of u'A-u + b'u + alpha'log u, a strictly concave function
+  with one interior maximiser. A search along the gradient of log M
+  instead stalls where the maximiser of f is not unique: with b = 0, at
+  lam = 1, A- is singular along A's positive eigenvector, so f is flat
+  along it. On the bundled-table fit log M is 2.444 (2.799 at lam = 1),
+  and `diagnose` at seed 1 keeps 2.48% of its proposals;
 * for the truncated Gaussian, also the matching untruncated Gaussian
   N(mu, Sigma), Sigma = -A^{-1} / 2, which equals the target inside the
   simplex up to the constant
@@ -221,24 +227,23 @@ def _energy(a_k, b_k, ut):
     return out.sum(axis=0)
 
 
-def _face_newton(a, lam, total, g, s, face):
-    """The Newton step for f (see _log_ratio_bound) within the face of
-    the simplex whose coordinates are marked in face: the d maximising
-    g'd + d'Hd / 2 subject to sum(d) = 0, with H the Hessian of f and
-    s = lam'u. H is negative semidefinite on that subspace; where it is
+def _face_newton(hess, g, face):
+    """The Newton step for a concave function with gradient g and
+    Hessian hess within the face of the simplex whose coordinates are
+    marked in face: the d maximising g'd + d'Hd / 2 subject to
+    sum(d) = 0. H is negative semidefinite on that subspace; where it is
     singular, the least-squares step serves."""
-    p = lam.size
     idx = np.flatnonzero(face)
     m = idx.size
     kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * a[np.ix_(idx, idx)] - total * np.outer(lam[idx], lam[idx]) / (s * s)
+    kkt[:m, :m] = hess[np.ix_(idx, idx)]
     kkt[:m, m] = kkt[m, :m] = 1.0
     rhs = np.append(-g[idx], 0.0)
     try:
         step = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    d = np.zeros(p)
+    d = np.zeros(g.size)
     d[idx] = step[:m]
     return d
 
@@ -279,18 +284,19 @@ def _log_ratio_bound(a, b, lam, total, u=None):
         if gap <= tol:
             break
         s = lam @ u
+        hess = 2.0 * a - total * np.outer(lam, lam) / (s * s)
         j = int(np.argmax(g))
         d = None
         if not free[j] and g[free].max() - gu <= max(1e-3 * gap, tol):
             grown = free.copy()
             grown[j] = True
-            d = _face_newton(a, lam, total, g, s, grown)
+            d = _face_newton(hess, g, grown)
             if d[j] > 0.0:
                 free = grown
             else:
                 d = None
         if d is None:
-            d = _face_newton(a, lam, total, g, s, free)
+            d = _face_newton(hess, g, free)
         rise = g @ d
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(d < 0.0, -u / d, np.inf)
@@ -324,38 +330,48 @@ def _scaled_dirichlet_scale(a, b, alpha):
     alpha, and the certified bound on max f at that lam (see
     _log_ratio_bound, total = sum(alpha)).
 
-    The log envelope constant is max f - alpha'log lam plus a constant,
-    convex in eta = log lam: a maximum of log-sum-exp terms less a
-    linear one. Its gradient is r - alpha, r_j = total lam_j u_j / lam'u
-    at the maximiser u, so -log(r / alpha) is a descent direction when
-    the maximiser is unique. Damped steps along it (clipped to 1 per
-    coordinate) are kept only when they lower the constant; eta is
-    rounded to 1e-8, so rounding noise in the search cannot change the
-    proposals.
+    The log envelope constant is max f - alpha'log lam plus a constant.
+    f is concave in u, and total log(lam'u) - alpha'log lam is convex in
+    eta = log lam, so by the minimax theorem the smallest constant is
+    the maximum over the simplex of u'Au + b'u + alpha'log u, plus a
+    constant, and it is reached at lam proportional to alpha / u* for
+    that maximiser u*: there the gradient of f equals that of the dual,
+    so u* maximises f too. The dual is strictly concave (a negative
+    semidefinite, alpha > 0), so u* is unique and interior; damped
+    Newton steps from alpha / sum(alpha), kept inside the simplex and
+    backtracked, find it. Searching eta by steps along the gradient of
+    the constant instead stalls where the maximiser of f is not unique,
+    as it is at lam = 1 with b = 0 and A- singular. eta is rounded to
+    1e-8, so rounding noise cannot change the proposals.
     """
-    p = b.size
-    total = alpha.sum()
-    eta = np.zeros(p)
-    bound, u = _log_ratio_bound(a, b, np.ones(p), total)
-    t = 1.0
-    for _ in range(30):
-        lam = np.exp(eta)
-        with np.errstate(divide="ignore"):
-            step = np.clip(np.log(total * lam * u / (lam @ u) / alpha), -1.0, 1.0)
-        if np.abs(step).max() < 1e-3:
+    u = alpha / alpha.sum()
+    face = np.ones(u.size, dtype=bool)
+
+    def value(v):
+        return v @ a @ v + b @ v + alpha @ np.log(v)
+
+    f = value(u)
+    # about 5 steps on the bundled-table fit
+    for _ in range(100):
+        g = 2.0 * (a @ u) + b + alpha / u
+        d = _face_newton(2.0 * a - np.diag(alpha / (u * u)), g, face)
+        rise = g @ d
+        if rise <= 1e-14 * (1.0 + abs(f)):
             break
-        while t >= 1e-3:
-            trial = eta - t * step
-            trial = np.round(trial - trial[-1], 8)
-            trial_bound, trial_u = _log_ratio_bound(a, b, np.exp(trial), total, u)
-            if trial_bound - (alpha * trial).sum() < bound - (alpha * eta).sum():
-                eta, bound, u = trial, trial_bound, trial_u
-                t = min(1.0, 2.0 * t)
+        shrink = d < 0.0
+        t = min(1.0, 0.99 * (-u[shrink] / d[shrink]).min()) if shrink.any() else 1.0
+        while True:
+            trial = u + t * d
+            f_trial = value(trial)
+            if f_trial >= f + 1e-4 * t * rise or t < 1e-10:
                 break
             t *= 0.5
-        else:
+        if f_trial < f:
             break
-    return np.exp(eta), bound
+        u, f = trial, f_trial
+    eta = np.log(alpha / u)
+    lam = np.exp(np.round(eta - eta[-1], 8))
+    return lam, _log_ratio_bound(a, b, lam, alpha.sum(), u)[0]
 
 
 class _Proposal(NamedTuple):

@@ -8,15 +8,19 @@ a dense assembly of the continuous route from full projected gradient
 tensors, a polynomial assembly of the count route with expanded
 factorial moments, the Dirichlet weight term written out per weight
 kind, a row-by-row envelope rejection loop, rejection
-from the Dirichlet base with no computed bound, and inverse-CDF draws
-of a truncated Gaussian with independent coordinates. Only the two
-assemblies and the row-by-row rejection loop import from the package:
+from the Dirichlet base with no computed bound, inverse-CDF draws
+of a truncated Gaussian with independent coordinates, and a
+derivative-free search for the scaled-Dirichlet scale. Only the two
+assemblies, the row-by-row rejection loop and the scale search import
+from the package:
 the workspace container, the index map, the weight spec and the error
 types; for the dense assembly the per-statistic tables _mu_nu and
 _laplacian_values, which are themselves checked against finite
-differences; and for the row-by-row loop the chunk size, the batch
+differences; for the row-by-row loop the chunk size, the batch
 sizing and the proposal's scale and bound, which fix which random
-streams it reads and what it accepts.
+streams it reads and what it accepts; and for the scale search the
+split of A and the certified bound on max f, which define what it
+minimises.
 """
 
 import math
@@ -615,3 +619,40 @@ def diagonal_truncated_gaussian_reference(spec, n, gen):
         count += draw.shape[0]
     free = np.vstack(kept)[:n]
     return np.column_stack([free, 1.0 - free.sum(axis=1)])
+
+
+def nelder_mead_log_bound(a_k, b_k, alpha):
+    """The log envelope constant of the scaled-Dirichlet proposal with
+    shapes alpha at the scale lam found by scipy's Nelder-Mead on log lam
+    (lam_p = 1) from lam = 1.
+
+    It minimises what the package's proposal reports: the certified
+    bound of samplers._log_ratio_bound on max f for the concave part of
+    samplers._concave_split, plus that split's lift, plus
+    sum log Gamma(alpha_j) - log Gamma(sum(alpha)) - alpha'log lam. It
+    uses neither the package's steps nor the maximiser of f, so a
+    search that stalls where the maximiser is not unique shows here.
+    """
+    from scipy import optimize
+
+    from compscore.samplers import _concave_split, _log_ratio_bound
+
+    a, lift = _concave_split(a_k)
+    b = np.append(b_k, 0.0)
+    total = alpha.sum()
+    log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(total)
+
+    start = [None]
+
+    def log_bound(eta):
+        # each climb starts from the last maximiser: the bound is
+        # certified from any start, and a near one saves most steps
+        eta = np.append(eta, 0.0)
+        bound, start[0] = _log_ratio_bound(a, b, np.exp(eta), total, start[0])
+        return bound + lift + log_beta - alpha @ eta
+
+    res = optimize.minimize(
+        log_bound, np.zeros(alpha.size - 1), method="Nelder-Mead",
+        options={"xatol": 1e-5, "fatol": 1e-7, "maxfev": 20_000, "adaptive": True},
+    )
+    return float(res.fun)

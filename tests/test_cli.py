@@ -348,23 +348,36 @@ def test_config_rejections(tmp_path, capsys):
     tg = _write_config(tmp_path / "tg.json", family="truncated-gaussian")
     bad_ridge = _write_config(tmp_path / "r.json", family="truncated-gaussian", ridge="x")
     bad_n = _write_config(tmp_path / "b.json", model="model3", n="abc", replicates=2)
+    bad_shape = _write_config(tmp_path / "s.json", family="hybrid", shape=["a", 0, 0])
+    bad_weight = _write_config(tmp_path / "w.json", family="truncated-gaussian", weight="min")
     unlabelled = tmp_path / "nolabels.json"
     unlabelled.write_text(dump_json({"estimates": [1.0], "config": {"family": "dirichlet"}}))
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]\n")
+    shapeless = tmp_path / "shapeless.json"
+    shapeless.write_text(dump_json({"labels": ["a11"], "estimates": [-1.0],
+                                    "config": {"family": "hybrid"}}))
     diagnose = ["diagnose", "--data", data, "--n-sim", 100, "--fit"]
     cases = [
         ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "xyz"],
         ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "auto:abc"],
         ["fit", "--data", data, "--config", bad_ridge],
+        ["fit", "--data", data, "--config", bad_weight],
         ["bench", "--config", bad_n],
         diagnose + [not_json],
         diagnose + [unlabelled],
+        diagnose + [not_object],
+        diagnose + [shapeless],
     ]
+    # ModelSpec decides what a shape may hold, as for its length and range
+    kinds = ["ConfigError"] * len(cases) + ["FamilyError"]
+    cases.append(["fit", "--data", data, "--config", bad_shape])
     capsys.readouterr()
-    for i, argv in enumerate(cases):
+    for i, (argv, kind) in enumerate(zip(cases, kinds)):
         out = tmp_path / f"m{i}"
         assert run_cli(*argv, "--out", out) == 2, argv
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error code=2 kind=ConfigError"), err
+        assert len(err) == 1 and err[0].startswith(f"error code=2 kind={kind}"), err
         assert not out.exists()
 
 

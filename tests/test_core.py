@@ -189,8 +189,11 @@ class TestModelSpec:
     def test_family_constraints(self):
         with pytest.raises(FamilyError, match="unknown family"):
             ModelSpec(family="gaussian", p=3)
-        with pytest.raises(FamilyError, match="exceed -1"):
-            ModelSpec(family="hybrid", p=3, shape=[-1.0, 0.0, 0.0])
+        for shape in ([-1.0, 0.0, 0.0], [float("nan"), 0.0, 0.0], [float("inf"), 0.0, 0.0]):
+            with pytest.raises(FamilyError, match="exceed -1"):
+                ModelSpec(family="hybrid", p=3, shape=shape)
+        with pytest.raises(FamilyError, match="must be numbers"):
+            ModelSpec(family="hybrid", p=3, shape=["a", 0.0, 0.0])
         with pytest.raises(FamilyError, match="zero shapes"):
             ModelSpec(family="truncated-gaussian", p=3, shape=[0.5, 0.0, 0.0])
         with pytest.raises(FamilyError, match="zero interaction"):
