@@ -333,6 +333,8 @@ class ModelSpec:
             raise FamilyError(f"linear must have length {k}")
         if s.shape != (p,):
             raise FamilyError(f"shape must have length {p}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise FamilyError("interaction and linear entries must be finite")
         scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
         if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * scale:
             raise FamilyError("interaction matrix must be symmetric")

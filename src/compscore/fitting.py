@@ -337,6 +337,16 @@ def _system(s, lay, s_uw=None, s_knu=None):
     return _symmetric(gram), lap, wgrad, g - s_nu[:, None]
 
 
+def _shape_vector(shape, p):
+    """The (p,) shape exponents of a workspace build, zeros for None."""
+    shape = np.zeros(p) if shape is None else np.asarray(shape, dtype=float).reshape(-1)
+    if shape.shape[0] != p:
+        raise ConfigError("shape vector length does not match p")
+    if not np.all((shape > -1.0) & np.isfinite(shape)):
+        raise ConfigError("every shape parameter must be finite and exceed -1")
+    return shape
+
+
 def build_workspace(z, weight, shape=None, imap=None):
     """One blocked pass over transformed rows z -> EstimatorWorkspace.
 
@@ -349,11 +359,7 @@ def build_workspace(z, weight, shape=None, imap=None):
     imap = imap or index_map(p)
     if imap.p != p:
         raise ConfigError("index map does not match data dimension")
-    shape = np.zeros(p) if shape is None else np.asarray(shape, dtype=float).reshape(-1)
-    if shape.shape[0] != p:
-        raise ConfigError("shape vector length does not match data dimension")
-    if np.any(shape <= -1.0):
-        raise ConfigError("every shape parameter must exceed -1")
+    shape = _shape_vector(shape, p)
 
     q, k = imap.q, p - 1
     lay = _layout(p)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import CountDataset, ModelSpec, index_map
 from .errors import ConfigError, DataError, InsufficientTotalsError
-from .fitting import EstimatorWorkspace, _blocks, _layout, _system, solve
+from .fitting import EstimatorWorkspace, _blocks, _layout, _shape_vector, _system, solve
 from .weights import WeightSpec
 
 __all__ = [
@@ -231,11 +231,7 @@ def build_workspace_from_moments(provider, shape=None):
     """
     p = provider.p
     imap = index_map(p)
-    shape = np.zeros(p) if shape is None else np.asarray(shape, dtype=float).reshape(-1)
-    if shape.shape[0] != p:
-        raise ConfigError("shape vector length does not match p")
-    if np.any(shape <= -1.0):
-        raise ConfigError("every shape parameter must exceed -1")
+    shape = _shape_vector(shape, p)
     lay = _layout(p)
     # the uncapped product weight has omega = 1 and kappa = p on every row
     gram, lap, wgrad, shape_matrix = _system(_pair_moments(provider, lay), lay)

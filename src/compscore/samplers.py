@@ -18,17 +18,19 @@ normalising constant (Devroye, Non-Uniform Random Variate Generation
   (prod Gamma(alpha_j) (lam'u)^P), P = sum(alpha). The log density ratio
   is f(u) = u'Au + b'u + P log(lam'u), less
   log Gamma(P) - sum log Gamma(alpha_j) + alpha'log lam. With A negative
-  semidefinite f is concave on the simplex: Newton steps on the faces of
-  the simplex find a near-maximiser u, and the Frank-Wolfe gap
-  max_j g_j - g'u (g the gradient of f at u) added to f(u) certifies an
-  upper bound on max f however early they stop. Otherwise A is split by
-  eigenvalue sign, A = A- + A+; u'A+u is convex, so its maximum on the
-  simplex is max_j (A+)_jj at a vertex, and that plus the bound for the
-  concave A- part bounds f. A proposal is kept with probability
-  exp(f(u) - bound). lam minimises log M, which is convex in log lam:
-  by the minimax theorem it is proportional to alpha / u* for the
-  maximiser u* of u'A-u + b'u + alpha'log u, a strictly concave function
-  with one interior maximiser. A search along the gradient of log M
+  semidefinite f is concave on the simplex: damped Newton steps that
+  stay inside the simplex climb to a near-maximiser u, and the
+  Frank-Wolfe gap max_j g_j - g'u (g the gradient of f at u) added to
+  f(u) certifies an upper bound on max f however early they stop.
+  Otherwise A is split by eigenvalue sign, A = A- + A+; u'A+u is convex,
+  so its maximum on the simplex is max_j (A+)_jj at a vertex, and that
+  plus the bound for the concave A- part bounds f. A proposal is kept
+  with probability exp(f(u) - bound). lam minimises log M, which is
+  convex in log lam: by the minimax theorem it is proportional to
+  alpha / u* for the maximiser u* of u'A-u + b'u + alpha'log u, a
+  strictly concave function with one interior maximiser, which the same
+  climb finds; u* also maximises f at that lam, so the bound there is
+  climbed from u* and is tight. A search along the gradient of log M
   instead stalls where the maximiser of f is not unique: with b = 0, at
   lam = 1, A- is singular along A's positive eigenvector, so f is flat
   along it. On the bundled-table fit log M is 2.444 (2.799 at lam = 1),
@@ -227,25 +229,50 @@ def _energy(a_k, b_k, ut):
     return out.sum(axis=0)
 
 
-def _face_newton(hess, g, face):
-    """The Newton step for a concave function with gradient g and
-    Hessian hess within the face of the simplex whose coordinates are
-    marked in face: the d maximising g'd + d'Hd / 2 subject to
-    sum(d) = 0. H is negative semidefinite on that subspace; where it is
-    singular, the least-squares step serves."""
-    idx = np.flatnonzero(face)
-    m = idx.size
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = hess[np.ix_(idx, idx)]
-    kkt[:m, m] = kkt[m, :m] = 1.0
-    rhs = np.append(-g[idx], 0.0)
-    try:
-        step = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    d = np.zeros(g.size)
-    d[idx] = step[:m]
-    return d
+def _climb(value, derivatives, u):
+    """Damped Newton ascent from the interior point u of a concave
+    function on the simplex, given value(v) and derivatives(v), its
+    gradient g and Hessian H; returns the last point and its value.
+
+    Each step d maximises g'd + d'Hd / 2 subject to sum(d) = 0 (the
+    least-squares step where the KKT matrix is singular), goes at most
+    0.99 of the way to the boundary, so u stays interior, and backtracks
+    until it rises by an Armijo share of g'd. The ascent stops once the
+    Frank-Wolfe gap max_j g_j - g'u is at rounding level, or after a step
+    whose rise is below rounding: no later step would show in f either,
+    and near a maximiser on the boundary, which the steps only approach,
+    each goes about a hundredth as far as the last.
+    """
+    f = value(u)
+    kkt = np.ones((u.size + 1, u.size + 1))
+    kkt[-1, -1] = 0.0
+    # the presets take at most 6 steps, random specs with p <= 10 at most 7
+    for _ in range(100):
+        g, hess = derivatives(u)
+        if g.max() - g @ u <= 1e-13 * (1.0 + np.abs(g).max()):
+            break
+        kkt[:-1, :-1] = hess
+        rhs = np.append(-g, 0.0)
+        try:
+            d = np.linalg.solve(kkt, rhs)[:-1]
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+        rise = g @ d
+        shrink = d < 0.0
+        t = min(1.0, 0.99 * (-u[shrink] / d[shrink]).min()) if shrink.any() else 1.0
+        while True:
+            trial = u + t * d
+            f_trial = value(trial)
+            # a rise below rounding cannot show in f, nor can a later one:
+            # take the step and stop
+            last = not t * rise > 1e-12 * (1.0 + abs(f))
+            if last or f_trial >= f + 1e-4 * t * rise:
+                break
+            t *= 0.5
+        u, f = trial, f_trial
+        if last:
+            break
+    return u, f
 
 
 def _log_ratio_bound(a, b, lam, total, u=None):
@@ -253,74 +280,23 @@ def _log_ratio_bound(a, b, lam, total, u=None):
     over the simplex, and the point u it was found at.
 
     a is (p, p) negative semidefinite and b is (p,), lam > 0 and
-    total > 0, so f is concave. Newton steps on the face of the simplex
-    that holds u (the coordinates still positive) climb f, with a ratio
-    test that drops a coordinate when it reaches 0 and a backtracking
-    line search. Once the face is solved and the largest gradient entry
-    lies off it, that coordinate joins the face (at a face optimum its
-    Newton step is positive). By concavity, every v in the simplex has
+    total > 0, so f is concave; _climb ascends it from u, by default the
+    centre of the simplex. By concavity, every v in the simplex has
     f(v) <= f(u) + g'(v - u) <= f(u) + max_j g_j - g'u, g the gradient at
     u; adding that Frank-Wolfe gap makes the bound hold however early
-    the iteration stops. A relative slack of 1e-12 covers rounding.
+    the ascent stops, and wherever the maximiser lies: a maximiser on
+    the boundary, which the interior ascent only approaches, loosens the
+    bound but never breaks it. A relative slack of 1e-12 covers
+    rounding.
     """
-    p = lam.size
-    u = np.full(p, 1.0 / p) if u is None else u.copy()
-    free = u > 0.0
+    u = np.full(lam.size, 1.0 / lam.size) if u is None else u
 
-    def value(v):
-        return v @ a @ v + b @ v + total * math.log(lam @ v)
+    def derivatives(v):
+        s = lam @ v
+        return 2.0 * (a @ v) + b + total * lam / s, 2.0 * a - total * np.outer(lam, lam) / (s * s)
 
-    def gradient(v):
-        return 2.0 * (a @ v) + b + total * lam / (lam @ v)
-
-    f = value(u)
-    # the presets take at most 7 steps, random specs with p <= 10 at most
-    # about 20; an early stop only loosens the bound
-    for _ in range(100):
-        g = gradient(u)
-        gu = g @ u
-        gap = g.max() - gu
-        tol = 1e-13 * (1.0 + np.abs(g).max())
-        if gap <= tol:
-            break
-        s = lam @ u
-        hess = 2.0 * a - total * np.outer(lam, lam) / (s * s)
-        j = int(np.argmax(g))
-        d = None
-        if not free[j] and g[free].max() - gu <= max(1e-3 * gap, tol):
-            grown = free.copy()
-            grown[j] = True
-            d = _face_newton(hess, g, grown)
-            if d[j] > 0.0:
-                free = grown
-            else:
-                d = None
-        if d is None:
-            d = _face_newton(hess, g, free)
-        rise = g @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(d < 0.0, -u / d, np.inf)
-        block = int(np.argmin(room))
-        t = min(1.0, room[block])
-        while True:
-            trial = u + t * d
-            if t == room[block]:
-                trial[block] = 0.0
-            trial[trial < 1e-14] = 0.0
-            trial /= trial.sum()
-            f_trial = value(trial)
-            # a rise below rounding cannot show in f: take the Newton step
-            if f_trial >= f + 1e-4 * t * rise or rise <= 1e-12 * (1.0 + abs(f)):
-                break
-            t *= 0.5
-            if t < 1e-10:
-                trial = None
-                break
-        if trial is None:
-            break
-        free &= trial > 0.0
-        u, f = trial, f_trial
-    g = gradient(u)
+    u, f = _climb(lambda v: v @ a @ v + b @ v + total * math.log(lam @ v), derivatives, u)
+    g = derivatives(u)[0]
     bound = f + (g.max() - g @ u)
     return bound + 1e-12 * (1.0 + abs(bound)), u
 
@@ -337,38 +313,18 @@ def _scaled_dirichlet_scale(a, b, alpha):
     constant, and it is reached at lam proportional to alpha / u* for
     that maximiser u*: there the gradient of f equals that of the dual,
     so u* maximises f too. The dual is strictly concave (a negative
-    semidefinite, alpha > 0), so u* is unique and interior; damped
-    Newton steps from alpha / sum(alpha), kept inside the simplex and
-    backtracked, find it. Searching eta by steps along the gradient of
-    the constant instead stalls where the maximiser of f is not unique,
-    as it is at lam = 1 with b = 0 and A- singular. eta is rounded to
-    1e-8, so rounding noise cannot change the proposals.
+    semidefinite, alpha > 0), so u* is unique and interior, and _climb
+    finds it from alpha / sum(alpha). Searching eta by steps along the
+    gradient of the constant instead stalls where the maximiser of f is
+    not unique, as it is at lam = 1 with b = 0 and A- singular. eta is
+    rounded to 1e-8, so rounding noise cannot change the proposals; the
+    bound at the rounded lam is climbed from u*, next to its maximiser.
     """
-    u = alpha / alpha.sum()
-    face = np.ones(u.size, dtype=bool)
-
-    def value(v):
-        return v @ a @ v + b @ v + alpha @ np.log(v)
-
-    f = value(u)
-    # about 5 steps on the bundled-table fit
-    for _ in range(100):
-        g = 2.0 * (a @ u) + b + alpha / u
-        d = _face_newton(2.0 * a - np.diag(alpha / (u * u)), g, face)
-        rise = g @ d
-        if rise <= 1e-14 * (1.0 + abs(f)):
-            break
-        shrink = d < 0.0
-        t = min(1.0, 0.99 * (-u[shrink] / d[shrink]).min()) if shrink.any() else 1.0
-        while True:
-            trial = u + t * d
-            f_trial = value(trial)
-            if f_trial >= f + 1e-4 * t * rise or t < 1e-10:
-                break
-            t *= 0.5
-        if f_trial < f:
-            break
-        u, f = trial, f_trial
+    u, _ = _climb(
+        lambda v: v @ a @ v + b @ v + alpha @ np.log(v),
+        lambda v: (2.0 * (a @ v) + b + alpha / v, 2.0 * a - np.diag(alpha / (v * v))),
+        alpha / alpha.sum(),
+    )
     eta = np.log(alpha / u)
     lam = np.exp(np.round(eta - eta[-1], 8))
     return lam, _log_ratio_bound(a, b, lam, alpha.sum(), u)[0]

@@ -626,33 +626,55 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
     shapes alpha at the scale lam found by scipy's Nelder-Mead on log lam
     (lam_p = 1) from lam = 1.
 
-    It minimises what the package's proposal reports: the certified
-    bound of samplers._log_ratio_bound on max f for the concave part of
-    samplers._concave_split, plus that split's lift, plus
-    sum log Gamma(alpha_j) - log Gamma(sum(alpha)) - alpha'log lam. It
-    uses neither the package's steps nor the maximiser of f, so a
-    search that stalls where the maximiser is not unique shows here.
+    It minimises max f for the concave part of samplers._concave_split,
+    plus that split's lift, plus sum log Gamma(alpha_j) - log Gamma(sum
+    (alpha)) - alpha'log lam, as the package's proposal does, but finds
+    max f itself: the best of f at the vertices and at scipy's SLSQP
+    maximiser. During the search SLSQP starts from the last maximiser
+    found (f is concave, so any start reaches the maximum); the value
+    returned, at the scale the search ends on, takes the best from the
+    centre of the simplex, four fixed interior points and that last
+    maximiser. It uses neither the package's ascent nor the maximiser of
+    f, so a search that stalls where the maximiser is not unique, or an
+    ascent that stops short, shows here.
     """
     from scipy import optimize
 
-    from compscore.samplers import _concave_split, _log_ratio_bound
+    from compscore.samplers import _concave_split
 
     a, lift = _concave_split(a_k)
     b = np.append(b_k, 0.0)
+    p = alpha.size
     total = alpha.sum()
     log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(total)
+    simplex = [{"type": "eq", "fun": lambda u: u.sum() - 1.0, "jac": lambda u: np.ones(p)}]
+    centre = np.full(p, 1.0 / p)
+    last = [centre]
 
-    start = [None]
-
-    def log_bound(eta):
-        # each climb starts from the last maximiser: the bound is
-        # certified from any start, and a near one saves most steps
+    def log_bound(eta, starts=()):
         eta = np.append(eta, 0.0)
-        bound, start[0] = _log_ratio_bound(a, b, np.exp(eta), total, start[0])
-        return bound + lift + log_beta - alpha @ eta
+        lam = np.exp(eta)
+
+        def neg_f(u):
+            return -(u @ a @ u + b @ u + total * np.log(u @ lam))
+
+        def neg_gradient(u):
+            return -(2.0 * (a @ u) + b + total * lam / (u @ lam))
+
+        best = (np.diag(a) + b + total * eta).max()
+        for start in [*starts, last[0]]:
+            res = optimize.minimize(
+                neg_f, start, jac=neg_gradient, method="SLSQP", bounds=[(0.0, 1.0)] * p,
+                constraints=simplex, options={"ftol": 1e-15, "maxiter": 1000},
+            )
+            x = np.clip(res.x, 0.0, None)
+            x /= x.sum()
+            if -neg_f(x) > best:
+                best, last[0] = -neg_f(x), x
+        return best + lift + log_beta - alpha @ eta
 
     res = optimize.minimize(
-        log_bound, np.zeros(alpha.size - 1), method="Nelder-Mead",
+        log_bound, np.zeros(p - 1), method="Nelder-Mead",
         options={"xatol": 1e-5, "fatol": 1e-7, "maxfev": 20_000, "adaptive": True},
     )
-    return float(res.fun)
+    return float(log_bound(res.x, [centre, *np.random.default_rng(0).dirichlet(np.ones(p), size=4)]))

@@ -357,6 +357,9 @@ def test_config_rejections(tmp_path, capsys):
     shapeless = tmp_path / "shapeless.json"
     shapeless.write_text(dump_json({"labels": ["a11"], "estimates": [-1.0],
                                     "config": {"family": "hybrid"}}))
+    null_estimate = tmp_path / "null.json"
+    null_estimate.write_text(dump_json({"labels": ["a11"], "estimates": [None],
+                                        "config": {"family": "hybrid", "shape": [0, 0, 0]}}))
     diagnose = ["diagnose", "--data", data, "--n-sim", 100, "--fit"]
     cases = [
         ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "xyz"],
@@ -369,9 +372,10 @@ def test_config_rejections(tmp_path, capsys):
         diagnose + [not_object],
         diagnose + [shapeless],
     ]
-    # ModelSpec decides what a shape may hold, as for its length and range
-    kinds = ["ConfigError"] * len(cases) + ["FamilyError"]
-    cases.append(["fit", "--data", data, "--config", bad_shape])
+    # ModelSpec decides what a shape may hold, as for its length and range,
+    # and that every parameter is finite
+    kinds = ["ConfigError"] * len(cases) + ["FamilyError"] * 2
+    cases += [["fit", "--data", data, "--config", bad_shape], diagnose + [null_estimate]]
     capsys.readouterr()
     for i, (argv, kind) in enumerate(zip(cases, kinds)):
         out = tmp_path / f"m{i}"

@@ -194,6 +194,11 @@ class TestModelSpec:
                 ModelSpec(family="hybrid", p=3, shape=shape)
         with pytest.raises(FamilyError, match="must be numbers"):
             ModelSpec(family="hybrid", p=3, shape=["a", 0.0, 0.0])
+        nan, inf = float("nan"), float("inf")
+        for interaction, linear in (([[nan, 0.0], [0.0, -1.0]], None), (None, [inf, 0.0]),
+                                    (None, [None, 0.0])):
+            with pytest.raises(FamilyError, match="must be finite"):
+                ModelSpec(family="hybrid", p=3, interaction=interaction, linear=linear)
         with pytest.raises(FamilyError, match="zero shapes"):
             ModelSpec(family="truncated-gaussian", p=3, shape=[0.5, 0.0, 0.0])
         with pytest.raises(FamilyError, match="zero interaction"):

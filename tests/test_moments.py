@@ -155,6 +155,16 @@ def test_moment_workspace_validation():
         solve(ws, with_se=True)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_workspace_builders_reject_shapes_not_finite_above_minus_one(bad):
+    u = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+    shape = [bad, 0.0, 0.0]
+    with pytest.raises(ConfigError, match="finite and exceed -1"):
+        build_workspace(sqrt_transform(u), WeightSpec("product"), shape=shape)
+    with pytest.raises(ConfigError, match="finite and exceed -1"):
+        build_workspace_from_moments(EmpiricalMoments(u), shape=shape)
+
+
 def test_fit_from_counts_matches_continuous_at_large_totals():
     """At huge totals x/m is essentially the latent composition, so the
     factorial route and the continuous product-weight fit agree."""
