@@ -11,13 +11,14 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import tempfile
 from importlib import resources
 
 import numpy as np
 
 from .core import ContinuousDataset, CountDataset, ModelSpec, index_map
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FamilyError
 
 __all__ = [
     "read_proportions_csv",
@@ -152,7 +153,14 @@ def model_spec_from_dict(d):
 
 
 def model_spec_from_fit(fit_dict):
-    """Rebuild a sampleable ModelSpec from a written fit artifact."""
+    """Rebuild a sampleable ModelSpec from a written fit artifact.
+
+    The artifact is read as FitResult.to_dict writes it: labels and
+    estimates are lists of one length, fixed maps labels to numbers,
+    and every label is one the family knows for its p (shape1 ..
+    shapep for a Dirichlet fit, the index map's labels otherwise),
+    given once, with one finite number. ModelSpec checks the family.
+    """
     if not isinstance(fit_dict, dict):
         raise ConfigError("a fit artifact must be a JSON object")
     config = fit_dict.get("config", {})
@@ -164,22 +172,39 @@ def model_spec_from_fit(fit_dict):
         estimates = fit_dict["estimates"]
     except KeyError as exc:
         raise ConfigError(f"fit artifact is missing key {exc}") from None
+    fixed = fit_dict.get("fixed", {})
+    if not (isinstance(labels, list) and isinstance(estimates, list)
+            and len(labels) == len(estimates)):
+        raise ConfigError("labels and estimates of a fit artifact must be lists of one length")
+    if not isinstance(fixed, dict):
+        raise ConfigError("fixed of a fit artifact must be a JSON object")
     if family == "dirichlet":
-        return ModelSpec(family="dirichlet", p=len(labels), shape=np.asarray(estimates))
-    shape = config.get("shape")
-    if not isinstance(shape, list):
-        raise ConfigError(f"a {family} fit artifact needs config.shape, a list")
-    p = len(shape)
-    imap = index_map(p)
-    theta = np.zeros(imap.q)
-    for lab, val in zip(labels, estimates):
-        theta[imap.index(lab)] = val
-    for lab, val in fit_dict.get("fixed", {}).items():
-        theta[imap.index(lab)] = val
+        known = [f"shape{j + 1}" for j in range(len(labels))]
+    else:
+        shape = config.get("shape")
+        if not isinstance(shape, list):
+            raise ConfigError(f"a {family} fit artifact needs config.shape, a list")
+        imap = index_map(len(shape))
+        known = imap.labels
+    index = {lab: i for i, lab in enumerate(known)}
+    theta = np.zeros(len(known))
+    given = set()
+    for lab, val in [*zip(labels, estimates), *fixed.items()]:
+        if not isinstance(lab, str) or lab not in index:
+            raise ConfigError(f"fit artifact has unknown parameter label {lab!r}")
+        if lab in given:
+            raise ConfigError(f"fit artifact gives parameter {lab} twice")
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        # NaN fails the comparison, and an int too large for a float exceeds the largest
+        if not (number and abs(val) <= sys.float_info.max):
+            raise FamilyError(f"parameter {lab} must be a finite number, got {val!r}")
+        given.add(lab)
+        theta[index[lab]] = val
+    if family == "dirichlet":
+        return ModelSpec(family=family, p=theta.size, shape=theta)
     interaction, linear = imap.unpack(theta)
-    fam = family if family in ("hybrid", "truncated-gaussian") else "hybrid"
     return ModelSpec(
-        family=fam, p=p, interaction=interaction, linear=linear, shape=shape
+        family=family, p=imap.p, interaction=interaction, linear=linear, shape=shape
     )
 
 

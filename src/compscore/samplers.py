@@ -466,20 +466,18 @@ def sample_truncated_gaussian(spec, n, rng):
 
 
 def sample_dirichlet(spec_or_shape, n, rng):
-    """Exact Dirichlet draws with parameters shape + 1."""
-    if isinstance(spec_or_shape, ModelSpec):
-        if spec_or_shape.family != FAMILY_DIRICHLET:
-            raise FamilyError("spec must be a dirichlet model")
-        shape = spec_or_shape.shape
-    else:
-        shape = np.asarray(spec_or_shape, dtype=float).reshape(-1)
-        if np.any(shape <= -1.0):
-            raise FamilyError("every shape parameter must exceed -1")
+    """Exact Dirichlet draws with parameters shape + 1; a raw shape is
+    checked as the shape of a Dirichlet ModelSpec."""
+    spec = spec_or_shape
+    if not isinstance(spec, ModelSpec):
+        spec = ModelSpec(family=FAMILY_DIRICHLET, p=np.size(spec), shape=np.ravel(spec))
+    if spec.family != FAMILY_DIRICHLET:
+        raise FamilyError("spec must be a dirichlet model")
     n = int(n)
     if n < 1:
         raise DataError("need at least one draw")
     gen = rng.generator()
-    u = gen.dirichlet(shape + 1.0, size=n)
+    u = gen.dirichlet(spec.shape + 1.0, size=n)
     return ContinuousDataset(u)
 
 

@@ -10,7 +10,8 @@ factorial moments, the Dirichlet weight term written out per weight
 kind, a row-by-row envelope rejection loop, rejection
 from the Dirichlet base with no computed bound, inverse-CDF draws
 of a truncated Gaussian with independent coordinates, and a
-derivative-free search for the scaled-Dirichlet scale. Only the two
+derivative-free search for the scaled-Dirichlet scale over a
+log-barrier ascent. Only the two
 assemblies, the row-by-row rejection loop and the scale search import
 from the package:
 the workspace container, the index map, the weight spec and the error
@@ -621,6 +622,46 @@ def diagonal_truncated_gaussian_reference(spec, n, gen):
     return np.column_stack([free, 1.0 - free.sum(axis=1)])
 
 
+def _barrier_ascent(a, b, total, lam, u, mus):
+    """The best f(u) = u'Au + b'u + total log(lam'u), A negative
+    semidefinite, found over the simplex by a log-barrier path from the
+    interior point u, and the point where it was found.
+
+    For each mu of mus in turn it takes Newton steps on
+    f(u) + mu sum_j log u_j under sum u = 1, each moving at most 0.9 of
+    the way to the boundary and halved until the barrier objective rises
+    by a quarter of its predicted rise, until the predicted rise is below
+    1e-10 (1 + |objective|). The centre for mu lies within p mu of max f.
+    """
+    p = u.size
+    kkt = np.zeros((p + 1, p + 1))
+    kkt[:p, p] = kkt[p, :p] = 1.0
+    rhs = np.zeros(p + 1)
+    diag = np.arange(p)
+    lam_outer = np.outer(lam, lam)
+
+    def objective(u, mu):
+        return (a @ u + b) @ u + total * math.log(u @ lam) + mu * np.log(u).sum()
+
+    for mu in mus:
+        value = objective(u, mu)
+        for _ in range(100):
+            lin = u @ lam
+            rhs[:p] = -(2.0 * (a @ u) + b + total / lin * lam + mu / u)
+            kkt[:p, :p] = 2.0 * a - (total / lin**2) * lam_outer
+            kkt[diag, diag] -= mu / u**2
+            step = np.linalg.solve(kkt, rhs)[:p]
+            rise = -(rhs[:p] @ step)
+            if rise <= 1e-10 * (1.0 + abs(value)):
+                break
+            shrink = step < 0.0
+            t = min(1.0, 0.9 * (u[shrink] / -step[shrink]).min()) if shrink.any() else 1.0
+            while (new := objective(u + t * step, mu)) < value + 0.25 * t * rise and t > 1e-12:
+                t *= 0.5
+            u, value = u + t * step, new
+    return (a @ u + b) @ u + total * math.log(u @ lam), u
+
+
 def nelder_mead_log_bound(a_k, b_k, alpha):
     """The log envelope constant of the scaled-Dirichlet proposal with
     shapes alpha at the scale lam found by scipy's Nelder-Mead on log lam
@@ -629,14 +670,17 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
     It minimises max f for the concave part of samplers._concave_split,
     plus that split's lift, plus sum log Gamma(alpha_j) - log Gamma(sum
     (alpha)) - alpha'log lam, as the package's proposal does, but finds
-    max f itself: the best of f at the vertices and at scipy's SLSQP
-    maximiser. During the search SLSQP starts from the last maximiser
-    found (f is concave, so any start reaches the maximum); the value
-    returned, at the scale the search ends on, takes the best from the
-    centre of the simplex, four fixed interior points and that last
-    maximiser. It uses neither the package's ascent nor the maximiser of
-    f, so a search that stalls where the maximiser is not unique, or an
-    ascent that stops short, shows here.
+    max f itself: the best of f at the vertices and at the end of a
+    log-barrier ascent (_barrier_ascent). During the search the ascent
+    starts next to the last point found (f is concave, so any start
+    reaches the maximum) and stops at the centre for mu = 1e-6, within
+    p 1e-6 of max f; the value returned, at the scale the search ends
+    on, takes the best ascent down to mu = 1e-12 from the centre of the
+    simplex, four fixed interior points and that last point. It uses
+    neither the package's climb nor the maximiser of f, and takes only
+    values of f at points of the simplex, where a weaker ascent can only
+    lower the value, so a search that stalls where the maximiser is not
+    unique, or a climb that stops short, shows here.
     """
     from scipy import optimize
 
@@ -647,34 +691,21 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
     p = alpha.size
     total = alpha.sum()
     log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(total)
-    simplex = [{"type": "eq", "fun": lambda u: u.sum() - 1.0, "jac": lambda u: np.ones(p)}]
     centre = np.full(p, 1.0 / p)
     last = [centre]
 
-    def log_bound(eta, starts=()):
+    def log_bound(eta, starts=None, mus=(1e-6,)):
         eta = np.append(eta, 0.0)
         lam = np.exp(eta)
-
-        def neg_f(u):
-            return -(u @ a @ u + b @ u + total * np.log(u @ lam))
-
-        def neg_gradient(u):
-            return -(2.0 * (a @ u) + b + total * lam / (u @ lam))
-
         best = (np.diag(a) + b + total * eta).max()
-        for start in [*starts, last[0]]:
-            res = optimize.minimize(
-                neg_f, start, jac=neg_gradient, method="SLSQP", bounds=[(0.0, 1.0)] * p,
-                constraints=simplex, options={"ftol": 1e-15, "maxiter": 1000},
-            )
-            x = np.clip(res.x, 0.0, None)
-            x /= x.sum()
-            if -neg_f(x) > best:
-                best, last[0] = -neg_f(x), x
+        for start in starts or [(1.0 - 1e-6) * last[0] + 1e-6 * centre]:
+            f, last[0] = _barrier_ascent(a, b, total, lam, start, mus)
+            best = max(best, f)
         return best + lift + log_beta - alpha @ eta
 
     res = optimize.minimize(
         log_bound, np.zeros(p - 1), method="Nelder-Mead",
         options={"xatol": 1e-5, "fatol": 1e-7, "maxfev": 20_000, "adaptive": True},
     )
-    return float(log_bound(res.x, [centre, *np.random.default_rng(0).dirichlet(np.ones(p), size=4)]))
+    starts = [centre, *np.random.default_rng(0).dirichlet(np.ones(p), size=4), last[0]]
+    return float(log_bound(res.x, starts, mus=10.0 ** -np.arange(2, 13, 2)))

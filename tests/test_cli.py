@@ -458,3 +458,106 @@ def test_bench_study_failure_exits_3(tmp_path, capsys):
     )
     assert run_cli("bench", "--config", cfg, "--out", tmp_path / "out") == 3
     assert "StudyFailureError" in capsys.readouterr().err
+
+
+BUNDLED = resources.files("compscore").joinpath("data/synthetic_microbiome_counts.csv")
+
+
+@pytest.fixture(scope="module")
+def bundled_fit(tmp_path_factory):
+    """fit.json of the continuous interaction fit of the bundled table."""
+    tmp = tmp_path_factory.mktemp("bundled")
+    cfg = _write_config(tmp / "cfg.json", family="hybrid", data_kind="counts",
+                        shape=[-0.8, -0.85, 0.0, -0.2, 0.0])
+    assert run_cli("fit", "--data", BUNDLED, "--config", cfg, "--estimator", "continuous",
+                   "--weight", "capped-min", "--ac", "auto:0.9", "--out", tmp / "fit") == 0
+    return _read_json(tmp / "fit" / "fit.json")
+
+
+def _bad_estimate(doc):
+    doc["estimates"][0] = "x"
+
+
+def _unknown_label(doc):
+    doc["labels"][0] = "zz"
+
+
+def _null_labels(doc):
+    doc["labels"] = None
+
+
+def _short_estimates(doc):
+    doc["estimates"] = doc["estimates"][:-3]
+
+
+def _repeated_label(doc):
+    doc["labels"][1] = doc["labels"][0]
+
+
+def _unknown_family(doc):
+    doc["config"]["family"] = "foo"
+
+
+@pytest.mark.parametrize(
+    "mutate, kind",
+    [
+        (_bad_estimate, "FamilyError"),
+        (_unknown_label, "ConfigError"),
+        (_null_labels, "ConfigError"),
+        (_short_estimates, "ConfigError"),
+        (_repeated_label, "ConfigError"),
+        (_unknown_family, "FamilyError"),
+    ],
+    ids=["non-numeric-estimate", "unknown-label", "null-labels", "short-estimates",
+         "repeated-label", "unknown-family"],
+)
+def test_diagnose_rejects_malformed_fit(tmp_path, capsys, bundled_fit, mutate, kind):
+    """A fit artifact that does not read as FitResult.to_dict writes it
+    ends `diagnose` with exit 2 and one error line, not with a traceback
+    or with parameters silently dropped or misread."""
+    doc = json.loads(json.dumps(bundled_fit))
+    mutate(doc)
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(dump_json(doc))
+    out = tmp_path / "diag"
+    capsys.readouterr()
+    assert run_cli("diagnose", "--data", BUNDLED, "--data-kind", "counts", "--fit", fit_path,
+                   "--n-sim", 100, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error code=2 kind={kind}"), err
+    assert not out.exists()
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with every scipy import made to
+    fail, simulate, fit on the continuous and factorial routes, diagnose
+    and bench exit 0, and no scipy module is loaded."""
+    cfg = _write_config(tmp_path / "cfg.json", family="hybrid", data_kind="counts",
+                        shape=[-0.8, -0.85, 0.0, -0.2, 0.0])
+    bench = _write_config(tmp_path / "bench.json", model="model3", estimators=[1, 3],
+                          n=150, replicates=2, seed=11)
+    fit = ["fit", "--data", str(BUNDLED), "--config", str(cfg)]
+    runs = [
+        ["simulate", "--model", "model3", "--n", "200", "--seed", "1",
+         "--out", str(tmp_path / "sim")],
+        fit + ["--estimator", "factorial", "--out", str(tmp_path / "factorial")],
+        fit + ["--estimator", "continuous", "--weight", "capped-min", "--ac", "auto:0.9",
+               "--out", str(tmp_path / "continuous")],
+        ["diagnose", "--data", str(BUNDLED), "--data-kind", "counts", "--grid-totals", "2000",
+         "--fit", str(tmp_path / "continuous" / "fit.json"), "--n-sim", "5000",
+         "--out", str(tmp_path / "diag")],
+        ["bench", "--config", str(bench), "--out", str(tmp_path / "bench")],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # every import of scipy now raises ImportError\n"
+        "from compscore.cli import main\n"
+        f"print([main(argv) for argv in {runs!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compscore.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"], proc.stdout

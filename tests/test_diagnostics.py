@@ -1,9 +1,15 @@
 """Diagnostics: grid rounding, two-sample KS wrapper, and the
 simulate-and-compare marginal report."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+from compscore._kolmogorov import kstwo_sf
 from compscore.core import ContinuousDataset, ModelSpec
 from compscore.diagnostics import (
     ks_compare,
@@ -124,3 +130,90 @@ def test_report_serialization():
         ):
             assert key in c
     assert len(doc["qq"]["c1"]["observed"]) == 5
+
+
+def _agrees(ours, ref, n):
+    """The port's p-value against scipy's: to 1e-12 relative for
+    n <= 1000 and to 1e-10 up to n = 1e5. Below 1e-300 both are
+    subnormal or zero and scipy's own digits vary."""
+    if math.isnan(ref):
+        return math.isnan(ours)
+    if ref < 1e-300:
+        return ours < 1e-299
+    return abs(ours - ref) <= (1e-12 if n <= 1000 else 1e-10) * ref
+
+
+def _size(data, lo, hi, label):
+    """An integer in [lo, hi] within a factor 2 of a drawn scale, so that
+    every order of magnitude comes up."""
+    scales = [t for t in (3, 10, 30, 100, 140, 300, 1000, 3000, 10_000, 30_000) if lo < t < hi]
+    scale = data.draw(st.sampled_from([lo, *scales, hi]), label=f"{label} scale")
+    return data.draw(st.integers(max(lo, scale // 2), scale), label=label)
+
+
+# scipy warns on its way to NaN for m = n = 1, where round(mn / (m + n)) = 0
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ks_compare_matches_scipy(data):
+    """ks_compare against scipy.stats.ks_2samp(..., method="asymp") over
+    sample sizes, shifts and spreads, with and without a count grid that
+    ties the samples: the statistic has scipy's bits and the p-value
+    agrees within the bands of _agrees."""
+    small = _size(data, 1, 200_000, "smaller size")
+    m, n = small, _size(data, small, 200_000, "larger size")
+    if data.draw(st.booleans(), label="swap"):
+        m, n = n, m
+    shift = data.draw(st.floats(-3.0, 3.0), label="shift")
+    spread = data.draw(st.floats(0.2, 5.0), label="spread")
+    grid = data.draw(st.sampled_from([None, 4, 50, 2000]), label="grid")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = gen.standard_normal(m)
+    b = shift + spread * gen.standard_normal(n)
+    if grid is not None:
+        a, b = round_to_grid(a, grid), round_to_grid(b, grid)
+    ours = ks_compare(a, b)
+    ref = stats.ks_2samp(a, b, method="asymp")
+    assert ours.statistic == float(ref.statistic)
+    big, small = max(m, n), min(m, n)
+    assert _agrees(ours.pvalue, float(ref.pvalue), round(big * small / (big + small)))
+
+
+# Regions of (n, x) for each method of kstwo_sf, from the cut-offs of
+# Simard and L'Ecuyer's algorithm as scipy applies them: the range of n,
+# then the open range of x for a given n.
+KSTWO_BRANCHES = {
+    "ruben-gambino-low": ((1, 100_000), lambda n: (0.5 / n, 1.0 / n)),
+    "ruben-gambino-high": ((3, 100_000), lambda n: ((n - 1) / n, 1.0)),
+    "smirnov-half": ((3, 100_000), lambda n: (0.5, (n - 1) / n)),
+    "durbin": ((3, 140), lambda n: (1.0 / n, min(math.sqrt(0.754693 / n), 0.5))),
+    "pomeranz": ((4, 140), lambda n: (math.sqrt(0.754693 / n), min(math.sqrt(4.0 / n), 0.5))),
+    "smirnov-to-140": ((17, 140), lambda n: (math.sqrt(4.0 / n), 0.5)),
+    "durbin-above-140": ((141, 100_000),
+                         lambda n: (1.0 / n, min((1.4 / n) ** (2 / 3), math.sqrt(2.2 / n)))),
+    "pelz-good": ((141, 100_000), lambda n: ((1.4 / n) ** (2 / 3), math.sqrt(2.2 / n))),
+    "smirnov-above-140": ((141, 100_000),
+                          lambda n: (math.sqrt(2.2 / n), min(math.sqrt(370.0 / n), 0.5))),
+    "zero-above-140": ((141, 100_000), lambda n: (math.sqrt(370.0 / n), 0.5)),
+}
+SMIRNOV_BRANCHES = {"smirnov-half", "smirnov-to-140", "smirnov-above-140"}
+
+
+@pytest.mark.parametrize("branch", sorted(KSTWO_BRANCHES))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kstwo_sf_matches_scipy_in_every_branch(branch, data):
+    """In every method's region the port agrees with scipy.stats.kstwo.sf:
+    bit for bit where the method is scipy's code, within the bands of
+    _agrees in the Birnbaum-Tingey sum that replaces scipy.special.smirnov."""
+    (n_lo, n_hi), x_range = KSTWO_BRANCHES[branch]
+    n = _size(data, n_lo, n_hi, "n")
+    lo, hi = x_range(n)
+    x = lo + data.draw(st.floats(0.0, 1.0), label="fraction") * (hi - lo)
+    # off the cut-offs by more than their rounding, which may fall either way
+    assume(lo * (1 + 1e-9) < x < hi * (1 - 1e-9))
+    ours, ref = kstwo_sf(x, n), float(stats.kstwo.sf(x, n))
+    if branch in SMIRNOV_BRANCHES:
+        assert _agrees(ours, ref, n), (ours, ref)
+    else:
+        assert ours == ref, (ours, ref)

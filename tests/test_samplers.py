@@ -361,6 +361,11 @@ def test_dirichlet_means():
         sample_dirichlet(TGAUSS3, 10, RngConfig(0))
     with pytest.raises(FamilyError):
         sample_dirichlet(np.array([-1.5, 0.0]), 10, RngConfig(0))
+    # a raw shape is held to ModelSpec's rule, so a non-finite entry fails
+    # on the shape and not later on the draws
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FamilyError, match="finite"):
+            sample_dirichlet([bad, 0.0, 0.0], 3, RngConfig(1))
 
 
 def test_hybrid_flat_energy_accepts_everything():
