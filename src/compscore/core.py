@@ -299,9 +299,10 @@ class ModelSpec:
     shape : ndarray (p,)
         Exponents, each > -1.
     estimate_interaction, estimate_linear : bool or bool array
-        Which parameters a fit should estimate; the rest are held at the
-        values stored here. Shape parameters are fixed for hybrid and
-        truncated-Gaussian fits and estimated for Dirichlet fits.
+        Which parameters a fit should estimate. Fits hold the rest at
+        zero, not at the values stored here. Shape parameters are fixed
+        for hybrid and truncated-Gaussian fits and estimated for
+        Dirichlet fits.
     """
 
     family: str

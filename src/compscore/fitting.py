@@ -54,10 +54,8 @@ from .errors import (
 from .weights import WeightSpec, squared_weight
 
 __all__ = [
-    "GradientTable",
     "EstimatorWorkspace",
     "FitResult",
-    "gradient_table",
     "build_workspace",
     "solve",
     "standard_errors",
@@ -113,28 +111,17 @@ def _monomials(u):
 
 def _statistic_rows(u, e, t):
     """Rows [u (e + t) | u_j e_l + u_l e_j | e + t u] (q, rows) for u, e
-    (p-1, rows) and t per row. Times the slot-0 coefficients (4, 4, 2 by
-    kind) this gives the covariance residual (see _error_moment), the
-    sphere Laplacian (e = 1 - (p + 2) u, t = 2) and G omega - kappa nu
-    (e = omega - kappa u, t = 0)."""
+    (p-1, rows) and t per row: the covariance residual of _error_moment
+    before its slot-0 coefficients (4, 4, 2 by kind). With e = 1 -
+    (p + 2) u and t = 2 the same rows, times those coefficients, are each
+    statistic's sphere Laplacian; tests/test_gradients.py checks the
+    rows in that form against finite differences."""
     k = u.shape[0]
     out = np.empty((k * (k + 3) // 2, u.shape[1]))
     np.multiply(u, e + t, out=out[:k])
     _pairs(u, e, out[k:-k])
     np.add(e, t * u, out=out[-k:])
     return out
-
-
-def _mu_nu(z, u, imap):
-    """Dense gradient rows mu_i and radial components nu_i for every
-    sufficient statistic, for a block of observations (inspection and
-    tests; the row passes form neither)."""
-    lay = _layout(imap.p)
-    u_ext = np.concatenate([u[:, :-1], np.ones((z.shape[0], 1))], axis=1)
-    m = np.zeros((z.shape[0], imap.q, imap.p))
-    for coord, partner, coef in zip(lay.coord.T, lay.partner.T, lay.coef.T):
-        m[:, np.arange(imap.q), coord] += coef * z[:, coord] * u_ext[:, partner]
-    return m, lay.scale * _monomials(u.T)[:-1].T
 
 
 @dataclass(frozen=True)
@@ -193,14 +180,6 @@ def _layout(p):
     return _Layout(coord, partner, coef, lap_map, lap_kappa, coef.sum(axis=1), lin)
 
 
-def _laplacian_values(u, imap):
-    """Sphere Laplacian of each sufficient statistic (block of rows),
-    element-wise, so each row's values do not depend on the block."""
-    ut = u.T[: imap.p - 1]
-    lap = _statistic_rows(ut, 1.0 - (imap.p + 2.0) * ut, 2.0)
-    return (_layout(imap.p).coef[:, :1] * lap).T
-
-
 def _row_features(u, weight):
     """h^2, omega (p, rows) and kappa for a feature-major block u (p,
     rows) of squared coordinates, with grad h^2 . mu_i = 2 h^2 (G omega)_i
@@ -219,48 +198,6 @@ def _row_features(u, weight):
     omega = np.zeros((p, nb))
     omega[np.argmin(u, axis=0), np.arange(nb)] = smooth
     return hsq, omega, smooth
-
-
-def _wgrad_obs(u, imap, weight):
-    """Per-observation weight-derivative term (block), signs included:
-    -grad h^2 . (P mu_i) = -2 h^2 (G omega - kappa nu)_i."""
-    ut = np.ascontiguousarray(u.T)
-    hsq, omega, kappa = _row_features(ut, weight)
-    rows = _statistic_rows(ut[:-1], omega[:-1] - kappa * ut[:-1], 0.0)
-    return (-2.0 * hsq * _layout(imap.p).coef[:, :1] * rows).T
-
-
-# ---------------------------------------------------------------------------
-# gradient table for a single observation
-
-
-@dataclass
-class GradientTable:
-    """Closed-form gradients at one point of the sphere orthant.
-
-    mu[i] is the ambient gradient of sufficient statistic i, nu[i] its
-    radial component z' mu[i], and laplacian[i] the sphere Laplacian.
-    log_mu[j] = e_j / z_j is the gradient of log z_j (infinite where
-    z_j = 0; estimation paths always use the cancelled polynomial forms,
-    this table is for inspection and tests), with log_nu = 1.
-    """
-
-    mu: np.ndarray
-    nu: np.ndarray
-    laplacian: np.ndarray
-    log_mu: np.ndarray
-    log_nu: np.ndarray
-
-
-def gradient_table(z, imap=None):
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    imap = imap or index_map(z.shape[1])
-    u = z * z
-    mu, nu = _mu_nu(z, u, imap)
-    lap = _laplacian_values(u, imap)
-    with np.errstate(divide="ignore"):
-        inv = np.where(z[0] > 0.0, 1.0 / np.where(z[0] > 0.0, z[0], 1.0), np.inf)
-    return GradientTable(mu[0], nu[0], lap[0], log_mu=np.diag(inv), log_nu=np.ones(imap.p))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +442,7 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
     theta_f, evals, evecs, cond = _solve_psd(wff, rhs, ridge, labels)
     theta_full[free] = theta_f
 
-    cov = _sandwich(workspace, theta_full, mask, evals, evecs) if with_se else None
+    cov = _sandwich(evals, evecs, _error_moment(workspace, theta_full, mask)) if with_se else None
     return FitResult(
         labels=labels,
         estimates=theta_f,
@@ -535,6 +472,11 @@ def _error_moment(workspace, theta_full, mask):
     _statistic_rows(u, e, 2 h^2) times the slot-0 coefficients 4, 4, 2,
     which scale Sigma_0 once at the end (powers of two, so exactly).
     """
+    if workspace.z is None:
+        raise ConfigError(
+            "standard errors need per-observation data; this workspace "
+            "was built from moments only (pass with_se=False)"
+        )
     imap = workspace.imap
     p, k = imap.p, imap.p - 1
     free = np.flatnonzero(mask)
@@ -556,15 +498,9 @@ def _error_moment(workspace, theta_full, mask):
     return _symmetric(total) * np.outer(fac, fac) / workspace.n
 
 
-def _sandwich(workspace, theta_full, mask, evals, evecs):
-    """Plug-in covariance W^-1 Sigma_0 W^-1 over the free block, with W^-1
-    from the free block's eigenpairs."""
-    if workspace.z is None:
-        raise ConfigError(
-            "standard errors need per-observation data; this workspace "
-            "was built from moments only (pass with_se=False)"
-        )
-    sigma0 = _error_moment(workspace, theta_full, mask)
+def _sandwich(evals, evecs, sigma0):
+    """Plug-in covariance W^-1 Sigma_0 W^-1, with W^-1 from the eigenpairs
+    of the solved system."""
     inv_w = evecs @ (evecs.T / evals[:, None])
     return inv_w @ sigma0 @ inv_w
 
@@ -581,7 +517,7 @@ def standard_errors(workspace, result, mask=None):
     wff = workspace.gram[np.ix_(free, free)]
     labels = [imap.labels[i] for i in free]
     _, evals, evecs, _ = _solve_psd(wff, np.zeros(free.size), result.ridge, labels)
-    return _sandwich(workspace, theta_full, mask, evals, evecs)
+    return _sandwich(evals, evecs, _error_moment(workspace, theta_full, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +658,7 @@ def fit_dirichlet(data, weight, ridge=0.0, with_se=True):
     if with_se:
         resid = ratios * pi_hat[None, :] - hsq[:, None] * pi_hat.sum() - lin
         sigma0 = _symmetric(resid.T @ resid) / n
-        inv_w = evecs @ (evecs.T / evals[:, None])
-        cov = 0.25 * inv_w @ sigma0 @ inv_w  # delta method for (pi - 1) / 2
+        cov = 0.25 * _sandwich(evals, evecs, sigma0)  # delta method for (pi - 1) / 2
 
     objective = 0.5 * pi_hat @ gram @ pi_hat - pi_hat @ d
     return FitResult(

@@ -40,61 +40,55 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _read_rows(path):
+def _read_rows(path, exclude_rows):
+    """The header and the data rows left after exclude_rows, each as long
+    as the header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one data row")
-    header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
-
-
-def _apply_exclusions(rows, exclude_rows, path):
-    if not exclude_rows:
-        return rows
+    header, rows = [cell.strip() for cell in rows[0]], rows[1:]
     bad = [i for i in exclude_rows if i < 0 or i >= len(rows)]
     if bad:
         raise DataError(f"{path}: excluded row index {bad[0]} out of range")
     drop = set(exclude_rows)
-    return [row for i, row in enumerate(rows) if i not in drop]
+    rows = [row for i, row in enumerate(rows) if i not in drop]
+    if any(len(row) != len(header) for row in rows):
+        raise DataError(f"{path}: ragged rows")
+    return header, rows
 
 
 def read_proportions_csv(path, exclude_rows=()):
     """Read a proportions CSV (header row of names). Row indices in
     exclude_rows are 0-based over data rows."""
-    header, rows = _read_rows(path)
-    rows = _apply_exclusions(rows, exclude_rows, path)
+    header, rows = _read_rows(path, exclude_rows)
     try:
         values = np.array([[float(cell) for cell in row] for row in rows])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell ({exc})") from None
-    if values.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
     return ContinuousDataset(values, names=header)
 
 
 def read_counts_csv(path, exclude_rows=()):
     """Read a counts CSV; a column named ``total`` is validated against
     the row sums and dropped from the categories."""
-    header, rows = _read_rows(path)
-    rows = _apply_exclusions(rows, exclude_rows, path)
+    header, rows = _read_rows(path, exclude_rows)
     lowered = [h.lower() for h in header]
     total_col = lowered.index("total") if "total" in lowered else None
 
     def parse(cell):
-        val = float(cell)
+        try:
+            val = float(cell)
+        except ValueError as exc:
+            raise DataError(f"{path}: non-numeric cell ({exc})") from None
+        if not abs(val) < 2.0**63:  # nan, inf, or past int64
+            raise DataError(f"{path}: count {cell!r} is not a finite 64-bit integer")
         if val != round(val):
             raise DataError(f"{path}: count {cell!r} is not an integer")
-        return int(round(val))
+        return int(val)
 
-    try:
-        values = [[parse(cell) for cell in row] for row in rows]
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})") from None
-    arr = np.array(values, dtype=np.int64)
-    if arr.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
+    arr = np.array([[parse(cell) for cell in row] for row in rows], dtype=np.int64)
     if total_col is None:
         return CountDataset(arr, names=header)
     keep = [j for j in range(arr.shape[1]) if j != total_col]

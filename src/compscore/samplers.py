@@ -79,6 +79,7 @@ from .core import (
     ModelSpec,
 )
 from .errors import (
+    ConfigError,
     DataError,
     EnvelopeFailureError,
     FamilyError,
@@ -143,6 +144,14 @@ class RngConfig:
 
     seed: int
     key: tuple = ()
+
+    def __post_init__(self):
+        # SeedSequence takes non-negative integers only
+        if int(self.seed) < 0 or any(int(k) < 0 for k in self.key):
+            raise ConfigError(
+                f"seeds and substream indices must be non-negative, got seed "
+                f"{self.seed} and substream path {tuple(self.key)}"
+            )
 
     def generator(self):
         ss = np.random.SeedSequence(

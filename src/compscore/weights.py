@@ -24,7 +24,6 @@ __all__ = [
     "KINDS",
     "weight_value",
     "squared_weight",
-    "below_cap",
     "boundary_distance",
     "cap_from_quantile",
 ]
@@ -64,24 +63,11 @@ class WeightSpec:
     def product_family(self):
         return self.kind in (KIND_PRODUCT, KIND_CAPPED_PRODUCT)
 
-    @property
-    def min_family(self):
-        return self.kind in (KIND_MIN, KIND_CAPPED_MIN)
-
-
-def _rows(z):
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    return (z[None, :] if single else z), single
-
-
-def _uncapped(u, spec):
-    return u.prod(axis=1) if spec.product_family else u.min(axis=1)
-
 
 def squared_weight(u, spec):
     """h^2 row-wise from squared coordinates u = z * z, an (n, p) array."""
-    return np.minimum(_uncapped(u, spec), spec.a_c * spec.a_c)
+    raw = u.prod(axis=1) if spec.product_family else u.min(axis=1)
+    return np.minimum(raw, spec.a_c * spec.a_c)
 
 
 def weight_value(z, spec):
@@ -89,24 +75,9 @@ def weight_value(z, spec):
 
     Returns a scalar for a 1-d input, else an (n,) array.
     """
-    zz, single = _rows(z)
-    vals = squared_weight(zz * zz, spec)
-    return float(vals[0]) if single else vals
-
-
-def below_cap(z, spec):
-    """Indicator that the weight sits strictly below its cap.
-
-    1 where the weight takes its smooth branch (the cap does not bind),
-    0 where it is pinned at a_c^2. Only defined for capped kinds; the
-    uncapped kinds raise ConfigError because there is no cap to test.
-    Points on the boundary always return 1 (the weight is 0 < a_c^2).
-    """
-    if not spec.capped:
-        raise ConfigError(f"cap indicator is not applicable to kind {spec.kind!r}")
-    zz, single = _rows(z)
-    ind = (_uncapped(zz * zz, spec) < spec.a_c * spec.a_c).astype(float)
-    return float(ind[0]) if single else ind
+    z = np.asarray(z, dtype=float)
+    vals = squared_weight(np.atleast_2d(z * z), spec)
+    return float(vals[0]) if z.ndim == 1 else vals
 
 
 def boundary_distance(u):
@@ -131,7 +102,7 @@ def cap_from_quantile(z, kind, quantile=0.90):
     """
     if not (0.0 < quantile < 1.0):
         raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
-    base = KIND_PRODUCT if "product" in kind else KIND_MIN
+    base = KIND_PRODUCT if WeightSpec(kind).product_family else KIND_MIN
     vals = weight_value(z, WeightSpec(base))
     vals = np.atleast_1d(vals)
     hsq = float(np.quantile(vals, quantile))

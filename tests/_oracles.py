@@ -11,17 +11,19 @@ kind, a row-by-row envelope rejection loop, rejection
 from the Dirichlet base with no computed bound, inverse-CDF draws
 of a truncated Gaussian with independent coordinates, and a
 derivative-free search for the scaled-Dirichlet scale over a
-log-barrier ascent. Only the two
-assemblies, the row-by-row rejection loop and the scale search import
-from the package:
-the workspace container, the index map, the weight spec and the error
-types; for the dense assembly the per-statistic tables _mu_nu and
-_laplacian_values, which are themselves checked against finite
-differences; for the row-by-row loop the chunk size, the batch
-sizing and the proposal's scale and bound, which fix which random
-streams it reads and what it accepts; and for the scale search the
-split of A and the certified bound on max f, which define what it
-minimises.
+log-barrier ascent.
+
+Only the two assemblies (with the dense per-row tables under them), the
+row-by-row rejection loop and the scale search import from the package.
+Between them they take the workspace container, the index map, the
+weight spec and the error types. The dense tables dense_mu_nu and
+dense_laplacian_values read the package's statistic layout, its
+monomials and its statistic rows; test_gradients checks those tables,
+and dense_wgrad_obs, against finite differences. The row-by-row loop
+takes the chunk size, the batch sizing and the proposal's scale and
+bound, which fix which random streams it reads and what it accepts. The
+scale search takes the split of A and the certified bound on max f,
+which define what it minimises.
 """
 
 import math
@@ -112,10 +114,34 @@ def linear_cg(w, d, iters=None):
 # The package assembles W, d and V from compressed per-row features and two
 # sphere identities. The reference below forms the full (rows, q, p)
 # gradient tensors and projects them explicitly, as the first version of
-# the package did. It uses only the per-statistic tables _mu_nu and
-# _laplacian_values, which test_gradients checks against finite
-# differences; the weight derivative and the shape coupling are written
-# out per statistic here.
+# the package did. Its per-statistic tables dense_mu_nu,
+# dense_laplacian_values and dense_wgrad_obs are the ones test_gradients
+# checks against finite differences; the first two read the package's
+# statistic layout, monomials and statistic rows. The shape coupling is
+# written out per statistic here.
+
+
+def dense_mu_nu(z, u, imap):
+    """Dense gradient rows mu (rows, q, p) and radial components
+    nu (rows, q) of every sufficient statistic, for rows z and u = z^2."""
+    from compscore.fitting import _layout, _monomials
+
+    lay = _layout(imap.p)
+    u_ext = np.concatenate([u[:, :-1], np.ones((z.shape[0], 1))], axis=1)
+    m = np.zeros((z.shape[0], imap.q, imap.p))
+    for coord, partner, coef in zip(lay.coord.T, lay.partner.T, lay.coef.T):
+        m[:, np.arange(imap.q), coord] += coef * z[:, coord] * u_ext[:, partner]
+    return m, lay.scale * _monomials(u.T)[:-1].T
+
+
+def dense_laplacian_values(u, imap):
+    """Sphere Laplacian (rows, q) of each sufficient statistic, element-wise
+    per row, so a row's values do not depend on its block."""
+    from compscore.fitting import _layout, _statistic_rows
+
+    ut = u.T[: imap.p - 1]
+    lap = _statistic_rows(ut, 1.0 - (imap.p + 2.0) * ut, 2.0)
+    return (_layout(imap.p).coef[:, :1] * lap).T
 
 
 def _dense_hsq(u, weight):
@@ -222,7 +248,7 @@ def _dense_blocks(n, size=8192):
 def dense_workspace(z, weight, shape=None):
     """EstimatorWorkspace from dense projected gradients, block by block."""
     from compscore.core import index_map
-    from compscore.fitting import EstimatorWorkspace, _laplacian_values, _mu_nu
+    from compscore.fitting import EstimatorWorkspace
 
     z = np.asarray(z, dtype=float)
     n, p = z.shape
@@ -237,11 +263,11 @@ def dense_workspace(z, weight, shape=None):
         zb = z[start:stop]
         ub = zb * zb
         hsq = _dense_hsq(ub, weight)
-        mu, nu = _mu_nu(zb, ub, imap)
+        mu, nu = dense_mu_nu(zb, ub, imap)
         proj = mu - nu[:, :, None] * zb[:, None, :]
         pw = proj * np.sqrt(hsq)[:, None, None]
         gram += np.tensordot(pw, pw, axes=([0, 2], [0, 2]))
-        lap -= (hsq[:, None] * _laplacian_values(ub, imap)).sum(axis=0)
+        lap -= (hsq[:, None] * dense_laplacian_values(ub, imap)).sum(axis=0)
         wgrad += dense_wgrad_obs(ub, imap, weight).sum(axis=0)
         gv = _dense_shape_gram_values(ub, imap) - nu[:, :, None]
         coupling += (hsq[:, None, None] * gv).sum(axis=0)
@@ -261,8 +287,6 @@ def dense_workspace(z, weight, shape=None):
 def dense_error_moment(workspace, theta_full, mask):
     """Sigma_0 over the free block: the mean outer product of the
     per-row residuals R(z) theta - r(z), from dense projected gradients."""
-    from compscore.fitting import _laplacian_values, _mu_nu
-
     imap = workspace.imap
     weight = workspace.weight
     z = workspace.z
@@ -273,11 +297,11 @@ def dense_error_moment(workspace, theta_full, mask):
         zb = z[start:stop]
         ub = zb * zb
         hsq = _dense_hsq(ub, weight)
-        mu, nu = _mu_nu(zb, ub, imap)
+        mu, nu = dense_mu_nu(zb, ub, imap)
         proj = mu - nu[:, :, None] * zb[:, None, :]
         g = np.einsum("bqp,q->bp", proj, theta_full)
         r_theta = hsq[:, None] * np.einsum("bqp,bp->bq", proj, g)
-        lin = -hsq[:, None] * _laplacian_values(ub, imap)
+        lin = -hsq[:, None] * dense_laplacian_values(ub, imap)
         lin = lin + dense_wgrad_obs(ub, imap, weight)
         gv = _dense_shape_gram_values(ub, imap) - nu[:, :, None]
         lin = lin - hsq[:, None] * np.einsum("bqp,p->bq", gv, pi2)

@@ -360,8 +360,23 @@ def test_config_rejections(tmp_path, capsys):
     null_estimate = tmp_path / "null.json"
     null_estimate.write_text(dump_json({"labels": ["a11"], "estimates": [None],
                                         "config": {"family": "hybrid", "shape": [0, 0, 0]}}))
+    inf_counts = tmp_path / "inf_counts.csv"
+    inf_counts.write_text("a,b,c\n3,inf,7\n")
+    counts_cfg = _write_config(tmp_path / "cc.json", family="truncated-gaussian",
+                               data_kind="counts")
+    negative_seed = _write_config(tmp_path / "ns.json", model="model3", n=50, replicates=2,
+                                  seed=-3)
+    study = _write_config(tmp_path / "st.json", model="model3", n=50, replicates=2)
+    assert run_cli("fit", "--data", data, "--config", tg, "--out", tmp_path / "fit") == 0
+    fitted = tmp_path / "fit" / "fit.json"
     diagnose = ["diagnose", "--data", data, "--n-sim", 100, "--fit"]
     cases = [
+        ["fit", "--data", inf_counts, "--config", counts_cfg],
+        ["simulate", "--model", "model3", "--n", 10, "--seed", -1],
+        ["bench", "--config", negative_seed],
+        ["bench", "--config", study, "--seed", -1],
+        diagnose + [fitted, "--seed", -1],
+        diagnose + [fitted, "--qq", -3],
         ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "xyz"],
         ["fit", "--data", data, "--config", tg, "--weight", "capped-min", "--ac", "auto:abc"],
         ["fit", "--data", data, "--config", bad_ridge],
@@ -374,7 +389,7 @@ def test_config_rejections(tmp_path, capsys):
     ]
     # ModelSpec decides what a shape may hold, as for its length and range,
     # and that every parameter is finite
-    kinds = ["ConfigError"] * len(cases) + ["FamilyError"] * 2
+    kinds = ["DataError"] + ["ConfigError"] * (len(cases) - 1) + ["FamilyError"] * 2
     cases += [["fit", "--data", data, "--config", bad_shape], diagnose + [null_estimate]]
     capsys.readouterr()
     for i, (argv, kind) in enumerate(zip(cases, kinds)):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dirichlet_wgrad_obs, fd_grad, linear_cg
+from _oracles import (
+    dense_laplacian_values,
+    dense_mu_nu,
+    dirichlet_wgrad_obs,
+    fd_grad,
+    linear_cg,
+)
 from compscore import fitting
 from compscore.core import ContinuousDataset, index_map, sqrt_transform
 from compscore.errors import (
@@ -24,7 +30,6 @@ from compscore.fitting import (
     fit_dirichlet_moments,
     fit_hybrid,
     fit_truncated_gaussian,
-    gradient_table,
     solve,
     standard_errors,
 )
@@ -49,18 +54,21 @@ def _random_z(p, n, seed, boundary_rows=0):
 
 
 def _row_oracle(z_row, spec, shape):
-    """Single-row system pieces rebuilt from the gradient table and a
-    finite-difference weight gradient, bypassing the blocked assembly."""
+    """Single-row system pieces rebuilt from the dense gradient and
+    Laplacian tables and a finite-difference weight gradient, bypassing
+    the blocked assembly and its per-row weight features."""
     p = z_row.size
-    table = gradient_table(z_row)
+    imap = index_map(p)
+    u_row = (z_row * z_row)[None, :]
+    mu, nu = (a[0] for a in dense_mu_nu(z_row[None, :], u_row, imap))
     hsq = weight_value(z_row, spec)
-    proj = table.mu - table.nu[:, None] * z_row[None, :]
+    proj = mu - nu[:, None] * z_row[None, :]
     gram = hsq * proj @ proj.T
-    lap_term = -hsq * table.laplacian
+    lap_term = -hsq * dense_laplacian_values(u_row, imap)[0]
     gh = fd_grad(lambda y: float(weight_value(y, spec)), z_row)
     tang = np.eye(p) - np.outer(z_row, z_row)
     wgrad_term = -proj @ (tang @ gh)
-    coupling = hsq * (table.mu / z_row[None, :] - table.nu[:, None])
+    coupling = hsq * (mu / z_row[None, :] - nu[:, None])
     shape_term = -coupling @ (1.0 + 2.0 * shape)
     return gram, lap_term + wgrad_term + shape_term
 
@@ -81,6 +89,17 @@ def test_workspace_matches_row_oracle():
             linears += lin
         np.testing.assert_allclose(ws.gram, grams / n, rtol=0, atol=1e-9)
         np.testing.assert_allclose(ws.linear_term, linears / n, rtol=0, atol=1e-7)
+
+
+def test_cap_rule_ties_and_boundary():
+    """The one cap rule, in the per-row weight features: the weight's
+    derivative vanishes where h^2 reaches the cap, a tie included, and a
+    boundary row (h^2 = 0) stays on the smooth branch."""
+    spec = WeightSpec("capped-min", 0.5)  # cap at 0.25
+    u = np.array([[0.1, 0.9], [0.25, 0.75], [0.4, 0.6], [0.0, 1.0]]).T
+    _, omega, kappa = fitting._row_features(u, spec)
+    np.testing.assert_array_equal(kappa, [1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(omega, [[1.0, 0.0, 0.0, 1.0], [0.0] * 4])
 
 
 def test_gram_symmetric_psd():

@@ -1,18 +1,23 @@
-"""Closed-form gradient, Laplacian and weight-derivative tables against
-finite-difference oracles on the sphere orthant."""
+"""The dense per-row tables of tests/_oracles.py (gradients, sphere
+Laplacians and weight derivatives of every sufficient statistic) against
+finite differences on the sphere orthant. The gradient and Laplacian
+tables are built on the package's statistic layout, monomials and
+statistic rows, so these checks cover those pieces of the blocked
+passes; the dense reference assembly rests on all three tables."""
 
 import numpy as np
 import pytest
 
-from _oracles import fd_grad, fd_sphere_laplacian, stat_functions
-from compscore.core import index_map
-from compscore.fitting import (
-    _hsq,
-    _laplacian_values,
-    _mu_nu,
-    _wgrad_obs,
-    gradient_table,
+from _oracles import (
+    dense_laplacian_values,
+    dense_mu_nu,
+    dense_wgrad_obs,
+    fd_grad,
+    fd_sphere_laplacian,
+    stat_functions,
 )
+from compscore.core import index_map
+from compscore.fitting import _hsq
 from compscore.weights import WeightSpec, weight_value
 
 
@@ -26,7 +31,7 @@ def test_ambient_gradients_match_finite_differences():
     for p in (3, 4, 5):
         z, u = _interior_point(p, seed=100 + p)
         imap = index_map(p)
-        mu, nu = _mu_nu(z[None, :], u[None, :], imap)
+        mu, nu = dense_mu_nu(z[None, :], u[None, :], imap)
         for i, f in enumerate(stat_functions(imap)):
             g = fd_grad(f, z)
             np.testing.assert_allclose(mu[0, i], g, rtol=0, atol=5e-8)
@@ -38,7 +43,7 @@ def test_sphere_laplacians_match_finite_differences():
     for p in (3, 4, 5):
         z, u = _interior_point(p, seed=200 + p)
         imap = index_map(p)
-        lap = _laplacian_values(u[None, :], imap)
+        lap = dense_laplacian_values(u[None, :], imap)
         for i, f in enumerate(stat_functions(imap)):
             oracle = fd_sphere_laplacian(f, z)
             np.testing.assert_allclose(lap[0, i], oracle, rtol=0, atol=2e-6)
@@ -49,7 +54,7 @@ def test_vertex_laplacian_frozen_value():
     a hand-computable anchor (12 u - 4 (p + 2) u^2 at u = 1)."""
     imap = index_map(3)
     z = np.array([1.0, 0.0, 0.0])
-    table = _laplacian_values((z * z)[None, :], imap)[0, 0]
+    table = dense_laplacian_values((z * z)[None, :], imap)[0, 0]
     assert table == pytest.approx(-8.0)
     fd = fd_sphere_laplacian(stat_functions(imap)[0], z)
     assert fd == pytest.approx(-8.0, abs=1e-6)
@@ -58,14 +63,14 @@ def test_vertex_laplacian_frozen_value():
 def _check_weight_derivative(z, u, imap, spec, atol):
     """Oracle: the weight-derivative entry for statistic i is
     -(grad h^2) . (P mu_i) with P the tangential projector."""
-    table = _wgrad_obs(u[None, :], imap, spec)[0]
+    table = dense_wgrad_obs(u[None, :], imap, spec)[0]
 
     def hsq_ambient(y):
         return float(weight_value(y, spec))
 
     gh = fd_grad(hsq_ambient, z)
     proj = np.eye(z.size) - np.outer(z, z)
-    mu, _ = _mu_nu(z[None, :], u[None, :], imap)
+    mu, _ = dense_mu_nu(z[None, :], u[None, :], imap)
     for i in range(imap.q):
         oracle = -(gh @ (proj @ mu[0, i]))
         np.testing.assert_allclose(table[i], oracle, rtol=0, atol=atol)
@@ -95,7 +100,7 @@ def test_weight_derivative_terms_cap_branches():
                 _check_weight_derivative(z, u, imap, spec, atol=1e-6)
                 if factor < 1.0:
                     np.testing.assert_array_equal(
-                        _wgrad_obs(u[None, :], imap, spec)[0], 0.0
+                        dense_wgrad_obs(u[None, :], imap, spec)[0], 0.0
                     )
 
 
@@ -105,32 +110,13 @@ def test_tables_finite_on_boundary():
     imap = index_map(4)
     u = np.array([[0.0, 0.5, 0.5, 0.0], [0.25, 0.0, 0.25, 0.5]])
     z = np.sqrt(u)
-    mu, nu = _mu_nu(z, u, imap)
+    mu, nu = dense_mu_nu(z, u, imap)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))
-    assert np.all(np.isfinite(_laplacian_values(u, imap)))
+    assert np.all(np.isfinite(dense_laplacian_values(u, imap)))
     for kind in ("product", "capped-product", "min", "capped-min"):
         spec = WeightSpec(kind, 0.3) if "capped" in kind else WeightSpec(kind)
-        assert np.all(np.isfinite(_wgrad_obs(u, imap, spec)))
+        assert np.all(np.isfinite(dense_wgrad_obs(u, imap, spec)))
         np.testing.assert_array_equal(_hsq(u, spec), 0.0)
-
-
-def test_gradient_table_single_point():
-    z, u = _interior_point(4, seed=17)
-    imap = index_map(4)
-    table = gradient_table(z)
-    mu, nu = _mu_nu(z[None, :], u[None, :], imap)
-    np.testing.assert_array_equal(table.mu, mu[0])
-    np.testing.assert_array_equal(table.nu, nu[0])
-    np.testing.assert_array_equal(table.laplacian, _laplacian_values(u[None, :], imap)[0])
-    # per-category log gradients: diagonal 1/z_j, radial component 1
-    np.testing.assert_allclose(np.diag(table.log_mu), 1.0 / z)
-    np.testing.assert_array_equal(table.log_nu, np.ones(4))
-
-
-def test_gradient_table_boundary_convention():
-    table = gradient_table(np.sqrt([0.0, 0.4, 0.6]))
-    assert table.log_mu[0, 0] == np.inf
-    assert np.all(np.isfinite(table.mu))
 
 
 def test_batch_equals_per_row():
@@ -138,10 +124,10 @@ def test_batch_equals_per_row():
     u = rng.dirichlet(np.ones(5), size=8)
     z = np.sqrt(u)
     imap = index_map(5)
-    mu_b, nu_b = _mu_nu(z, u, imap)
-    lap_b = _laplacian_values(u, imap)
+    mu_b, nu_b = dense_mu_nu(z, u, imap)
+    lap_b = dense_laplacian_values(u, imap)
     for i in range(8):
-        mu_i, nu_i = _mu_nu(z[i : i + 1], u[i : i + 1], imap)
+        mu_i, nu_i = dense_mu_nu(z[i : i + 1], u[i : i + 1], imap)
         np.testing.assert_array_equal(mu_b[i], mu_i[0])
         np.testing.assert_array_equal(nu_b[i], nu_i[0])
-        np.testing.assert_array_equal(lap_b[i], _laplacian_values(u[i : i + 1], imap)[0])
+        np.testing.assert_array_equal(lap_b[i], dense_laplacian_values(u[i : i + 1], imap)[0])

@@ -1,13 +1,21 @@
 """CSV and JSON round trips, the bundled dataset, and atomic output
 directories."""
 
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from compscore.core import ContinuousDataset, CountDataset, ModelSpec
+from compscore import registry
+from compscore.core import (
+    ContinuousDataset,
+    CountDataset,
+    ModelSpec,
+    counts_to_proportions,
+    index_map,
+)
 from compscore.errors import ConfigError, DataError
 from compscore.fitting import fit_dirichlet_moments, fit_hybrid
 from compscore.io import (
@@ -24,6 +32,8 @@ from compscore.io import (
     write_output_dir,
     write_proportions_csv,
 )
+from compscore.samplers import RngConfig, sample_model, sample_multinomial_counts
+from compscore.study import _ROUTES, check_route, fit_route
 from compscore.weights import WeightSpec
 
 
@@ -65,6 +75,17 @@ def test_csv_validation(tmp_path):
     frac.write_text("a,b\n3.5,6.5\n")
     with pytest.raises(DataError, match="not an integer"):
         read_counts_csv(frac)
+    # cells that round() or an int64 array cannot hold
+    for cell in ("inf", "-inf", "nan", "1e30", "9223372036854775807"):
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"a,b\n{cell},1\n")
+        with pytest.raises(DataError, match="not a finite 64-bit integer"):
+            read_counts_csv(huge)
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("a,b\n3,7\n4\n")
+    for reader in (read_counts_csv, read_proportions_csv):
+        with pytest.raises(DataError, match="ragged rows"):
+            reader(short_row)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b,c\n0.5,0.5\n")
     with pytest.raises(DataError):
@@ -128,6 +149,57 @@ def test_model_spec_from_fit_dirichlet():
     spec = model_spec_from_fit(fit.to_dict())
     assert spec.family == "dirichlet"
     np.testing.assert_array_equal(spec.shape, fit.estimates)
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_draw(model):
+    """400 rows of a preset: (proportions, counts), counts None unless
+    the preset is discrete."""
+    entry = registry.get(model)
+    rng = RngConfig(5)
+    latent = sample_model(entry.spec, 400, rng.substream(0))
+    if not entry.discrete:
+        return latent, None
+    counts = sample_multinomial_counts(latent, entry.default_totals, rng.substream(1))
+    return counts_to_proportions(counts), counts
+
+
+def _allowed_routes(models):
+    for model in models:
+        entry = registry.get(model)
+        for est, (route, _) in _ROUTES.items():
+            try:
+                check_route(entry.spec.family, route, entry.discrete)
+            except ConfigError:
+                continue
+            yield pytest.param(model, est, id=f"{model}-{est}")
+
+
+# one continuous and one discrete preset per family
+@pytest.mark.parametrize(
+    "model, estimator",
+    list(_allowed_routes(("model1", "model3", "model7", "model13", "model15", "model16"))),
+)
+def test_model_spec_from_fit_every_route(model, estimator):
+    """A written fit of every family x estimator the study roster allows
+    reads back as the spec it fitted: the family and shape, each estimated
+    entry where the index map puts it, and zero for the held ones."""
+    entry = registry.get(model)
+    spec = entry.spec
+    data, counts = _preset_draw(model)
+    route, kind = _ROUTES[estimator]
+    weight = None if kind is None else entry.weight(kind)
+    fit = fit_route(spec, route, data, counts, weight, 0.0)
+    back = model_spec_from_fit(json.loads(dump_json(fit.to_dict())))
+    assert (back.family, back.p) == (spec.family, spec.p)
+    if spec.family == "dirichlet":
+        np.testing.assert_array_equal(back.shape, fit.estimates)
+        return
+    np.testing.assert_array_equal(back.shape, spec.shape)
+    imap = index_map(spec.p)
+    theta, free = back.true_theta(imap), spec.estimation_mask(imap)
+    np.testing.assert_array_equal(theta[free], fit.estimates)
+    np.testing.assert_array_equal(theta[~free], 0.0)
 
 
 def test_fit_to_csv_rows():

@@ -7,7 +7,6 @@ from compscore.errors import ConfigError
 from compscore.weights import (
     KINDS,
     WeightSpec,
-    below_cap,
     boundary_distance,
     cap_from_quantile,
     weight_value,
@@ -50,8 +49,8 @@ def test_invalid_specs():
 def test_family_flags():
     assert WeightSpec("product").product_family
     assert WeightSpec("capped-product", 0.1).product_family
-    assert WeightSpec("min").min_family
-    assert WeightSpec("capped-min", 0.1).min_family
+    assert not WeightSpec("min").product_family
+    assert not WeightSpec("capped-min", 0.1).product_family
 
 
 def test_pointwise_orderings():
@@ -78,16 +77,6 @@ def test_vanishes_on_boundary():
     for kind in KINDS:
         spec = WeightSpec(kind, 0.3) if "capped" in kind else WeightSpec(kind)
         np.testing.assert_array_equal(weight_value(pts, spec), 0.0)
-
-
-def test_below_cap_semantics():
-    spec = WeightSpec("capped-min", 0.5)  # cap at 0.25
-    z = np.sqrt(np.array([[0.1, 0.9], [0.25, 0.75], [0.4, 0.6], [0.0, 1.0]]))
-    # ties go to the cap branch: 0.25 >= 0.25 counts as binding
-    np.testing.assert_array_equal(below_cap(z, spec), [1.0, 0.0, 0.0, 1.0])
-    assert below_cap(z[0], spec) == 1.0
-    with pytest.raises(ConfigError, match="not applicable"):
-        below_cap(z, WeightSpec("min"))
 
 
 def test_boundary_distance_projection_oracle():
@@ -127,6 +116,9 @@ def test_cap_from_quantile():
         assert 0.85 <= frac_below <= 0.95
     with pytest.raises(ConfigError, match="quantile"):
         cap_from_quantile(z, "capped-min", quantile=1.0)
+    # the kind resolves through WeightSpec, so an unknown one is refused
+    with pytest.raises(ConfigError, match="unknown weight kind"):
+        cap_from_quantile(z, "bogus")
     # every row touching the boundary makes the quantile collapse
     zeros = np.sqrt(np.array([[0.0, 0.5, 0.5], [0.0, 0.2, 0.8]]))
     with pytest.raises(ConfigError, match="zero"):
