@@ -72,7 +72,7 @@ from .samplers import (
     sample_truncated_gaussian,
 )
 from .study import CellSummary, StudyConfig, StudySummary, run_study
-from .weights import WeightSpec, boundary_distance, cap_from_quantile, weight_value
+from .weights import WeightSpec, cap_from_quantile, weight_value
 
 __all__ = [
     "__version__",
@@ -104,7 +104,6 @@ __all__ = [
     "CellSummary",
     "UnidentifiableCategoryError",
     "WeightSpec",
-    "boundary_distance",
     "build_workspace",
     "build_workspace_from_moments",
     "cap_from_quantile",

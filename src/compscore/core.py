@@ -56,11 +56,9 @@ class ContinuousDataset:
         are kept as zeros; no pseudo-count is ever added.
     names : sequence of str, optional
         Category names. Defaults to ``c1 .. cp``.
-    provenance : str
-        Either ``"observed"`` or ``"from-counts"``.
     """
 
-    def __init__(self, proportions, names=None, provenance="observed"):
+    def __init__(self, proportions, names=None):
         u = _as_matrix(proportions, "proportions").copy()
         n, p = u.shape
         if p < 2:
@@ -94,9 +92,6 @@ class ContinuousDataset:
         self.names = list(names) if names is not None else [f"c{j+1}" for j in range(p)]
         if len(self.names) != p:
             raise DataError("names length does not match number of categories")
-        if provenance not in ("observed", "from-counts"):
-            raise DataError(f"unknown provenance {provenance!r}")
-        self.provenance = provenance
 
     @property
     def proportions(self):
@@ -111,7 +106,7 @@ class ContinuousDataset:
         return self._u.shape[1]
 
     def __repr__(self):
-        return f"ContinuousDataset(n={self.n}, p={self.p}, provenance={self.provenance!r})"
+        return f"ContinuousDataset(n={self.n}, p={self.p})"
 
 
 class CountDataset:
@@ -130,6 +125,8 @@ class CountDataset:
             xf = np.asarray(x, dtype=float)
             if not np.all(np.isfinite(xf)) or np.any(xf != np.round(xf)):
                 raise DataError("counts must be integers")
+            if np.any(np.abs(xf) >= 2.0**63):
+                raise DataError("counts must fit in a 64-bit integer")
             x = xf.astype(np.int64)
         x = x.astype(np.int64, copy=True)
         n, p = x.shape
@@ -137,7 +134,14 @@ class CountDataset:
             raise DimensionError(f"need at least 2 categories, got p={p}")
         if np.any(x < 0):
             raise DataError("counts must be nonnegative")
-        row_sums = x.sum(axis=1)
+        # every cell is nonnegative, so a row sum past int64 first shows as
+        # a negative partial sum
+        partial = np.cumsum(x, axis=1)
+        past = (partial < 0).any(axis=1)
+        if past.any():
+            bad = int(np.argmax(past))
+            raise DataError(f"row {bad}: counts sum past the 64-bit integer range")
+        row_sums = partial[:, -1]
         if totals is None:
             m = row_sums
         else:
@@ -183,7 +187,7 @@ class CountDataset:
 def counts_to_proportions(counts):
     """Divide each count row by its total. Zeros stay exact zeros."""
     u = counts.counts / counts.totals[:, None]
-    return ContinuousDataset(u, names=counts.names, provenance="from-counts")
+    return ContinuousDataset(u, names=counts.names)
 
 
 def sqrt_transform(data):
@@ -352,17 +356,6 @@ class ModelSpec:
         object.__setattr__(self, "linear", b)
         object.__setattr__(self, "shape", s)
 
-    def full_interaction(self):
-        """(p, p) interaction matrix with zero last row and column."""
-        out = np.zeros((self.p, self.p))
-        out[: self.p - 1, : self.p - 1] = self.interaction
-        return out
-
-    def full_linear(self):
-        out = np.zeros(self.p)
-        out[: self.p - 1] = self.linear
-        return out
-
     def true_theta(self, imap=None):
         """Canonical parameter vector (for bias/RMSE bookkeeping)."""
         imap = imap or index_map(self.p)
@@ -372,23 +365,15 @@ class ModelSpec:
         """Boolean (q,) mask of estimated parameters."""
         imap = imap or index_map(self.p)
         mask = np.zeros(imap.q, dtype=bool)
-        ei = self.estimate_interaction
-        if isinstance(ei, (bool, np.bool_)):
-            mask[imap.diag_slice] = ei
-            mask[imap.cross_slice] = ei
-        else:
-            ei = np.asarray(ei, dtype=bool).reshape(-1)
-            if ei.shape[0] != imap.n_diag + imap.n_cross:
-                raise FamilyError("estimate_interaction mask has wrong length")
-            mask[: imap.n_diag + imap.n_cross] = ei
-        el = self.estimate_linear
-        if isinstance(el, (bool, np.bool_)):
-            mask[imap.linear_slice] = el
-        else:
-            el = np.asarray(el, dtype=bool).reshape(-1)
-            if el.shape[0] != imap.n_linear:
-                raise FamilyError("estimate_linear mask has wrong length")
-            mask[imap.linear_slice] = el
+        groups = (("estimate_interaction", slice(0, imap.linear_slice.start)),
+                  ("estimate_linear", imap.linear_slice))
+        for name, where in groups:
+            flags = getattr(self, name)
+            if not isinstance(flags, (bool, np.bool_)):
+                flags = np.asarray(flags, dtype=bool).reshape(-1)
+                if flags.shape[0] != where.stop - where.start:
+                    raise FamilyError(f"{name} mask has wrong length")
+            mask[where] = flags
         return mask
 
     def gaussian_moments(self):

@@ -92,12 +92,6 @@ class DiagnosticReport:
     # draws); kept out of to_dict, so a report's payload is the same on reruns
     rejection: RejectionStats = None
 
-    def category(self, name):
-        for c in self.categories:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self):
         return {
             "n_observed": int(self.n_observed),

@@ -35,9 +35,12 @@ in the weight's direction. One read-off (_system) turns them into W, d
 and V; the moment route fills S from monomial means and calls the same
 read-off. W and Sigma_0 are symmetrized explicitly.
 
-The same machinery covers the Dirichlet family, whose sufficient
-statistics are logarithms; cancellation of the weight against 1/u leaves
-polynomial integrands there too.
+The Dirichlet family, whose sufficient statistics are logarithms,
+shares the per-row weight features (_row_features: h^2, the weight's
+direction omega and kappa), the eigen-solve (_solve_psd) and the
+covariance sandwich (_sandwich). The weight cancels against 1/u_j, so
+each row needs only the ratios h^2 / u_j. Its per-row arrays are n x p
+and formed whole, not in blocks.
 """
 
 from dataclasses import dataclass, field
@@ -595,38 +598,24 @@ def _loo_products(u):
     return left * right
 
 
-def _dirichlet_ratios(u, weight):
-    """h^2 / u_j with the singular factors cancelled per branch."""
-    cap = weight.a_c * weight.a_c
-    nb, p = u.shape
-    if weight.product_family:
-        raw = u.prod(axis=1)
-        loo = _loo_products(u)
-        if not weight.capped:
-            return loo
-        bind = raw >= cap
-        out = loo.copy()
-        if np.any(bind):
-            out[bind] = cap / u[bind]
-        return out
-    amin = np.argmin(u, axis=1)
-    ua = u[np.arange(nb), amin]
-    bind = ua >= cap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(u > 0.0, ua[:, None] / u, 0.0)
-    out[np.arange(nb), amin] = 1.0
-    if np.any(bind):
-        out[bind] = cap / u[bind]
-    return out
-
-
 def _dirichlet_rows(u, weight):
-    """Per row: h^2, the ratios h^2 / u_j and the linear term of the log
-    statistics, whose weight part -grad h^2 . P(e_j / z_j) is
-    -2 (omega_j h^2 / u_j - kappa h^2) in _row_features' terms."""
+    """Per row (u is (n, p)): h^2, the ratios h^2 / u_j with the singular
+    factors cancelled, and the linear term of the log statistics, whose
+    weight part -grad h^2 . P(e_j / z_j) is -2 (omega_j h^2 / u_j -
+    kappa h^2) in _row_features' terms.
+
+    Off the cap, product kinds take the leave-one-out products, which
+    stay exact at zeros, and min kinds take u_a / u_j, with omega's 1 at
+    the argmin a and 0 at the other zeros. Where the cap binds no u_j is
+    zero, and the ratio is a_c^2 / u_j."""
     hsq, omega, kappa = _row_features(u.T, weight)
-    ratios = _dirichlet_ratios(u, weight)
-    wgrad = -2.0 * (ratios * omega.T - (kappa * hsq)[:, None])
+    omega = omega.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if weight.product_family:
+            ratios = np.where(omega > 0.0, _loo_products(u), hsq[:, None] / u)
+        else:
+            ratios = np.where(u > 0.0, hsq[:, None] / u, omega)
+    wgrad = -2.0 * (ratios * omega - (kappa * hsq)[:, None])
     return hsq, ratios, (u.shape[1] - 2.0) * hsq[:, None] + ratios + wgrad
 
 

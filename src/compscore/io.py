@@ -27,7 +27,6 @@ __all__ = [
     "write_counts_csv",
     "load_synthetic_counts",
     "model_spec_to_dict",
-    "model_spec_from_dict",
     "model_spec_from_fit",
     "fit_to_csv_rows",
     "sha256_file",
@@ -79,9 +78,12 @@ def read_counts_csv(path, exclude_rows=()):
 
     def parse(cell):
         try:
-            val = float(cell)
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric cell ({exc})") from None
+            val = int(cell)  # exact past 2**53, where float() rounds
+        except ValueError:
+            try:
+                val = float(cell)  # cells such as 3.0 or 1e3
+            except ValueError as exc:
+                raise DataError(f"{path}: non-numeric cell ({exc})") from None
         if not abs(val) < 2.0**63:  # nan, inf, or past int64
             raise DataError(f"{path}: count {cell!r} is not a finite 64-bit integer")
         if val != round(val):
@@ -131,19 +133,6 @@ def model_spec_to_dict(spec):
         "linear": [float(v) for v in spec.linear],
         "shape": [float(v) for v in spec.shape],
     }
-
-
-def model_spec_from_dict(d):
-    try:
-        return ModelSpec(
-            family=d["family"],
-            p=int(d["p"]),
-            interaction=np.asarray(d["interaction"], dtype=float),
-            linear=np.asarray(d["linear"], dtype=float),
-            shape=np.asarray(d["shape"], dtype=float),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model spec dict is missing key {exc}") from None
 
 
 def model_spec_from_fit(fit_dict):

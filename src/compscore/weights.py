@@ -24,7 +24,6 @@ __all__ = [
     "KINDS",
     "weight_value",
     "squared_weight",
-    "boundary_distance",
     "cap_from_quantile",
 ]
 
@@ -78,21 +77,6 @@ def weight_value(z, spec):
     z = np.asarray(z, dtype=float)
     vals = squared_weight(np.atleast_2d(z * z), spec)
     return float(vals[0]) if z.ndim == 1 else vals
-
-
-def boundary_distance(u):
-    """Geodesic-equivalent distance from a composition to the simplex
-    boundary, sqrt(p / (p - 1)) * min_j u_j.
-
-    Accepts one composition or rows of them.
-    """
-    uu = np.asarray(u, dtype=float)
-    single = uu.ndim == 1
-    if single:
-        uu = uu[None, :]
-    p = uu.shape[1]
-    vals = np.sqrt(p / (p - 1.0)) * uu.min(axis=1)
-    return float(vals[0]) if single else vals
 
 
 def cap_from_quantile(z, kind, quantile=0.90):

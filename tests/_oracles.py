@@ -6,8 +6,8 @@ gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
 a dense assembly of the continuous route from full projected gradient
 tensors, a polynomial assembly of the count route with expanded
-factorial moments, the Dirichlet weight term written out per weight
-kind, a row-by-row envelope rejection loop, rejection
+factorial moments, the Dirichlet ratios and weight term written out
+per weight kind, a row-by-row envelope rejection loop, rejection
 from the Dirichlet base with no computed bound, inverse-CDF draws
 of a truncated Gaussian with independent coordinates, and a
 derivative-free search for the scaled-Dirichlet scale over a
@@ -204,6 +204,32 @@ def dense_wgrad_obs(u, imap, weight):
         factor = np.where(raw < cap, raw, 0.0)
         return -2.0 * factor[:, None] * _dense_wgrad_product_values(u, imap)
     return -_dense_wgrad_min_values(u, imap, cap)
+
+
+def dirichlet_ratios(u, weight):
+    """h^2 / u_j of the Dirichlet log statistics, row by row from the
+    definition of each weight kind, and the rows where the cap binds.
+
+    Off the cap, product kinds give the product of the other coordinates
+    and min kinds u_a / u_j for the lowest-index argmin a, with 1 at a and
+    0 at every other zero; where the cap binds it is a_c^2 / u_j."""
+    cap = weight.a_c * weight.a_c
+    nb, p = u.shape
+    out = np.empty((nb, p))
+    bind = np.empty(nb, dtype=bool)
+    for i, row in enumerate(u):
+        a = int(np.argmin(row))
+        bind[i] = (math.prod(row) if weight.product_family else row[a]) >= cap
+        for j in range(p):
+            if bind[i]:
+                out[i, j] = cap / row[j]
+            elif weight.product_family:
+                out[i, j] = math.prod(np.delete(row, j))
+            elif j == a:
+                out[i, j] = 1.0
+            else:
+                out[i, j] = row[a] / row[j] if row[j] > 0.0 else 0.0
+    return out, bind
 
 
 def dirichlet_wgrad_obs(u, weight, ratios):

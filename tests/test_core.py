@@ -21,7 +21,6 @@ def test_proportions_basic():
     data = ContinuousDataset(u)
     assert data.n == 2 and data.p == 3
     assert data.names == ["c1", "c2", "c3"]
-    assert data.provenance == "observed"
     np.testing.assert_array_equal(data.proportions, u)
     # zeros are kept exact
     assert data.proportions[1, 0] == 0.0
@@ -48,8 +47,6 @@ def test_proportions_rejections():
         ContinuousDataset([[0.5, 0.5, 0.0], [0.5, 0.6, 0.0]])
     with pytest.raises(DataError, match="names length"):
         ContinuousDataset([[0.5, 0.5]], names=["a", "b", "c"])
-    with pytest.raises(DataError, match="provenance"):
-        ContinuousDataset([[0.5, 0.5]], provenance="guessed")
 
 
 def test_float_dust_tolerated():
@@ -86,6 +83,8 @@ def test_counts_accept_integral_floats():
     assert counts.counts.dtype == np.int64
     with pytest.raises(DataError, match="integers"):
         CountDataset(np.array([[2.5, 3.5]]))
+    with pytest.raises(DataError, match="64-bit integer"):
+        CountDataset(np.array([[1e19, 1.0]]))
 
 
 def test_counts_rejections():
@@ -97,12 +96,17 @@ def test_counts_rejections():
         CountDataset([[3, 4]], totals=[7, 7])
     with pytest.raises(DataError, match="at least 1"):
         CountDataset([[0, 0]])
+    # row sums past int64: one that wraps negative, one that wraps back
+    # to a positive total
+    big = 2**62
+    for row in ([big, big], [big] * 5):
+        with pytest.raises(DataError, match="row 1: counts sum past the 64-bit"):
+            CountDataset([[1, 2] + [0] * (len(row) - 2), row])
 
 
 def test_counts_to_proportions():
     counts = CountDataset([[2, 0, 8], [5, 5, 10]], names=["a", "b", "c"])
     data = counts_to_proportions(counts)
-    assert data.provenance == "from-counts"
     assert data.names == ["a", "b", "c"]
     np.testing.assert_allclose(data.proportions[0], [0.2, 0.0, 0.8])
     assert data.proportions[0, 1] == 0.0
@@ -206,16 +210,6 @@ class TestModelSpec:
         with pytest.raises(FamilyError, match="interaction must be"):
             ModelSpec(family="hybrid", p=4, interaction=np.eye(2))
 
-    def test_full_embedding(self):
-        a = np.array([[-2.0, 0.5], [0.5, -1.0]])
-        spec = ModelSpec(family="hybrid", p=3, interaction=a, linear=[1.0, -1.0])
-        full = spec.full_interaction()
-        assert full.shape == (3, 3)
-        np.testing.assert_array_equal(full[:2, :2], a)
-        np.testing.assert_array_equal(full[2], 0.0)
-        np.testing.assert_array_equal(full[:, 2], 0.0)
-        np.testing.assert_array_equal(spec.full_linear(), [1.0, -1.0, 0.0])
-
     def test_true_theta_matches_pack(self):
         a = np.array([[-2.0, 0.5], [0.5, -1.0]])
         spec = ModelSpec(family="hybrid", p=3, interaction=a, linear=[1.0, -1.0])
@@ -236,10 +230,12 @@ class TestModelSpec:
         np.testing.assert_array_equal(
             spec2.estimation_mask(imap), [True, False, True, False, True]
         )
-        with pytest.raises(FamilyError, match="wrong length"):
+        with pytest.raises(FamilyError, match="estimate_interaction mask has wrong length"):
             ModelSpec(
                 family="hybrid", p=3, estimate_interaction=[True]
             ).estimation_mask(imap)
+        with pytest.raises(FamilyError, match="estimate_linear mask has wrong length"):
+            ModelSpec(family="hybrid", p=3, estimate_linear=[True]).estimation_mask(imap)
 
     def test_gaussian_moments_hand_case(self):
         a = np.array([[-3.0, 1.0], [1.0, -2.0]])

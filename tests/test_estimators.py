@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import (
     dense_laplacian_values,
     dense_mu_nu,
+    dirichlet_ratios,
     dirichlet_wgrad_obs,
     fd_grad,
     linear_cg,
@@ -22,7 +23,6 @@ from compscore.errors import (
     UnidentifiableCategoryError,
 )
 from compscore.fitting import (
-    _dirichlet_ratios,
     _dirichlet_rows,
     _error_moment,
     build_workspace,
@@ -329,24 +329,25 @@ def test_dirichlet_ratio_conventions():
     leave-one-out products; the min kind takes 1 at the argmin and a
     finite ratio elsewhere, 0 at non-argmin zeros."""
     u = np.array([[0.5, 0.3, 0.2], [0.0, 0.4, 0.6]])
-    loo = _dirichlet_ratios(u, WeightSpec("product"))
+    loo = _dirichlet_rows(u, WeightSpec("product"))[1]
     np.testing.assert_allclose(loo[0], [0.06, 0.10, 0.15])
     np.testing.assert_allclose(loo[1], [0.24, 0.0, 0.0])
 
-    mn = _dirichlet_ratios(u, WeightSpec("min"))
+    mn = _dirichlet_rows(u, WeightSpec("min"))[1]
     np.testing.assert_allclose(mn[0], [0.4, 2.0 / 3.0, 1.0])
     np.testing.assert_allclose(mn[1], [1.0, 0.0, 0.0])
 
     # binding cap: plain a_c^2 / u_j
-    capped = _dirichlet_ratios(u[:1], WeightSpec("capped-min", 0.3))
+    capped = _dirichlet_rows(u[:1], WeightSpec("capped-min", 0.3))[1]
     np.testing.assert_allclose(capped[0], 0.09 / u[0])
     # non-binding cap follows the smooth branch
-    loose = _dirichlet_ratios(u[:1], WeightSpec("capped-min", 0.8))
+    loose = _dirichlet_rows(u[:1], WeightSpec("capped-min", 0.8))[1]
     np.testing.assert_allclose(loose[0], mn[0])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
+# small-integer tables full of zeros and argmin ties, with caps that bind
+# on some rows and not on others
+_DIRICHLET_TABLES = dict(
     p=st.integers(2, 6),
     cells=st.lists(st.integers(0, 3), min_size=12, max_size=120),
     weight=st.sampled_from(
@@ -355,15 +356,39 @@ def test_dirichlet_ratio_conventions():
            for a_c in (0.05, 0.2, 0.45)]
     ),
 )
-def test_dirichlet_weight_term_matches_per_kind_formula(p, cells, weight):
-    """The Dirichlet linear term built from _row_features equals, bit for
-    bit, the per-kind formula, on small-integer tables full of zeros and
-    argmin ties, with caps that bind on some rows and not on others."""
+
+
+def _table_rows(p, cells):
+    """Proportions of the nonzero rows of a p-column table of cells."""
     table = np.array(cells[: len(cells) // p * p], dtype=float).reshape(-1, p)
     table = table[table.sum(axis=1) > 0]
-    if not table.size:
+    return table / table.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**_DIRICHLET_TABLES)
+def test_dirichlet_ratios_match_definition(p, cells, weight):
+    """The Dirichlet ratios h^2 / u_j equal the per-kind definition:
+    exactly for min kinds and where the cap binds, and to rounding for
+    the leave-one-out products, which multiply in another order."""
+    u = _table_rows(p, cells)
+    if not u.size:
         return
-    u = table / table.sum(axis=1, keepdims=True)
+    ratios = _dirichlet_rows(u, weight)[1]
+    want, bind = dirichlet_ratios(u, weight)
+    exact = bind | (not weight.product_family)
+    assert np.array_equal(ratios[exact], want[exact])
+    np.testing.assert_allclose(ratios, want, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**_DIRICHLET_TABLES)
+def test_dirichlet_weight_term_matches_per_kind_formula(p, cells, weight):
+    """The Dirichlet linear term built from _row_features equals, bit for
+    bit, the per-kind formula on the same tables."""
+    u = _table_rows(p, cells)
+    if not u.size:
+        return
     _, ratios, lin = _dirichlet_rows(u, weight)
     want = (p - 2.0) * squared_weight(u, weight)[:, None] + ratios
     want = want + dirichlet_wgrad_obs(u, weight, ratios)

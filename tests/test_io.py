@@ -22,7 +22,6 @@ from compscore.io import (
     dump_json,
     fit_to_csv_rows,
     load_synthetic_counts,
-    model_spec_from_dict,
     model_spec_from_fit,
     model_spec_to_dict,
     read_counts_csv,
@@ -76,11 +75,22 @@ def test_csv_validation(tmp_path):
     with pytest.raises(DataError, match="not an integer"):
         read_counts_csv(frac)
     # cells that round() or an int64 array cannot hold
-    for cell in ("inf", "-inf", "nan", "1e30", "9223372036854775807"):
+    for cell in ("inf", "-inf", "nan", "1e30", "9223372036854775808"):
         huge = tmp_path / "huge.csv"
         huge.write_text(f"a,b\n{cell},1\n")
         with pytest.raises(DataError, match="not a finite 64-bit integer"):
             read_counts_csv(huge)
+    # integer cells are read exactly, and a row sum past int64 is refused
+    exact = tmp_path / "exact.csv"
+    exact.write_text("a,b\n9007199254740993,1\n3.0,1e3\n")
+    np.testing.assert_array_equal(
+        read_counts_csv(exact).counts, [[9007199254740993, 1], [3, 1000]]
+    )
+    for row in ("4611686018427387904,4611686018427387904", "9223372036854775807,1"):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(f"a,b\n1,2\n{row}\n")
+        with pytest.raises(DataError, match="row 1: counts sum past the 64-bit"):
+            read_counts_csv(wide)
     short_row = tmp_path / "short.csv"
     short_row.write_text("a,b\n3,7\n4\n")
     for reader in (read_counts_csv, read_proportions_csv):
@@ -118,14 +128,14 @@ def test_model_spec_roundtrip():
         linear=[0.3, -0.3],
         shape=[-0.5, 0.0, 0.5],
     )
-    doc = model_spec_to_dict(spec)
-    back = model_spec_from_dict(json.loads(json.dumps(doc)))
-    assert back.family == "hybrid" and back.p == 3
-    np.testing.assert_array_equal(back.interaction, spec.interaction)
-    np.testing.assert_array_equal(back.linear, spec.linear)
-    np.testing.assert_array_equal(back.shape, spec.shape)
-    with pytest.raises(ConfigError, match="missing key"):
-        model_spec_from_dict({"family": "hybrid"})
+    doc = json.loads(json.dumps(model_spec_to_dict(spec)))
+    assert doc == {
+        "family": "hybrid",
+        "p": 3,
+        "interaction": [[-2.0, 0.5], [0.5, -1.0]],
+        "linear": [0.3, -0.3],
+        "shape": [-0.5, 0.0, 0.5],
+    }
 
 
 def test_model_spec_from_fit_hybrid():

@@ -7,7 +7,6 @@ from compscore.errors import ConfigError
 from compscore.weights import (
     KINDS,
     WeightSpec,
-    boundary_distance,
     cap_from_quantile,
     weight_value,
 )
@@ -77,31 +76,6 @@ def test_vanishes_on_boundary():
     for kind in KINDS:
         spec = WeightSpec(kind, 0.3) if "capped" in kind else WeightSpec(kind)
         np.testing.assert_array_equal(weight_value(pts, spec), 0.0)
-
-
-def test_boundary_distance_projection_oracle():
-    """The distance formula equals the Euclidean distance from u to the
-    nearest face of the simplex, computed by projecting onto the affine
-    set {x : x_j = 0, sum x = 1} for every j."""
-    rng = np.random.default_rng(9)
-    for p in (2, 3, 4):
-        u = rng.dirichlet(np.ones(p) * 3.0, size=20)
-        claimed = boundary_distance(u)
-        for i in range(u.shape[0]):
-            dists = []
-            for j in range(p):
-                # minimize |x - u| s.t. x_j = 0, 1'x = 1 via KKT
-                mask = np.ones(p, dtype=bool)
-                mask[j] = False
-                x = np.zeros(p)
-                shift = (u[i, mask].sum() - 1.0) / (p - 1)
-                x[mask] = u[i, mask] - shift
-                x[j] = 0.0
-                dists.append(np.linalg.norm(x - u[i]))
-            np.testing.assert_allclose(claimed[i], min(dists), rtol=1e-12)
-    assert boundary_distance([0.25, 0.25, 0.25, 0.25]) == pytest.approx(
-        np.sqrt(4.0 / 3.0) * 0.25
-    )
 
 
 def test_cap_from_quantile():
