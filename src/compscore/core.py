@@ -128,6 +128,8 @@ class CountDataset:
             if np.any(np.abs(xf) >= 2.0**63):
                 raise DataError("counts must fit in a 64-bit integer")
             x = xf.astype(np.int64)
+        elif x.dtype.kind == "u" and x.size and x.max() > np.iinfo(np.int64).max:
+            raise DataError("counts must fit in a 64-bit integer")
         x = x.astype(np.int64, copy=True)
         n, p = x.shape
         if p < 2:

@@ -23,18 +23,25 @@ normalising constant (Devroye, Non-Uniform Random Variate Generation
   Frank-Wolfe gap max_j g_j - g'u (g the gradient of f at u) added to
   f(u) certifies an upper bound on max f however early they stop.
   Otherwise A is split by eigenvalue sign, A = A- + A+; u'A+u is convex,
-  so its maximum on the simplex is max_j (A+)_jj at a vertex, and that
-  plus the bound for the concave A- part bounds f. A proposal is kept
-  with probability exp(f(u) - bound). lam minimises log M, which is
-  convex in log lam: by the minimax theorem it is proportional to
-  alpha / u* for the maximiser u* of u'A-u + b'u + alpha'log u, a
-  strictly concave function with one interior maximiser, which the same
-  climb finds; u* also maximises f at that lam, so the bound there is
-  climbed from u* and is tight. A search along the gradient of log M
-  instead stalls where the maximiser of f is not unique: with b = 0, at
-  lam = 1, A- is singular along A's positive eigenvector, so f is flat
-  along it. On the bundled-table fit log M is 2.444 (2.799 at lam = 1),
-  and `diagnose` at seed 1 keeps 2.48% of its proposals;
+  so on the simplex it is at most the chord c'u, c_j = (A+)_jj (Jensen:
+  u is a convex combination of the vertices, where u'A+u = c_j), never
+  more than the constant max_j c_j. With c folded into b the bounded
+  function u'A-u + (b + c)'u + P log(lam'u) is concave, and its bound
+  bounds f. A proposal is kept with probability exp(f(u) - bound). lam
+  minimises log M, which is convex in log lam: by the minimax theorem it
+  is proportional to alpha / u* for the maximiser u* of
+  u'A-u + (b + c)'u + alpha'log u, a strictly concave function with one
+  interior maximiser, which the same climb finds; u* also maximises the
+  bounded function at that lam, so the bound there is climbed from u*
+  and is tight. A search along the gradient of log M instead stalls
+  where that maximiser is not unique: under the constant bound, with
+  b = 0 and lam = 1, A- is singular along A's positive eigenvector, so
+  the function is flat along it. On the bundled-table fit log M is 2.382
+  (2.444 under the constant bound, 2.799 at lam = 1), and `diagnose` at
+  seed 1 keeps 2.64% of its proposals.
+  Gamma variates below shape 1 are drawn as Gamma(alpha_j + 1) times
+  U^(1 / alpha_j), U uniform (Marsaglia & Tsang 2000), which is cheaper
+  than numpy's standard_gamma there (see _gamma_variates);
 * for the truncated Gaussian, also the matching untruncated Gaussian
   N(mu, Sigma), Sigma = -A^{-1} / 2, which equals the target inside the
   simplex up to the constant
@@ -351,27 +358,32 @@ class _Proposal(NamedTuple):
 
 
 def _concave_split(a_k):
-    """The full (p, p) A- and the bound max_j (A+)_jj on u'A+u over the
-    simplex, for the split A = A- + A+ by eigenvalue sign of the (k, k)
-    block a_k. A without a positive eigenvalue is left whole."""
+    """The full (p, p) A- and the chord vector c, c_j = (A+)_jj and
+    c_p = 0, for the split A = A- + A+ by eigenvalue sign of the (k, k)
+    block a_k. u'A+u is convex and u is a convex combination of the
+    vertices e_j, where it equals c_j, so u'A+u <= c'u on the simplex
+    (Jensen): a linear bound, tight at the vertices and never above the
+    constant max_j c_j, that folds into b and leaves f concave. A
+    without a positive eigenvalue is left whole, with c = 0."""
     k = a_k.shape[0]
     a = np.zeros((k + 1, k + 1))
     a[:k, :k] = a_k
+    chord = np.zeros(k + 1)
     evals, evecs = np.linalg.eigh(a_k)
     if evals[-1] <= 0.0:
-        return a, 0.0
+        return a, chord
     a_plus = (evecs * np.maximum(evals, 0.0)) @ evecs.T
     a_plus = (a_plus + a_plus.T) / 2.0
     a[:k, :k] -= a_plus
-    return a, np.diag(a_plus).max()
+    chord[:k] = np.diag(a_plus)
+    return a, chord
 
 
 def _scaled_dirichlet(a_k, b_k, alpha):
     """The scaled-Dirichlet proposal with shapes alpha for the interaction
     model with this (k, k) interaction and (k,) linear block."""
-    a, lift = _concave_split(a_k)
-    lam, f_bound = _scaled_dirichlet_scale(a, np.append(b_k, 0.0), alpha)
-    f_bound += lift
+    a, chord = _concave_split(a_k)
+    lam, f_bound = _scaled_dirichlet_scale(a, np.append(b_k, 0.0) + chord, alpha)
     for arr in (alpha, lam):
         arr.setflags(write=False)  # cached and shared by every caller
     log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(alpha.sum())
@@ -404,6 +416,27 @@ def _proposal(p, interaction, linear, shape=None):
     return _scaled_dirichlet(a_k, np.frombuffer(linear), np.frombuffer(shape) + 1.0)
 
 
+def _gamma_variates(gen, alpha, out, scratch):
+    """Fill row j of out with Gamma(alpha_j) variates from the Generator
+    gen, category by category; scratch is a row of out's length.
+
+    numpy's standard_gamma takes five to eight times as long per variate
+    below shape 1 as at shape 1. There a Gamma(alpha_j + 1) variate times
+    U^(1 / alpha_j), U uniform on (0, 1], is Gamma(alpha_j) (Marsaglia &
+    Tsang 2000); U^(1 / alpha_j) is drawn as exp(-E / alpha_j), E a
+    standard exponential variate, in scratch.
+    """
+    for j, a in enumerate(alpha):
+        if a < 1.0:
+            gen.standard_gamma(a + 1.0, out=out[j])
+            gen.standard_exponential(out=scratch)
+            scratch *= -1.0 / a
+            np.exp(scratch, out=scratch)
+            out[j] *= scratch
+        else:
+            gen.standard_gamma(a, out=out[j])
+
+
 def _scaled_dirichlet_proposer(a_k, b_k, proposal):
     """The propose function of a scaled-Dirichlet proposal for _rejection:
     a proposal u is kept when its coin is at most exp(f(u) - bound)."""
@@ -412,12 +445,13 @@ def _scaled_dirichlet_proposer(a_k, b_k, proposal):
     total = alpha.sum()
 
     def propose(sub, size):
-        # one column of gamma variates per proposal, drawn category by category
+        # one column of gamma variates per proposal, drawn category by
+        # category; the coins' row is the boost's scratch until it is drawn
         gen = sub.generator()
         g = np.empty((p, size))
-        for j in range(p):
-            gen.standard_gamma(alpha[j], size, out=g[j])
-        coins = gen.uniform(size=size)
+        coins = np.empty(size)
+        _gamma_variates(gen, alpha, g, coins)
+        gen.random(out=coins)
         g_sum = g.sum(axis=0)
         # in place: g becomes w = g / lam, then u = w / sum(w)
         g /= lam[:, None]

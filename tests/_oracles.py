@@ -574,6 +574,23 @@ class ExpandedFactorialMoments:
         return out
 
 
+def boosted_gamma_reference(gen, alpha, size):
+    """A (p, size) array whose row j holds Gamma(alpha_j) variates drawn
+    from the Generator gen in the sampler's order, category by category:
+    for alpha_j >= 1 one standard_gamma draw, and below 1 a
+    Gamma(alpha_j + 1) draw times exp(-E / alpha_j), E a standard
+    exponential draw, which is Gamma(alpha_j) (Marsaglia & Tsang, ACM
+    TOMS 26(3), 2000)."""
+    rows = []
+    for a in alpha:
+        if a < 1.0:
+            gamma = gen.standard_gamma(a + 1.0, size)
+            rows.append(gamma * np.exp(gen.standard_exponential(size) * (-1.0 / a)))
+        else:
+            rows.append(gen.standard_gamma(a, size))
+    return np.array(rows)
+
+
 def chunked_hybrid_reference(spec, n, rng):
     """sample_hybrid walked one proposal at a time.
 
@@ -602,9 +619,7 @@ def chunked_hybrid_reference(spec, n, rng):
             size = min(CHUNK, batch - lo)
             gen = rng.substream(chunk).generator()
             chunk += 1
-            g = np.empty((spec.p, size))
-            for j in range(spec.p):
-                gen.standard_gamma(alpha[j], size, out=g[j])
+            g = boosted_gamma_reference(gen, alpha, size)
             coins = gen.uniform(size=size)
             w = g / proposal.lam[:, None]
             ut = w / w.sum(axis=0)
@@ -718,12 +733,12 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
     (lam_p = 1) from lam = 1.
 
     It minimises max f for the concave part of samplers._concave_split,
-    plus that split's lift, plus sum log Gamma(alpha_j) - log Gamma(sum
-    (alpha)) - alpha'log lam, as the package's proposal does, but finds
-    max f itself: the best of f at the vertices and at the end of a
-    log-barrier ascent (_barrier_ascent). During the search the ascent
-    starts next to the last point found (f is concave, so any start
-    reaches the maximum) and stops at the centre for mu = 1e-6, within
+    with that split's chord added to b, plus sum log Gamma(alpha_j) -
+    log Gamma(sum(alpha)) - alpha'log lam, as the package's proposal
+    does, but finds max f itself: the best of f at the vertices and at
+    the end of a log-barrier ascent (_barrier_ascent). During the search
+    the ascent starts next to the last point found (f is concave, so any
+    start reaches the maximum) and stops at the centre for mu = 1e-6, within
     p 1e-6 of max f; the value returned, at the scale the search ends
     on, takes the best ascent down to mu = 1e-12 from the centre of the
     simplex, four fixed interior points and that last point. It uses
@@ -736,8 +751,8 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
 
     from compscore.samplers import _concave_split
 
-    a, lift = _concave_split(a_k)
-    b = np.append(b_k, 0.0)
+    a, chord = _concave_split(a_k)
+    b = np.append(b_k, 0.0) + chord
     p = alpha.size
     total = alpha.sum()
     log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(total)
@@ -751,7 +766,7 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
         for start in starts or [(1.0 - 1e-6) * last[0] + 1e-6 * centre]:
             f, last[0] = _barrier_ascent(a, b, total, lam, start, mus)
             best = max(best, f)
-        return best + lift + log_beta - alpha @ eta
+        return best + log_beta - alpha @ eta
 
     res = optimize.minimize(
         log_bound, np.zeros(p - 1), method="Nelder-Mead",

@@ -446,20 +446,24 @@ def test_singular_fit_exits_3(tmp_path, capsys):
 
 
 def test_sampler_failure_exits_4(tmp_path, capsys):
-    sim_dir = tmp_path / "sim"
-    run_cli("simulate", "--model", "model2", "--n", 40, "--out", sim_dir)
-    # a fit artifact whose interaction has positive curvature cannot be
+    data = tmp_path / "rows.csv"
+    rows = np.random.default_rng(7).dirichlet(np.ones(4), size=40)
+    lines = ["a,b,c,d"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    data.write_text("\n".join(lines) + "\n")
+    # a fit artifact whose interaction, 4000 (I - 11'/3), has positive
+    # curvature that the envelope cannot absorb (log M about 2658, see
+    # test_samplers.py::test_hybrid_unbounded_energy_fails) cannot be
     # simulated from; diagnose must fail with the sampler exit code
     fit_doc = {
-        "labels": ["a11"],
-        "estimates": [4000.0],
+        "labels": ["a11", "a22", "a33", "a12", "a13", "a23"],
+        "estimates": [8000.0 / 3.0] * 3 + [-4000.0 / 3.0] * 3,
         "fixed": {},
-        "config": {"family": "hybrid", "shape": [0.0, 0.0, 0.0]},
+        "config": {"family": "hybrid", "shape": [0.0, 0.0, 0.0, 0.0]},
     }
     fit_path = tmp_path / "fit.json"
     fit_path.write_text(dump_json(fit_doc))
     out = tmp_path / "diag"
-    code = run_cli("diagnose", "--data", sim_dir / "data.csv", "--fit", fit_path,
+    code = run_cli("diagnose", "--data", data, "--fit", fit_path,
                    "--out", out, "--n-sim", 5000)
     assert code == 4
     assert "EnvelopeFailureError" in capsys.readouterr().err

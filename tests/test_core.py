@@ -87,6 +87,19 @@ def test_counts_accept_integral_floats():
         CountDataset(np.array([[1e19, 1.0]]))
 
 
+def test_counts_refuse_unsigned_values_past_int64():
+    """An unsigned count above the int64 maximum is refused as too large,
+    as a list or float count is, not wrapped to a negative count; smaller
+    unsigned counts keep their values."""
+    top = np.iinfo(np.int64).max
+    for row in ([2**63, 1], [2**64 - 1, 0]):
+        with pytest.raises(DataError, match="must fit in a 64-bit integer"):
+            CountDataset(np.array([row], dtype=np.uint64))
+    counts = CountDataset(np.array([[top, 0], [3, 4]], dtype=np.uint64))
+    np.testing.assert_array_equal(counts.totals, [top, 7])
+    assert counts.counts.dtype == np.int64
+
+
 def test_counts_rejections():
     with pytest.raises(DataError, match="nonnegative"):
         CountDataset([[-1, 2]])

@@ -19,6 +19,7 @@ from scipy import integrate, optimize
 from scipy.stats import ks_2samp
 
 from _oracles import (
+    boosted_gamma_reference,
     chunked_hybrid_reference,
     diagonal_truncated_gaussian_reference,
     dirichlet_base_hybrid_reference,
@@ -229,13 +230,23 @@ def _bundled_interaction_fit(tmp_path):
         return model_spec_from_fit(json.load(fh))
 
 
-def _force_unit_scale(monkeypatch):
-    """Make the hybrid sampler build its proposal at lam = 1, where a
-    search along the gradient of log M stalls on the bundled fit."""
+def _force_unit_scale(monkeypatch, spec):
+    """Make the hybrid sampler build its proposal for spec at lam = 1,
+    where a search along the gradient of log M stalls on the bundled fit.
 
-    def unit_scale(a, b, alpha):
+    Its bound on max f is the bound for A- and b alone plus the constant
+    max_j (A+)_jj, which also bounds u'A+u on the simplex. With the chord
+    folded into b instead, b is nonzero along A-'s null direction, so at
+    lam = 1 the maximiser of f lies on the face u_p = 0, which the
+    interior climb only approaches: on the bundled fit it stops with a
+    Frank-Wolfe gap of about 6244 and log M about 3338, a certified
+    bound that keeps nothing."""
+    chord = samplers._concave_split(spec.interaction)[1]
+    b = np.append(spec.linear, 0.0)
+
+    def unit_scale(a_minus, b_with_chord, alpha):
         ones = np.ones(b.size)
-        return ones, samplers._log_ratio_bound(a, b, ones, alpha.sum())[0]
+        return ones, samplers._log_ratio_bound(a_minus, b, ones, alpha.sum())[0] + chord.max()
 
     monkeypatch.setattr(samplers, "_scaled_dirichlet_scale", unit_scale)
     monkeypatch.setattr(samplers, "_proposal", samplers._proposal.__wrapped__)
@@ -254,7 +265,7 @@ def test_searched_scale_is_exact_on_the_bundled_fit(tmp_path, monkeypatch):
     key = (spec.p, spec.interaction.tobytes(), spec.linear.tobytes(), spec.shape.tobytes())
     searched, stats = sample_model(spec, 100_000, RngConfig(41), return_stats=True)
     assert stats.acceptance_rate >= 0.024, stats
-    _force_unit_scale(monkeypatch)
+    _force_unit_scale(monkeypatch, spec)
     assert np.all(samplers._proposal(*key).lam == 1.0)
     unit, unit_stats = sample_model(spec, 100_000, RngConfig(42), return_stats=True)
     pvals = [ks_2samp(searched.proportions[:, j], unit.proportions[:, j], method="asymp").pvalue
@@ -265,25 +276,18 @@ def test_searched_scale_is_exact_on_the_bundled_fit(tmp_path, monkeypatch):
     assert abs(log_z[0] - log_z[1]) < 4.0 * se, (log_z, se)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_log_ratio_bound_is_certified_and_tight(data):
-    """For random A, b, lam and shapes alpha in [0.05, 3], the bound on
-    f(u) = u'Au + b'u + P log(lam'u), P = sum(alpha), over the simplex is
-    at least f at every vertex and at 20000 scaled-Dirichlet proposals
-    with those shapes; so is the bound of the proposal built for that
-    spec, at its own lam. A is negative definite or has one or two
-    positive eigenvalues up to 5, which the split into A- and A+ covers.
-    For negative-definite A the built proposal's bound is within 1e-8 of
-    the best of scipy's SLSQP from five starts at its lam. At a random
-    lam the maximiser may be a vertex, which the interior ascent only
-    approaches, so there the bound is certified but not held to 1e-8."""
+def _draw_bound_case(data, fewest_positive, largest_positive):
+    """A random spec for the envelope bound tests: the number of
+    positive eigenvalues of A (fewest_positive to 2, at most p - 1) and
+    the (k, k) and full (p, p) A, whose other eigenvalues lie in
+    [-40, -0.5], the full (p, p) b, shapes alpha in [0.05, 3], a scale
+    lam and a Generator for the proposals."""
     p = data.draw(st.integers(2, 10), label="p")
     k = p - 1
     eig = -np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
-    positive = data.draw(st.integers(0, min(2, k)), label="positive")
-    eig[:positive] = data.draw(st.lists(st.floats(0.05, 5.0), min_size=positive, max_size=positive),
-                               label="positive eig")
+    positive = data.draw(st.integers(fewest_positive, min(2, k)), label="positive")
+    eig[:positive] = data.draw(st.lists(st.floats(0.05, largest_positive), min_size=positive,
+                                        max_size=positive), label="positive eig")
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     basis = np.linalg.qr(gen.standard_normal((k, k)))[0]
     a_k = (basis * eig) @ basis.T
@@ -293,10 +297,29 @@ def test_log_ratio_bound_is_certified_and_tight(data):
     b = np.zeros(p)
     b[:k] = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k), label="linear")
     alpha = np.array(data.draw(st.lists(st.floats(0.05, 3.0), min_size=p, max_size=p), label="alpha"))
-    total = alpha.sum()
     lam = np.exp(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p), label="loglam"))
-    a_minus, lift = samplers._concave_split(a_k)
-    bound = samplers._log_ratio_bound(a_minus, b, lam, total)[0] + lift
+    return positive, a_k, a, b, alpha, lam, gen
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_log_ratio_bound_is_certified_and_tight(data):
+    """For random A, b, lam and shapes alpha in [0.05, 3], the bound on
+    f(u) = u'Au + b'u + P log(lam'u), P = sum(alpha), over the simplex is
+    at least f at every vertex and at 20000 scaled-Dirichlet proposals
+    with those shapes; so is the bound of the proposal built for that
+    spec, at its own lam. A is negative definite or has one or two
+    positive eigenvalues up to 5, which the split into A- and the chord
+    diag(A+) covers.
+    For negative-definite A the built proposal's bound is within 1e-8 of
+    the best of scipy's SLSQP from five starts at its lam. At a random
+    lam the maximiser may be a vertex, which the interior ascent only
+    approaches, so there the bound is certified but not held to 1e-8."""
+    positive, a_k, a, b, alpha, lam, gen = _draw_bound_case(data, 0, 5.0)
+    p, k = alpha.size, alpha.size - 1
+    total = alpha.sum()
+    a_minus, chord = samplers._concave_split(a_k)
+    bound = samplers._log_ratio_bound(a_minus, b + chord, lam, total)[0]
 
     def f(u, lam=lam):
         return np.einsum("...i,ij,...j->...", u, a, u) + u @ b + total * np.log(u @ lam)
@@ -322,6 +345,67 @@ def test_log_ratio_bound_is_certified_and_tight(data):
         x = np.clip(res.x, 0.0, None)
         best = max(best, f(x / x.sum(), built.lam))
     assert best <= built.f_bound <= best + 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chord_bound_is_certified(data):
+    """For random A with one or two positive eigenvalues up to 50, the
+    chord c_j = (A+)_jj bounds u'A+u by c'u at the vertices and at 20000
+    scaled-Dirichlet proposals. The bound on f(u) = u'Au + b'u +
+    P log(lam'u) from A- with c folded into b is at least f at every
+    vertex and at those proposals, both at a random lam and at the built
+    proposal's own lam; and the built proposal's log M is never above the
+    one that the constant max_j (A+)_jj gives at its own minimising lam."""
+    _, a_k, a, b, alpha, lam, gen = _draw_bound_case(data, 1, 50.0)
+    p, k = alpha.size, alpha.size - 1
+    total = alpha.sum()
+    a_minus, chord = samplers._concave_split(a_k)
+    a_plus = a - a_minus
+    assert chord[-1] == 0.0 and np.all(chord >= 0.0)
+
+    def f(u, lam):
+        return np.einsum("...i,ij,...j->...", u, a, u) + u @ b + total * np.log(u @ lam)
+
+    def proposals(lam):
+        w = gen.gamma(alpha, size=(20_000, p)) / lam
+        return w / w.sum(axis=1, keepdims=True)
+
+    u = proposals(lam)
+    convex = np.einsum("bi,ij,bj->b", u, a_plus, u)
+    assert np.all(convex <= u @ chord + 1e-12 * (1.0 + np.abs(chord).max()))
+    bound = samplers._log_ratio_bound(a_minus, b + chord, lam, total)[0]
+    assert f(u, lam).max() <= bound
+    assert (np.diag(a) + b + total * np.log(lam)).max() <= bound
+    built = samplers._scaled_dirichlet(a_k, b[:k], alpha.copy())
+    assert f(proposals(built.lam), built.lam).max() <= built.f_bound
+    assert (np.diag(a) + b + total * np.log(built.lam)).max() <= built.f_bound
+    lam_const, f_const = samplers._scaled_dirichlet_scale(a_minus, b, alpha)
+    log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(total)
+    const_log_bound = f_const + chord.max() + log_beta - alpha @ np.log(lam_const)
+    assert built.log_bound <= const_log_bound + 1e-9 * (1.0 + abs(const_log_bound))
+
+
+def test_boosted_gamma_variates():
+    """Below shape 1 the proposer draws Gamma(alpha + 1) U^(1 / alpha):
+    20000 such variates per shape pass a two-sample KS test against
+    numpy's standard_gamma at the same shape (Bonferroni level 0.01 over
+    the shapes), and at shape 1 and above the rows are standard_gamma's
+    own bits from the same stream."""
+    shapes = np.array([0.05, 0.15, 0.2, 0.35, 0.5, 0.8, 0.95, 0.999])
+    size = 20_000
+    boosted = np.empty((shapes.size, size))
+    samplers._gamma_variates(RngConfig(31).generator(), shapes, boosted, np.empty(size))
+    reference = RngConfig(32).generator()
+    pvals = [ks_2samp(row, reference.standard_gamma(a, size), method="asymp").pvalue
+             for a, row in zip(shapes, boosted)]
+    assert min(pvals) > 0.01 / shapes.size, pvals
+    assert np.all(boosted > 0.0)
+    plain = np.array([1.0, 2.5, 1.0])
+    got = np.empty((plain.size, size))
+    samplers._gamma_variates(RngConfig(33).generator(), plain, got, np.empty(size))
+    gen = RngConfig(33).generator()
+    np.testing.assert_array_equal(got, [gen.standard_gamma(a, size) for a in plain])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -404,17 +488,44 @@ def test_hybrid_envelope_growth_and_determinism():
 
 
 def test_hybrid_unbounded_energy_fails():
-    """Positive curvature puts the envelope constant M at e^4000 / 2 (A+
-    is all of A), and the acceptance rate Z / M is about 3e-8, far below
-    MIN_RATE, so the run fails."""
-    spec = ModelSpec(
-        family="hybrid", p=3, interaction=[[4000.0, 0.0], [0.0, 0.0]]
-    )
-    proposal = samplers._proposal(3, spec.interaction.tobytes(), spec.linear.tobytes(),
+    """A = 4000 (I - 11'/3) at p = 4 is positive semidefinite, so A- = 0
+    and the chord is 8000/3 on the first three categories. The minimax
+    dual max c'u + sum log u has u_j = 1 / (nu - c_j) with
+    sum u = 1, so log M = c'u + sum log u + 4 log 4 - log 3!, about 2658.
+    The target's mass sits at the first three vertices, where u'Au =
+    8000/3 falls at rates 8000, 8000 and 16000/3, so log Z is about
+    8000/3 + log 3 - log(8000^2 16000/3), and the acceptance rate Z / M
+    is about 4e-8, far below MIN_RATE: the run fails."""
+    a_k = 4000.0 * (np.eye(3) - 1.0 / 3.0)
+    spec = ModelSpec(family="hybrid", p=4, interaction=a_k)
+    proposal = samplers._proposal(4, spec.interaction.tobytes(), spec.linear.tobytes(),
                                   spec.shape.tobytes())
-    assert abs(proposal.log_bound - (4000.0 - math.log(2.0))) < 1e-6
+    c = 8000.0 / 3.0
+    # nu solves 3 / (nu - c) + 1 / nu = 1, with nu > c
+    nu = (c + 4.0 + math.sqrt((c + 4.0) ** 2 - 4.0 * c)) / 2.0
+    u = np.array([1.0 / (nu - c)] * 3 + [1.0 / nu])
+    log_m = c * u[:3].sum() + np.log(u).sum() + 4.0 * math.log(4.0) - math.log(6.0)
+    assert abs(proposal.log_bound - log_m) < 1e-6
     with pytest.raises(EnvelopeFailureError):
         sample_hybrid(spec, 1000, RngConfig(8))
+
+
+def test_hybrid_convex_energy_samples_under_the_chord_bound():
+    """A = [[4000, 0], [0, 0]] at p = 3 has A+ = A, so the constant bound
+    max_j (A+)_jj = 4000 put log M at 4000 - log 2 and nothing was kept.
+    The chord bound 4000 u_1 is tight at the vertex e_1, where the target's
+    mass sits: with t = 1 - u_1, u'Au = 4000 - 8000 t + 4000 t^2, and given
+    t, u_2 is uniform on [0, t], so t is close to Gamma(2, rate 8000), with
+    mean 2.5e-4. The sampler keeps more than a tenth of its proposals,
+    every row has u_1 >= 0.998 (a Gamma(2) tail of 17 e^-16 per row), and
+    the mean of t is within four standard errors of 2.5e-4."""
+    spec = ModelSpec(family="hybrid", p=3, interaction=[[4000.0, 0.0], [0.0, 0.0]])
+    data, stats = sample_hybrid(spec, 20_000, RngConfig(8))
+    assert stats.acceptance_rate > 0.1, stats
+    t = 1.0 - data.proportions[:, 0]
+    assert t.max() <= 0.002
+    se = math.sqrt(2.0) / 8000.0 / math.sqrt(t.size)
+    assert abs(t.mean() - 2.5e-4) < 4.0 * se, (t.mean(), se)
 
 
 def test_sample_model_dispatch():
@@ -467,7 +578,8 @@ def test_chunks_read_their_own_streams():
     """With a flat energy every proposal is kept, so the output is the
     chunks in order: chunk c is the start of rng.substream(c), one row
     of Gamma(shape_j + 1) variates per category normalised (lam = 1),
-    and no two chunks repeat a draw."""
+    drawn as the independent reference draws them (shape + 1 = 0.8 is
+    boosted), and no two chunks repeat a draw."""
     shape = np.array([0.5, -0.2, 1.0])
     spec = ModelSpec(family="hybrid", p=3, shape=shape)
     rng = RngConfig(14)
@@ -476,7 +588,7 @@ def test_chunks_read_their_own_streams():
     u = data.proportions
     for c in range(3):
         gen = rng.substream(c).generator()
-        g = np.stack([gen.standard_gamma(a, CHUNK) for a in shape + 1.0])
+        g = boosted_gamma_reference(gen, shape + 1.0, CHUNK)
         chunk = ContinuousDataset((g / g.sum(axis=0)).T)
         np.testing.assert_array_equal(u[c * CHUNK : (c + 1) * CHUNK], chunk.proportions)
     assert np.unique(u, axis=0).shape[0] == u.shape[0]
