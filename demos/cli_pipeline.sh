@@ -29,6 +29,26 @@ compscore fit --data "$work/sim/data.csv" --config "$work/fit-config.json" \
 cat "$work/fit/fit.csv"
 
 echo
+echo "== factorial fit of the bundled counts, run twice =="
+bundled=$(python3 -c "from importlib import resources;\
+print(resources.files('compscore').joinpath('data/synthetic_microbiome_counts.csv'))")
+cat > "$work/counts-config.json" <<'EOF'
+{
+  "schema_version": 1,
+  "family": "hybrid",
+  "data_kind": "counts",
+  "shape": [-0.8, -0.85, 0.0, -0.2, 0.0]
+}
+EOF
+for run in 1 2; do
+    compscore fit --data "$bundled" --config "$work/counts-config.json" \
+        --estimator factorial --out "$work/factorial$run"
+done
+cmp "$work/factorial1/fit.json" "$work/factorial2/fit.json"
+echo "the rerun's fit.json is byte-identical"
+cat "$work/factorial1/fit.csv"
+
+echo
 echo "== diagnose =="
 compscore diagnose --data "$work/sim/data.csv" --fit "$work/fit/fit.json" \
     --seed 11 --n-sim 20000 --qq 5 --out "$work/diag"

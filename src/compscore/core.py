@@ -45,6 +45,16 @@ def _as_matrix(values, name):
     return arr
 
 
+def _category_names(names, p):
+    names = list(names) if names is not None else [f"c{j+1}" for j in range(p)]
+    if len(names) != p:
+        raise DataError("names length does not match number of categories")
+    repeated = sorted({str(name) for name in names if names.count(name) > 1})
+    if repeated:
+        raise DataError(f"category names repeat: {', '.join(repeated)}")
+    return names
+
+
 class ContinuousDataset:
     """Rows of proportions on the closed simplex.
 
@@ -55,7 +65,7 @@ class ContinuousDataset:
         by more than 1e-9 are renormalized with a warning. Exact zeros
         are kept as zeros; no pseudo-count is ever added.
     names : sequence of str, optional
-        Category names. Defaults to ``c1 .. cp``.
+        Distinct category names. Defaults to ``c1 .. cp``.
     """
 
     def __init__(self, proportions, names=None):
@@ -89,9 +99,7 @@ class ContinuousDataset:
         u /= sums[:, None]
         u.flags.writeable = False
         self._u = u
-        self.names = list(names) if names is not None else [f"c{j+1}" for j in range(p)]
-        if len(self.names) != p:
-            raise DataError("names length does not match number of categories")
+        self.names = _category_names(names, p)
 
     @property
     def proportions(self):
@@ -112,7 +120,7 @@ class ContinuousDataset:
 class CountDataset:
     """Rows of category counts with per-row totals.
 
-    Totals must equal row sums exactly and be at least one.
+    Totals must equal row sums exactly and be at least one; names must be distinct.
     """
 
     def __init__(self, counts, totals=None, names=None):
@@ -162,9 +170,7 @@ class CountDataset:
         m.flags.writeable = False
         self._x = x
         self._m = m
-        self.names = list(names) if names is not None else [f"c{j+1}" for j in range(p)]
-        if len(self.names) != p:
-            raise DataError("names length does not match number of categories")
+        self.names = _category_names(names, p)
 
     @property
     def counts(self):

@@ -26,8 +26,15 @@ included:
   closed form, unbiased for the latent composition's moments, without
   ever forming per-row proportions. This makes small totals usable
   without the plug-in bias of x/m.
+
+Both build a block's monomials from one product plan per exponent
+table, cached by its bytes: the root is the monomial at the column-wise
+floor, and each other one is its parent's times u_j or x_j's next
+falling factor.
 """
 
+import collections
+import functools
 import logging
 import math
 
@@ -61,12 +68,40 @@ def _exponent_table(table, p):
     return table
 
 
-def _column_products(tables, exponents):
-    """(rows, K) products over columns j of tables[:, j, exponents[k, j]]."""
-    out = tables[:, 0, exponents[:, 0]]
-    for j in range(1, exponents.shape[1]):
-        out = out * tables[:, j, exponents[:, j]]
-    return out
+_Plan = collections.namedtuple("_Plan", "floor levels parent col step index")
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(shape, raw):
+    """The plan (shared by every caller) of the exponent table with this
+    shape and bytes: nodes above the floor, in slices levels[d] by degree;
+    node i is parent[i] raised in column col[i] from step[i]; table row k is node index[k]."""
+    table = np.frombuffer(raw, dtype=np.intp).reshape(shape)
+    floor = table.min(axis=0)
+    rows = list(map(tuple, (table - floor).tolist()))
+    links = {(0,) * shape[1]: ((0,) * shape[1], 0, 0)}  # node: parent, col, step
+    for row in rows:
+        while row not in links:
+            j = max(i for i, e in enumerate(row) if e)
+            parent = row[:j] + (row[j] - 1,) + row[j + 1 :]
+            links[row], row = (parent, j, row[j] - 1), parent
+    nodes = sorted(links, key=sum)
+    node = {e: i for i, e in enumerate(nodes)}
+    parent, col, step = np.array([(node[links[e][0]],) + links[e][1:] for e in nodes]).T
+    starts = np.searchsorted([sum(e) for e in nodes], np.arange(sum(nodes[-1]) + 2)).tolist()
+    levels = [slice(*ends) for ends in zip(starts, starts[1:])]
+    return _Plan(floor, levels, parent, col, step, np.array([node[e] for e in rows]))
+
+
+def _products(plan, root, factors):
+    """(nodes, rows) values of the plan's nodes for one block: the root, then
+    each level as its parents (mode="clip" takes unbuffered) times factors[col, step]."""
+    vals = np.empty((len(plan.parent), len(root)))
+    vals[0] = root
+    for level in plan.levels[1:]:
+        np.take(vals, plan.parent[level], axis=0, out=vals[level], mode="clip")
+        vals[level] *= factors[plan.col[level], plan.step[level]]
+    return vals
 
 
 class EmpiricalMoments:
@@ -83,12 +118,14 @@ class EmpiricalMoments:
     def means(self, table):
         """Mean of prod_j u_j^table[k, j] for each row k of the table."""
         table = _exponent_table(table, self.p)
-        total = np.zeros(len(table))
-        for start, stop in _blocks(self.n, len(table)):
-            powers = self.u[start:stop, :, None] ** np.arange(table.max() + 1)
-            total += _column_products(powers, table).sum(axis=0)
+        plan = _plan(table.shape, table.tobytes())
+        total = np.zeros(len(plan.parent))
+        for start, stop in _blocks(self.n, len(plan.parent)):
+            u = self.u[start:stop].T
+            factors = np.broadcast_to(u[:, None], (self.p, plan.step.max() + 1, stop - start))
+            total += _products(plan, np.prod(u ** plan.floor[:, None], axis=0), factors).sum(axis=1)
         self._requested.update(map(tuple, table.tolist()))
-        return total / self.n
+        return total[plan.index] / self.n
 
     def monomial_mean(self, alpha):
         return float(self.means([alpha])[0])
@@ -98,15 +135,9 @@ class EmpiricalMoments:
 
 
 def _falling(x, k):
-    out = np.ones_like(x, dtype=float)
-    for i in range(k):
-        out = out * (x - i)
-    return out
-
-
-def _falling_table(x, width):
-    """x^(e) for e = 0 .. width - 1 along a new last axis."""
-    return np.stack([_falling(x, e) for e in range(width)], axis=-1)
+    """x^(k) = x (x - 1) .. (x - k + 1), x and the integers k >= 0 broadcast."""
+    i = np.arange(np.max(k, initial=0)).reshape(-1, *(1,) * np.broadcast(x, k).ndim)
+    return np.where(i < k, x - i, 1.0).prod(axis=0)
 
 
 class FactorialMoments:
@@ -122,21 +153,23 @@ class FactorialMoments:
                      mean over rows with m >= |b| + t of
                      x^(b) (S - |b|)^(t) / m^(|b| + t).
 
-    A row below every requested b_j in some column j adds exact zeros and
-    is skipped; it still counts in the means.
+    Each x^(b) is one multiply from its parent's in the product plan of
+    the b columns; rows below its floor add exact zeros and are skipped
+    (they still count in the means). A plan level shares |b|, so each a
+    gives the level one per-row weight, applied in one einsum (no BLAS);
+    where m >= |b| + a its sum over t is x_p^(a) / m^(|b| + a) by
+    inclusion-exclusion, taken as such so that no terms cancel.
 
     Rows whose total is below a degree |b| + t are excluded from the
     terms of that degree only, with the exclusion count logged and
     tallied in ``exclusions``. Each term stays unbiased, but terms of
     different degrees then average over different rows, so W can turn
-    indefinite and a few small-total rows can move a fit far. On the
-    benchmark's p=10 table (4000 rows, seed 1, all interactions 0) with
-    1% of rows at total 10, the mean estimate is 298; it is 2.6 when
-    those rows keep their regular totals and 7.3 when they are dropped,
-    and some seeds give a singular system. The exclusion is kept because
-    the benchmark's recorded reference estimates depend on it; excluding
-    rows below the top degree p + 4 from every moment is the fix, due
-    with a re-recorded reference.
+    indefinite and a few small-total rows can move a fit far: 1% of rows
+    at total 10 take the benchmark's p=10 mean estimate (4000 rows, seed
+    1) from 2.6 to 298, and some seeds give a singular system. The
+    benchmark's recorded reference estimates depend on this rule;
+    excluding rows below the top degree p + 4 from every moment is the
+    fix, due with a re-recorded reference.
     """
 
     def __init__(self, counts):
@@ -153,44 +186,44 @@ class FactorialMoments:
         table, one row-blocked pass over the rows that can add nonzeros."""
         table = _exponent_table(table, self.p)
         base, last = table[:, :-1], table[:, -1]
-        low = base.sum(axis=1)
-        tops = int(last.max()) + 1
-        width = int(low.max()) + tops
-        x = self.counts.counts.astype(float)
-        m = self.counts.totals.astype(float)
-        eligible = self.n - np.searchsorted(np.sort(m), np.arange(width))
-        degrees = {b + t for b, a in zip(low.tolist(), last.tolist()) for t in range(a + 1)}
-        for degree in sorted(degrees - {0}):
+        ts = np.arange(last.max() + 1)
+        terms = base.sum(axis=1)[:, None] + ts  # the degree of each term
+        x, m = self.counts.counts.astype(float), self.counts.totals.astype(float)
+        eligible = self.n - np.searchsorted(np.sort(m), np.arange(terms.max() + 1))
+        degrees = np.unique(terms[ts <= last[:, None]])
+        for degree in degrees[degrees > 0].tolist():
             if eligible[degree] == 0:
                 raise InsufficientTotalsError(degree)
             excluded = self.n - int(eligible[degree])
             if excluded and degree not in self.exclusions:
                 self.exclusions[degree] = excluded
-                logger.info(
-                    "factorial moments of degree %d exclude %d row(s) with small totals",
-                    degree,
-                    excluded,
-                )
+                message = "factorial moments of degree %d exclude %d row(s) with small totals"
+                logger.info(message, degree, excluded)
 
-        keep = np.all(x[:, :-1] >= base.min(axis=0), axis=1)
-        x, m = x[keep], m[keep]
-        sums = np.zeros((tops, len(table)))
-        for start, stop in _blocks(len(m), len(table)):
-            xb, mb = x[start:stop], m[start:stop]
-            term = _column_products(_falling_table(xb[:, :-1], base.max() + 1), base)
-            rest = (mb - xb[:, -1])[:, None] - low
-            denoms = _falling_table(mb, width)
-            for t in range(tops):
-                denom = denoms[:, low + t]
-                sums[t] += np.divide(term, denom, out=np.zeros_like(term), where=denom > 0).sum(axis=0)
-                term = term * (rest - t)
+        plan = _plan(base.shape, base.tobytes())
+        floor, steps = plan.floor[:, None], np.arange(plan.step.max() + 1)[:, None]
+        keep = np.all(x[:, :-1] >= plan.floor, axis=1)
+        x, m = x[keep].T, m[keep]
+        sign = np.array([[math.comb(a, t) * (-1.0) ** t for t in ts.tolist()] for a in ts.tolist()])
+        at = np.arange(len(plan.levels))[:, None] + int(plan.floor.sum()) + ts  # |b| + t by level
+        mix = np.einsum("at,lt,ts->las", sign, 1.0 / np.maximum(eligible[at], 1), sign)
+        sums = np.zeros((len(ts), len(plan.parent)))
+        for start, stop in _blocks(len(m), len(plan.parent)):
+            xb, mb = x[:, start:stop], m[start:stop]
+            root = _falling(xb[:-1], floor).prod(axis=0)
+            vals = _products(plan, root, (xb[:-1] - floor)[:, None] - steps)
+            denoms = _falling(mb, np.arange(len(eligible))[:, None])
+            inverse = np.divide(1.0, denoms, out=np.zeros_like(denoms), where=denoms > 0)[at]
+            w = _falling(mb - xb[-1] - at[:, :1, None], ts[:, None]) * inverse  # level, t, row
+            # weights = sign (w / eligible) = mix (sign w); sign w = x_p^(a)/m^(|b|+a) if m >= |b|+a
+            whole = np.einsum("at,ltr->lar", sign, w)
+            np.copyto(whole, _falling(xb[-1], ts[:, None]) * inverse, where=inverse > 0)
+            weights = np.einsum("las,lsr->lar", mix, whole)
+            for d, level in enumerate(plan.levels):
+                sums[:, level] += np.einsum("kr,ar->ak", vals[level], weights[d])
 
-        out = np.zeros(len(table))
-        for t in range(tops):
-            coef = np.array([math.comb(a, t) for a in last.tolist()]) * (-1.0) ** t
-            out += coef * sums[t] / np.maximum(eligible[low + t], 1)
         self._requested.update(map(tuple, table.tolist()))
-        return out
+        return sums[last, plan.index]
 
     def monomial_mean(self, alpha):
         return float(self.means([alpha])[0])
@@ -206,11 +239,10 @@ class FactorialMoments:
 # workspace from moments
 
 
-def _pair_moments(provider, lay):
-    """S[a, b] = E[h^2 f_a f_b] under h^2 = prod_j u_j, for the monomials
-    f_i = u_ext[coord_i] u_ext[partner_i] and the constant, from the
-    means of its distinct entries."""
-    p = provider.p
+@functools.lru_cache(maxsize=16)
+def _pair_table(p):
+    """The exponent table of S's distinct entries, and each S[a, b]'s row in it."""
+    lay = _layout(p)
     pairs = np.vstack([np.column_stack([lay.coord[:, 0], lay.partner[:, 0]]), [p - 1, p - 1]])
     quads = np.hstack([np.repeat(pairs, len(pairs), axis=0), np.tile(pairs, (len(pairs), 1))])
     quads.sort(axis=1)
@@ -219,7 +251,9 @@ def _pair_moments(provider, lay):
     )
     table = 1 + (quads[first, :, None] == np.arange(p)).sum(axis=1)
     table[:, -1] = 1  # u_ext's last entry is the constant 1, not u_p
-    return provider.means(table)[inverse.reshape(-1)].reshape(len(pairs), len(pairs))
+    entry = inverse.reshape(len(pairs), len(pairs))
+    table.flags.writeable = entry.flags.writeable = False
+    return table, entry
 
 
 def build_workspace_from_moments(provider, shape=None):
@@ -232,9 +266,9 @@ def build_workspace_from_moments(provider, shape=None):
     p = provider.p
     imap = index_map(p)
     shape = _shape_vector(shape, p)
-    lay = _layout(p)
+    table, entry = _pair_table(p)
     # the uncapped product weight has omega = 1 and kappa = p on every row
-    gram, lap, wgrad, shape_matrix = _system(_pair_moments(provider, lay), lay)
+    gram, lap, wgrad, shape_matrix = _system(provider.means(table)[entry], _layout(p))
     return EstimatorWorkspace(
         imap=imap,
         weight=WeightSpec("product"),

@@ -13,10 +13,10 @@ import pytest
 
 import compscore
 from compscore.cli import main
-from compscore.core import ContinuousDataset, index_map
+from compscore.core import ContinuousDataset, CountDataset, index_map
 from compscore.errors import ConfigError
 from compscore.fitting import _blocks
-from compscore.io import dump_json, write_proportions_csv
+from compscore.io import dump_json, write_counts_csv, write_proportions_csv
 from compscore.samplers import CHUNK
 from compscore.study import StudyConfig, run_study
 
@@ -85,15 +85,9 @@ def test_simulate_then_fit_roundtrip(tmp_path, capsys):
     assert (fit_dir / "fit.json").read_bytes() == before
 
 
-def test_fit_identical_across_blas_threads(tmp_path):
-    """A continuous p=10 fit over several row blocks writes the same
-    fit.json bytes with one and with two BLAS threads."""
-    rows = 19384
-    assert len(list(_blocks(rows, index_map(10).q))) >= 3
-    u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
-    data = tmp_path / "data.csv"
-    write_proportions_csv(data, ContinuousDataset(u))
-    cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian")
+def _fit_json_per_blas_threads(tmp_path, data, cfg):
+    """The fit.json bytes of `compscore fit` run in a child process under
+    one and under two BLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(compscore.__file__)))
     payloads = []
     for threads in ("1", "2"):
@@ -106,6 +100,39 @@ def test_fit_identical_across_blas_threads(tmp_path):
             env=env, check=True, capture_output=True,
         )
         payloads.append((out / "fit.json").read_bytes())
+    return payloads
+
+
+def test_fit_identical_across_blas_threads(tmp_path):
+    """A continuous p=10 fit over several row blocks writes the same
+    fit.json bytes with one and with two BLAS threads."""
+    rows = 19384
+    assert len(list(_blocks(rows, index_map(10).q))) >= 3
+    u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
+    data = tmp_path / "data.csv"
+    write_proportions_csv(data, ContinuousDataset(u))
+    cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian")
+    payloads = _fit_json_per_blas_threads(tmp_path, data, cfg)
+    assert payloads[0] == payloads[1]
+
+
+def test_factorial_fit_identical_across_blas_threads(tmp_path):
+    """A factorial p=10 fit whose factorial moments take several row
+    blocks writes the same fit.json bytes with one and with two BLAS
+    threads."""
+    rows = 2000
+    u = np.random.default_rng(22).dirichlet(np.full(10, 3.0), size=rows)
+    counts = CountDataset(np.random.default_rng(23).multinomial(1000, u))
+    # the moments run over the rows without a zero in the first p - 1
+    # categories, in blocks as wide as their C(p + 3, 4) = 715 monomials
+    dense = int(np.all(counts.counts[:, :-1] > 0, axis=1).sum())
+    assert len(list(_blocks(dense, 715))) >= 3
+    data = tmp_path / "counts.csv"
+    write_counts_csv(data, counts)
+    cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian", data_kind="counts",
+                        estimator="factorial")
+    payloads = _fit_json_per_blas_threads(tmp_path, data, cfg)
+    assert json.loads(payloads[0])["config"]["estimator"] == "factorial"
     assert payloads[0] == payloads[1]
 
 
@@ -544,6 +571,30 @@ def test_diagnose_rejects_malformed_fit(tmp_path, capsys, bundled_fit, mutate, k
                    "--n-sim", 100, "--out", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error code=2 kind={kind}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_repeated_category_name_exits_2(tmp_path, capsys, bundled_fit, command):
+    """A counts CSV whose header names a category twice ends fit and
+    diagnose with exit 2 and one DataError line, and writes nothing."""
+    lines = BUNDLED.read_text().splitlines()
+    data = tmp_path / "counts.csv"
+    data.write_text("\n".join([lines[0].replace("taxon3", "taxon2")] + lines[1:]) + "\n")
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(dump_json(bundled_fit))
+    cfg = _write_config(tmp_path / "cfg.json", family="hybrid", data_kind="counts",
+                        shape=[-0.8, -0.85, 0.0, -0.2, 0.0])
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--data", data, "--config", cfg, "--estimator", "factorial"],
+        "diagnose": ["diagnose", "--data", data, "--data-kind", "counts", "--fit", fit_path,
+                     "--n-sim", 100, "--qq", 3],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ['error code=2 kind=DataError msg="category names repeat: taxon2"'], err
     assert not out.exists()
 
 

@@ -49,6 +49,13 @@ def test_proportions_rejections():
         ContinuousDataset([[0.5, 0.5]], names=["a", "b", "c"])
 
 
+def test_datasets_reject_repeated_names():
+    with pytest.raises(DataError, match="category names repeat: b"):
+        ContinuousDataset([[0.2, 0.3, 0.5]], names=["a", "b", "b"])
+    with pytest.raises(DataError, match="category names repeat: a, b"):
+        CountDataset([[1, 2, 3, 4]], names=["b", "a", "b", "a"])
+
+
 def test_float_dust_tolerated():
     # tiny negatives from upstream subtraction clip to zero
     data = ContinuousDataset([[0.5, 0.5 + 1e-13, -1e-13]])

@@ -3,6 +3,8 @@ factorial-moment identities, equality with the direct continuous build,
 small-total row exclusion, and agreement with the polynomial oracle in
 _oracles (the expanded estimator and the entry-by-entry assembly)."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,27 @@ def test_small_totals_excluded_per_degree():
     est1 = fac.monomial_mean((1, 0))
     assert est1 == pytest.approx(np.mean([1.0, 0.0, 0.6, 0.5]))
     assert 1 not in fac.exclusions
+
+
+def test_exclusions_logged_once_per_degree(caplog):
+    """One log line for each degree that newly excludes rows, none when a
+    call repeats or reaches only degrees already logged."""
+    counts = CountDataset([[1, 0], [0, 1], [3, 2], [2, 2], [5, 0]])  # totals 1, 1, 5, 4, 5
+    fac = FactorialMoments(counts)
+    caplog.set_level(logging.INFO, logger="compscore.moments")
+
+    def logged(table):
+        caplog.clear()
+        fac.means(table)
+        return [record.getMessage() for record in caplog.records]
+
+    line = "factorial moments of degree %d exclude %d row(s) with small totals"
+    assert logged([[2, 0]]) == [line % (2, 2)]
+    # degrees 0 to 3 and 3 to 5: 2 is logged already, degree 1 keeps every row
+    assert logged([[0, 3], [3, 2]]) == [line % (3, 2), line % (4, 2), line % (5, 3)]
+    assert logged([[0, 3], [3, 2]]) == []
+    assert logged([[2, 0], [1, 0]]) == []
+    assert fac.exclusions == {2: 2, 3: 2, 4: 2, 5: 3}
 
 
 def test_insufficient_totals():
@@ -240,6 +263,53 @@ def test_closed_form_matches_expanded_estimator(p, n, seed):
         else:
             assert abs(fac.monomial_mean(alpha) - want) <= 1e-13
         assert fac.exclusions == ref.exclusions
+
+
+@st.composite
+def _exponent_tables(draw):
+    """Tables at p = 2 .. 6 of 1 to 9 rows, often with a repeated or an
+    all-zero row, and mostly missing their rows' parents."""
+    p = draw(st.integers(2, 6))
+    row = st.lists(st.integers(0, 3), min_size=p, max_size=p)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows += [[0] * p] * draw(st.integers(0, 1))
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    table=_exponent_tables(),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    lift=st.sampled_from([0, 24]),
+)
+def test_product_plans_match_the_oracles(table, n, seed, lift):
+    """Both providers over any exponent table, whatever its product plan
+    has to add: FactorialMoments against the expanded estimator (same
+    values, same per-degree exclusions, and the smallest degree that no
+    row reaches) and EmpiricalMoments against the direct average."""
+    p = table.shape[1]
+    x = _small_total_counts(p, n, seed, top=8)
+    x[0] += lift  # with the lift, one row carries every degree
+    fac, ref = FactorialMoments(x), ExpandedFactorialMoments(x)
+    want, short = [], []
+    for alpha in table:
+        try:
+            want.append(ref.monomial_mean(alpha))
+        except InsufficientTotalsError as err:
+            short.append(err.degree)
+    if short:
+        with pytest.raises(InsufficientTotalsError) as got:
+            fac.means(table)
+        assert got.value.degree == min(short)
+    else:
+        assert np.abs(fac.means(table) - want).max() <= 1e-13
+        assert fac.exclusions == ref.exclusions
+
+    u = x / x.sum(axis=1, keepdims=True)
+    direct = [np.mean(np.prod(u**alpha, axis=1)) for alpha in table]
+    assert np.abs(EmpiricalMoments(u).means(table) - direct).max() <= 1e-13
 
 
 def _close_workspace(got, want):
