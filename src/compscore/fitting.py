@@ -37,12 +37,13 @@ read-off. W and Sigma_0 are symmetrized explicitly.
 
 The Dirichlet family, whose sufficient statistics are logarithms,
 shares the per-row weight features (_row_features: h^2, the weight's
-direction omega and kappa), the eigen-solve (_solve_psd) and the
-covariance sandwich (_sandwich). The weight cancels against 1/u_j, so
-each row needs only the ratios h^2 / u_j. Its per-row arrays are n x p
-and formed whole, not in blocks.
+direction omega and kappa), the Jacobi-scaled Cholesky solve
+(_solve_psd) and the covariance sandwich (_sandwich). The weight
+cancels against 1/u_j, so each row needs only the ratios h^2 / u_j. Its
+per-row arrays are n x p and formed whole, not in blocks.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +148,8 @@ class _Layout:
     Every slot of statistic i with a nonzero coef carries the monomial
     f_i = u_ext[coord] u_ext[partner], and nu_i = scale_i f_i (scale 4, 8,
     2 by kind). f_q is the constant 1, and f[lin[a]] = u_ext_a.
+    _system's mu_i'mu_j gathers S's columns cols[t] = lin[partner[:, t]]
+    times shared[t], (q, q) coefficient sums up to 32 (int8: a small cache).
     """
 
     coord: np.ndarray
@@ -156,10 +159,13 @@ class _Layout:
     lap_kappa: np.ndarray
     scale: np.ndarray
     lin: np.ndarray
+    shared: tuple
+    cols: tuple
 
 
+@functools.lru_cache(maxsize=8)
 def _layout(p):
-    # about 20 us to build; a cache per p saves nothing measurable
+    """The layout for p categories, shared by every caller: read-only."""
     imap = index_map(p)
     k = p - 1
     coord = np.zeros((imap.q, 2), dtype=np.intp)
@@ -180,7 +186,15 @@ def _layout(p):
     lap_kappa = np.full(imap.q, p + 2.0)
     lap_kappa[l] = p
     lin = np.arange(l.start, imap.q + 1)  # the linear statistics, then the constant
-    return _Layout(coord, partner, coef, lap_map, lap_kappa, coef.sum(axis=1), lin)
+    shared = tuple(
+        (sum(coef[:, [r]] * (coord[:, [r]] == coord[:, t]) for r in range(2)) * coef[:, t]).astype(np.int8)
+        for t in range(2)
+    )
+    cols = tuple(lin[partner[:, t]] for t in range(2))
+    lay = _Layout(coord, partner, coef, lap_map, lap_kappa, coef.sum(axis=1), lin, shared, cols)
+    for a in (coord, partner, coef, lap_map, lap_kappa, lay.scale, lin) + shared + cols:
+        a.flags.writeable = False
+    return lay
 
 
 def _row_features(u, weight):
@@ -265,10 +279,7 @@ def _system(s, lay, s_uw=None, s_knu=None):
     s_u, s_nu = s[lay.lin, q], lay.scale * s[:q, q]
     if s_uw is None:
         s_uw, s_knu = np.repeat(s_u[:, None], p - 1, axis=1), p * s_nu
-    mu_mu = 0.0
-    for t in range(2):
-        shared = sum(lay.coef[:, [r]] * (lay.coord[:, [r]] == lay.coord[:, t]) for r in range(2))
-        mu_mu = mu_mu + shared * lay.coef[:, t] * s[:q, lay.lin[lay.partner[:, t]]]
+    mu_mu = sum(shared * s[:q, cols] for shared, cols in zip(lay.shared, lay.cols))
     gram = mu_mu - np.outer(lay.scale, lay.scale) * s[:q, :q]
     lap = lay.lap_kappa * s_nu - s_u @ lay.lap_map
     wgrad = -2.0 * (c0 * s_uw[r0, k0] + c1 * s_uw[r1, k1] - s_knu)
@@ -383,14 +394,23 @@ class FitResult:
 
 
 def _solve_psd(mat, rhs, ridge, labels):
-    """Eigendecomposition solve with singularity diagnostics."""
+    """theta, W^-1 and cond from the unit-diagonal C = s W s, s = diag(W)^-1/2:
+    Cholesky tests C, and C^-1 gives W^-1 = s C^-1 s and the scale-free
+    1-norm cond of C. Only a singular C (not positive definite, or q eps
+    cond >= 1) gets an eigh, to name its near-null direction's labels."""
     qf = mat.shape[0]
     sys = mat + ridge * np.eye(qf) if ridge else mat
-    evals, evecs = np.linalg.eigh(sys)
-    lam_max = float(evals[-1])
-    tol = qf * np.finfo(float).eps * max(lam_max, 0.0)
-    if lam_max <= 0.0 or evals[0] <= tol:
-        vec = np.abs(evecs[:, 0])
+    diag = np.diag(sys)
+    s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    scaled = sys * np.outer(s, s)
+    try:  # Cholesky fails on any diagonal <= 0 too
+        np.linalg.cholesky(scaled)
+        inv = np.linalg.inv(scaled)
+        cond = float(np.linalg.norm(scaled, 1) * np.linalg.norm(inv, 1))
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not qf * np.finfo(float).eps * cond < 1.0:
+        vec = np.abs(np.linalg.eigh(scaled)[1][:, 0])
         order = np.argsort(vec)[::-1]
         culprits = [labels[i] for i in order[:3] if vec[i] >= 0.2 * vec[order[0]]]
         raise SingularSystemError(
@@ -399,9 +419,8 @@ def _solve_psd(mat, rhs, ridge, labels):
             " (add a ridge or drop parameters)",
             null_labels=culprits,
         )
-    theta = evecs @ ((evecs.T @ rhs) / evals)
-    cond = lam_max / float(evals[0])
-    return theta, evals, evecs, cond
+    inv_w = inv * np.outer(s, s)
+    return inv_w @ rhs, inv_w, cond
 
 
 def _normalize_mask(imap, mask):
@@ -442,10 +461,10 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
         rhs = rhs - workspace.gram[np.ix_(free, fixed)] @ theta_full[fixed]
 
     labels = [imap.labels[i] for i in free]
-    theta_f, evals, evecs, cond = _solve_psd(wff, rhs, ridge, labels)
+    theta_f, inv_w, cond = _solve_psd(wff, rhs, ridge, labels)
     theta_full[free] = theta_f
 
-    cov = _sandwich(evals, evecs, _error_moment(workspace, theta_full, mask)) if with_se else None
+    cov = _sandwich(inv_w, _error_moment(workspace, theta_full, mask)) if with_se else None
     return FitResult(
         labels=labels,
         estimates=theta_f,
@@ -501,10 +520,8 @@ def _error_moment(workspace, theta_full, mask):
     return _symmetric(total) * np.outer(fac, fac) / workspace.n
 
 
-def _sandwich(evals, evecs, sigma0):
-    """Plug-in covariance W^-1 Sigma_0 W^-1, with W^-1 from the eigenpairs
-    of the solved system."""
-    inv_w = evecs @ (evecs.T / evals[:, None])
+def _sandwich(inv_w, sigma0):
+    """Plug-in covariance W^-1 Sigma_0 W^-1, with the W^-1 of _solve_psd."""
     return inv_w @ sigma0 @ inv_w
 
 
@@ -519,8 +536,8 @@ def standard_errors(workspace, result, mask=None):
         theta_full[imap.index(lab)] = val
     wff = workspace.gram[np.ix_(free, free)]
     labels = [imap.labels[i] for i in free]
-    _, evals, evecs, _ = _solve_psd(wff, np.zeros(free.size), result.ridge, labels)
-    return _sandwich(evals, evecs, _error_moment(workspace, theta_full, mask))
+    inv_w = _solve_psd(wff, np.zeros(free.size), result.ridge, labels)[1]
+    return _sandwich(inv_w, _error_moment(workspace, theta_full, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +657,14 @@ def fit_dirichlet(data, weight, ridge=0.0, with_se=True):
     d = lin.mean(axis=0)
 
     labels = [f"shape{j+1}" for j in range(p)]
-    pi_hat, evals, evecs, cond = _solve_psd(gram, d, ridge, labels)
+    pi_hat, inv_w, cond = _solve_psd(gram, d, ridge, labels)
     beta_hat = 0.5 * (pi_hat - 1.0)
 
     cov = None
     if with_se:
         resid = ratios * pi_hat[None, :] - hsq[:, None] * pi_hat.sum() - lin
         sigma0 = _symmetric(resid.T @ resid) / n
-        cov = 0.25 * _sandwich(evals, evecs, sigma0)  # delta method for (pi - 1) / 2
+        cov = 0.25 * _sandwich(inv_w, sigma0)  # delta method for (pi - 1) / 2
 
     objective = 0.5 * pi_hat @ gram @ pi_hat - pi_hat @ d
     return FitResult(

@@ -113,7 +113,7 @@ class EmpiricalMoments:
             raise DataError("proportions must be 2-d")
         self.u = u
         self.n, self.p = u.shape
-        self._requested = set()
+        self._tables = []  # a copy of each table means is given
 
     def means(self, table):
         """Mean of prod_j u_j^table[k, j] for each row k of the table."""
@@ -124,14 +124,14 @@ class EmpiricalMoments:
             u = self.u[start:stop].T
             factors = np.broadcast_to(u[:, None], (self.p, plan.step.max() + 1, stop - start))
             total += _products(plan, np.prod(u ** plan.floor[:, None], axis=0), factors).sum(axis=1)
-        self._requested.update(map(tuple, table.tolist()))
+        self._tables.append(table.copy())
         return total[plan.index] / self.n
 
     def monomial_mean(self, alpha):
         return float(self.means([alpha])[0])
 
     def requested(self):
-        return sorted(self._requested)
+        return sorted({tuple(row) for table in self._tables for row in table.tolist()})
 
 
 def _falling(x, k):
@@ -178,7 +178,7 @@ class FactorialMoments:
         self.counts = counts
         self.n = counts.n
         self.p = counts.p
-        self._requested = set()
+        self._tables = []
         self.exclusions = {}
 
     def means(self, table):
@@ -188,7 +188,7 @@ class FactorialMoments:
         base, last = table[:, :-1], table[:, -1]
         ts = np.arange(last.max() + 1)
         terms = base.sum(axis=1)[:, None] + ts  # the degree of each term
-        x, m = self.counts.counts.astype(float), self.counts.totals.astype(float)
+        x, m = self.counts.counts, self.counts.totals
         eligible = self.n - np.searchsorted(np.sort(m), np.arange(terms.max() + 1))
         degrees = np.unique(terms[ts <= last[:, None]])
         for degree in degrees[degrees > 0].tolist():
@@ -202,8 +202,10 @@ class FactorialMoments:
 
         plan = _plan(base.shape, base.tobytes())
         floor, steps = plan.floor[:, None], np.arange(plan.step.max() + 1)[:, None]
-        keep = np.all(x[:, :-1] >= plan.floor, axis=1)
-        x, m = x[keep].T, m[keep]
+        keep = np.ones(self.n, dtype=bool)
+        for j in np.flatnonzero(plan.floor):
+            keep &= x[:, j] >= plan.floor[j]
+        x, m = x[keep].T.astype(float), m[keep].astype(float)
         sign = np.array([[math.comb(a, t) * (-1.0) ** t for t in ts.tolist()] for a in ts.tolist()])
         at = np.arange(len(plan.levels))[:, None] + int(plan.floor.sum()) + ts  # |b| + t by level
         mix = np.einsum("at,lt,ts->las", sign, 1.0 / np.maximum(eligible[at], 1), sign)
@@ -222,7 +224,7 @@ class FactorialMoments:
             for d, level in enumerate(plan.levels):
                 sums[:, level] += np.einsum("kr,ar->ak", vals[level], weights[d])
 
-        self._requested.update(map(tuple, table.tolist()))
+        self._tables.append(table.copy())
         return sums[last, plan.index]
 
     def monomial_mean(self, alpha):
@@ -232,7 +234,7 @@ class FactorialMoments:
         return sum(c * self.monomial_mean(e) for e, c in poly.items())
 
     def requested(self):
-        return sorted(self._requested)
+        return sorted({tuple(row) for table in self._tables for row in table.tolist()})
 
 
 # ---------------------------------------------------------------------------

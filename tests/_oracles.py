@@ -4,6 +4,7 @@ Everything here recomputes quantities the package provides in closed
 form, but by a different route: central finite differences for ambient
 gradients, the projected-derivative formula for the sphere Laplacian,
 a generic linear conjugate-gradient loop for the quadratic objective,
+a Gauss-Jordan solve of the linear system in exact rational arithmetic,
 a dense assembly of the continuous route from full projected gradient
 tensors, a polynomial assembly of the count route with expanded
 factorial moments, the Dirichlet ratios and weight term written out
@@ -27,6 +28,7 @@ which define what it minimises.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,6 +108,22 @@ def linear_cg(w, d, iters=None):
         beta = (g @ g) / gg
         direction = -g + beta * direction
     return theta
+
+
+def exact_solve(w, d):
+    """The solution of W x = d for the float64 W and d, by Gauss-Jordan
+    elimination in fractions.Fraction, rounded once to float64 at the end."""
+    q = len(d)
+    rows = [[Fraction(float(v)) for v in w[i]] + [Fraction(float(d[i]))] for i in range(q)]
+    for col in range(q):
+        pivot = next(i for i in range(col, q) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        for i in range(q):
+            if i != col and rows[i][col] != 0:
+                ratio = rows[i][col] / head[col]
+                rows[i] = [a - ratio * b for a, b in zip(rows[i], head)]
+    return np.array([float(rows[i][q] / rows[i][i]) for i in range(q)])
 
 
 # ---------------------------------------------------------------------------

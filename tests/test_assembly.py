@@ -1,10 +1,12 @@
 """The structured assembly of the continuous route against the dense
-reference in _oracles, its independence of the row blocking, and the
-memory it needs at larger p."""
+reference in _oracles, its independence of the row blocking, the cached
+statistic layout, and the memory it needs at larger p."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +111,18 @@ def test_error_moment_matches_dense_on_free_blocks(p, kind, free, seed, zero_row
         _close(ws.gram, dense.gram)
         _close(ws.linear_term, dense.linear_term)
         _close(ws.shape_matrix, dense.shape_matrix)
+
+
+def test_cached_layout_is_read_only():
+    """_layout(p) is one cached object shared by every caller, so none
+    of its arrays may be written to."""
+    lay = fitting._layout(4)
+    assert fitting._layout(4) is lay
+    with pytest.raises(ValueError):
+        lay.coef[0, 0] = 1.0
+    arrays = [getattr(lay, f.name) for f in dataclasses.fields(lay)]
+    arrays = [a for entry in arrays for a in (entry if isinstance(entry, tuple) else (entry,))]
+    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
 
 
 def test_wide_fit_memory_is_bounded():

@@ -12,6 +12,7 @@ from _oracles import (
     dense_mu_nu,
     dirichlet_ratios,
     dirichlet_wgrad_obs,
+    exact_solve,
     fd_grad,
     linear_cg,
 )
@@ -260,6 +261,36 @@ def test_ridge_shifts_the_system():
     assert fit.ridge == lam
     with pytest.raises(ConfigError):
         solve(ws, ridge=-1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    q=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_solve_matches_the_exact_solve_on_badly_scaled_systems(q, seed, data):
+    """Jacobi scaling keeps the solve within 1e-12 of the exact rational
+    solve when W's diagonal spans 1e-15 to 1: normwise for a standard
+    normal d, and in the norm weighted by diag(W)^1/2, which every
+    rescaling D W D leaves alone, for a d = W x with x of any scale. The
+    reported condition number ignores such rescalings."""
+    log_diag = data.draw(st.lists(st.floats(-15.0, 0.0), min_size=q, max_size=q), label="log10 diag")
+    log_rescale = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=q, max_size=q), label="log10 D")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((q, q + 3))
+    corr = a @ a.T
+    scale = np.sqrt(10.0 ** np.array(log_diag) / np.diag(corr))
+    w = corr * np.outer(scale, scale)
+    root = np.sqrt(np.diag(w))
+    labels = [f"t{i}" for i in range(q)]
+    for d, norm in ((rng.standard_normal(q), np.ones(q)), (w @ rng.standard_normal(q), root)):
+        theta, _, cond = fitting._solve_psd(w, d, 0.0, labels)
+        exact = exact_solve(w, d)
+        assert np.linalg.norm(norm * (theta - exact)) <= 1e-12 * np.linalg.norm(norm * exact)
+    rescale = 10.0 ** np.array(log_rescale)
+    cond_rescaled = fitting._solve_psd(w * np.outer(rescale, rescale), d, 0.0, labels)[2]
+    assert abs(cond_rescaled - cond) <= 1e-10 * cond
 
 
 def test_singular_system_reports_directions():

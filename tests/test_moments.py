@@ -167,6 +167,30 @@ def test_provider_validation():
     assert emp.requested() == [(1, 0)]
 
 
+@pytest.mark.parametrize("kind", ["empirical", "factorial"])
+def test_requested_is_the_sorted_union_of_the_tables(kind):
+    """requested() lists every monomial passed to means once, in order,
+    and keeps its own copy of each table; at p = 10 a workspace asks for
+    the C(13, 4) = 715 distinct entries of S."""
+    rng = np.random.default_rng(41)
+
+    def provider(p):
+        counts = rng.multinomial(50, np.full(p, 1.0 / p), size=30)
+        if kind == "empirical":
+            return EmpiricalMoments(counts / 50.0)
+        return FactorialMoments(CountDataset(counts))
+
+    three = provider(3)
+    first = np.array([[2, 0, 1], [1, 1, 1]])
+    three.means(first)
+    three.means(np.array([[1, 1, 1], [0, 0, 2], [1, 1, 1]]))
+    first[0] = 0
+    assert three.requested() == [(0, 0, 2), (1, 1, 1), (2, 0, 1)]
+    ten = provider(10)
+    build_workspace_from_moments(ten)
+    assert len(ten.requested()) == 715
+
+
 def test_moment_workspace_validation():
     emp = EmpiricalMoments(np.array([[0.5, 0.5], [0.4, 0.6]]))
     with pytest.raises(ConfigError, match="shape vector length"):
