@@ -148,8 +148,8 @@ class _Layout:
     Every slot of statistic i with a nonzero coef carries the monomial
     f_i = u_ext[coord] u_ext[partner], and nu_i = scale_i f_i (scale 4, 8,
     2 by kind). f_q is the constant 1, and f[lin[a]] = u_ext_a.
-    _system's mu_i'mu_j gathers S's columns cols[t] = lin[partner[:, t]]
-    times shared[t], (q, q) coefficient sums up to 32 (int8: a small cache).
+    _system's mu_i'mu_j sums shared[t] * S[:q, cols[t]], cols[t] = lin[partner[:, t]],
+    shared[t] the coef products over slots on a shared coordinate (at most 32: int8).
     """
 
     coord: np.ndarray
