@@ -22,7 +22,7 @@ from compscore import (
     registry,
     round_to_grid,
     sample_dirichlet,
-    sample_hybrid,
+    sample_model,
 )
 from compscore.core import index_map
 
@@ -57,7 +57,7 @@ rng = RngConfig(2026)
 dsim = sample_dirichlet(np.asarray(dfit.estimates), N_SIM, rng.substream(0))
 dir_sd = round_to_grid(dsim.proportions, totals).std(axis=0, ddof=1)
 
-hsim, stats = sample_hybrid(preset, N_SIM, rng.substream(1))
+hsim, stats = sample_model(preset, N_SIM, rng.substream(1), return_stats=True)
 hyb_sd = round_to_grid(hsim.proportions, totals).std(axis=0, ddof=1)
 print(f"\ninteraction sampler acceptance rate {stats.acceptance_rate:.3f}")
 

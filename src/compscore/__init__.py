@@ -15,7 +15,7 @@ fit_from_counts
 run_study
     Replicated simulation studies over the bundled model registry.
 sample_model
-    Exact draws from any registry model.
+    Exact draws from any model: the one way into the samplers.
 """
 
 __version__ = "0.1.0"
@@ -66,10 +66,8 @@ from .samplers import (
     RejectionStats,
     RngConfig,
     sample_dirichlet,
-    sample_hybrid,
     sample_model,
     sample_multinomial_counts,
-    sample_truncated_gaussian,
 )
 from .study import CellSummary, StudyConfig, StudySummary, run_study
 from .weights import WeightSpec, cap_from_quantile, weight_value
@@ -125,10 +123,8 @@ __all__ = [
     "round_to_grid",
     "run_study",
     "sample_dirichlet",
-    "sample_hybrid",
     "sample_model",
     "sample_multinomial_counts",
-    "sample_truncated_gaussian",
     "solve",
     "sqrt_transform",
     "weight_value",

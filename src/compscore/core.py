@@ -383,22 +383,3 @@ class ModelSpec:
                     raise FamilyError(f"{name} mask has wrong length")
             mask[where] = flags
         return mask
-
-    def gaussian_moments(self):
-        """Mean and covariance of the untruncated Gaussian on the first
-        p-1 coordinates, mu = -A^{-1} b / 2 and Sigma = -A^{-1} / 2.
-
-        Requires a negative-definite interaction block.
-        """
-        neg_a = -self.interaction
-        try:
-            low = np.linalg.cholesky(neg_a)
-        except np.linalg.LinAlgError:
-            raise FamilyError(
-                "interaction matrix must be negative definite for Gaussian moments"
-            ) from None
-        eye = np.eye(self.p - 1)
-        inv = np.linalg.solve(low.T, np.linalg.solve(low, eye))
-        mu = 0.5 * inv @ self.linear
-        sigma = 0.5 * inv
-        return mu, sigma

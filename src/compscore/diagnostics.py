@@ -119,7 +119,7 @@ def marginal_report(observed, fitted_spec, rng, n_sim=100_000, grid_totals=None,
         raise ConfigError("fitted model and data disagree on the number of categories")
     if qq_points < 0:
         raise ConfigError(f"the number of QQ points must be non-negative, got {qq_points}")
-    sim, rejection = sample_model(fitted_spec, int(n_sim), rng, return_stats=True)
+    sim, rejection = sample_model(fitted_spec, n_sim, rng, return_stats=True)
     sim = sim.proportions
     if grid_totals is not None:
         sim = round_to_grid(sim, grid_totals)

@@ -1,4 +1,6 @@
 """Samplers for the three model families and multinomial thinning.
+sample_model is the one way in; sample_dirichlet is its shorthand for a
+raw Dirichlet shape.
 
 All randomness flows from an RngConfig: a top-level seed plus a tuple of
 substream indices fed to numpy's SeedSequence, so any component of a
@@ -7,8 +9,8 @@ larger run can be reproduced in isolation.
 The interaction model has density proportional to
 exp(u'Au + b'u) prod u_j^(alpha_j - 1) on the simplex, alpha = shape + 1;
 the truncated Gaussian is its alpha = 1 case with A negative definite.
-Both are sampled by batch rejection with a certified envelope constant
-M, so the acceptance rate is Z / M, Z being the target's unknown
+Both are sampled by one batch rejection loop with a certified envelope
+constant M, so the acceptance rate is Z / M, Z being the target's unknown
 normalising constant (Devroye, Non-Uniform Random Variate Generation
 (1986), ch. II.3). The proposal is
 
@@ -36,10 +38,8 @@ normalising constant (Devroye, Non-Uniform Random Variate Generation
   and is tight. A search along the gradient of log M instead stalls
   where that maximiser is not unique: under the constant bound, with
   b = 0 and lam = 1, A- is singular along A's positive eigenvector, so
-  the function is flat along it. On the bundled-table fit log M is 2.382
-  (2.444 under the constant bound, 2.799 at lam = 1), and `diagnose` at
-  seed 1 keeps 2.64% of its proposals.
-  Gamma variates below shape 1 are drawn as Gamma(alpha_j + 1) times
+  the function is flat along it (the README gives log M on the bundled
+  table's fit). Gamma variates below shape 1 are drawn as Gamma(alpha_j + 1) times
   U^(1 / alpha_j), U uniform (Marsaglia & Tsang 2000), which is cheaper
   than numpy's standard_gamma there (see _gamma_variates);
 * for the truncated Gaussian, also the matching untruncated Gaussian
@@ -49,11 +49,11 @@ normalising constant (Devroye, Non-Uniform Random Variate Generation
   a draw is kept when it lies in the simplex. The truncated Gaussian
   takes whichever of its two proposals has the smaller M.
 
-The proposal is built once per spec and cached; it draws nothing, so
-the draws depend only on the seed. The README lists what the presets
-pick and keep.
+Each spec's proposal, its draw included, is built once and cached;
+building it draws nothing, so the draws depend only on the seed. The
+README lists what the presets pick and keep.
 
-Both rejection samplers draw their proposals in chunks of CHUNK rows.
+The loop draws its proposals in chunks of CHUNK rows.
 Each proposal batch is split into chunks, and the c-th chunk of a run,
 counted across batches, draws from its own stream rng.substream(c).
 Chunks run on a shared thread pool with one worker per usable CPU
@@ -69,12 +69,14 @@ thread keeps the first n of them in chunk order.
 """
 
 import functools
+import logging
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,12 +98,12 @@ from .errors import (
 __all__ = [
     "RngConfig",
     "RejectionStats",
-    "sample_truncated_gaussian",
     "sample_dirichlet",
-    "sample_hybrid",
     "sample_model",
     "sample_multinomial_counts",
 ]
+
+logger = logging.getLogger(__name__)
 
 # give up on a rejection sampler once this many proposals produced
 # an acceptance rate below MIN_RATE
@@ -196,15 +198,16 @@ def _next_batch(remaining, rate_guess):
     return max(4096, min(est, 262_144))
 
 
-def _rejection(n, rng, propose, error, rate, proposal):
-    """The batch loop both rejection samplers share.
+def _rejection(n, rng, proposal, error, rate):
+    """The batch loop of the interaction sampler, for either family.
 
-    propose(rng, size) draws one chunk and returns the positions and
-    rows of the proposals it accepts. The rows are kept in chunk order
-    and the run ends at the n-th acceptance: attempted counts the
-    proposals through that one. Returns the (n, p) rows and
-    RejectionStats. Once PATIENCE proposals give an acceptance rate
-    below MIN_RATE, raises error.
+    proposal.propose(sub, size) draws one chunk from the stream sub and
+    returns the positions and rows of the proposals it accepts. The rows
+    are kept in chunk order and the run ends at the n-th acceptance:
+    attempted counts the proposals through that one. rate is the first
+    guess of the acceptance rate, which sizes the first batch. Returns
+    the (n, p) rows and RejectionStats. Once PATIENCE proposals give an
+    acceptance rate below MIN_RATE, raises error.
     """
     kept = []
     kept_count = 0
@@ -214,11 +217,10 @@ def _rejection(n, rng, propose, error, rate, proposal):
         batch = _next_batch(n - kept_count, rate)
         sizes = [min(CHUNK, batch - lo) for lo in range(0, batch, CHUNK)]
         subs = [rng.substream(chunks + i) for i in range(len(sizes))]
-        chunks += len(sizes)
         if len(sizes) == 1:
-            results = [propose(subs[0], sizes[0])]
+            results = [proposal.propose(subs[0], sizes[0])]
         else:
-            results = _executor().map(propose, subs, sizes)
+            results = _executor().map(proposal.propose, subs, sizes)
         for size, (pos, rows) in zip(sizes, results):
             take = min(pos.size, n - kept_count)
             kept.append(rows[:take])
@@ -228,21 +230,16 @@ def _rejection(n, rng, propose, error, rate, proposal):
                 break
             attempted += size
         rate = max(kept_count / attempted, 1e-8)
+        if not chunks and kept_count < n:  # a long run says so before it ends
+            logger.info("%s proposals: %d of %d kept (acceptance %.3g), about %.3g projected "
+                        "for %d rows", proposal.name, kept_count, attempted,
+                        kept_count / attempted, n / rate, n)
+        chunks += len(sizes)
         if attempted >= PATIENCE and kept_count < attempted * MIN_RATE:
             raise error(f"acceptance rate {kept_count / attempted:.2e} after {attempted} "
                         f"proposals; log envelope constant {proposal.log_bound:.4g}")
     stats = RejectionStats(attempted, n, proposal.name, proposal.log_bound)
     return np.vstack(kept), stats
-
-
-def _energy(a_k, b_k, ut):
-    """u'Au + b'u for each column of ut, the first k coordinates of the
-    proposals (one column each). einsum, not a BLAS product: see the
-    module docstring."""
-    out = np.einsum("ij,jb->ib", a_k, ut)
-    out += b_k[:, None]
-    out *= ut
-    return out.sum(axis=0)
 
 
 def _climb(value, derivatives, u):
@@ -347,12 +344,13 @@ def _scaled_dirichlet_scale(a, b, alpha):
 
 
 class _Proposal(NamedTuple):
-    """A proposal: its name, the log of its envelope constant M, and for
-    the scaled Dirichlet its shapes, its scale and the bound on max f."""
+    """A proposal: its name, the log of its envelope constant M, its
+    draw propose(sub, size) (see _rejection), and for the scaled
+    Dirichlet its scale and the bound on max f."""
 
     name: str
     log_bound: float
-    alpha: np.ndarray = None
+    propose: Callable
     lam: np.ndarray = None
     f_bound: float = None
 
@@ -379,43 +377,6 @@ def _concave_split(a_k):
     return a, chord
 
 
-def _scaled_dirichlet(a_k, b_k, alpha):
-    """The scaled-Dirichlet proposal with shapes alpha for the interaction
-    model with this (k, k) interaction and (k,) linear block."""
-    a, chord = _concave_split(a_k)
-    lam, f_bound = _scaled_dirichlet_scale(a, np.append(b_k, 0.0) + chord, alpha)
-    for arr in (alpha, lam):
-        arr.setflags(write=False)  # cached and shared by every caller
-    log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(alpha.sum())
-    log_bound = f_bound + log_beta - (alpha * np.log(lam)).sum()
-    return _Proposal("scaled-dirichlet", float(log_bound), alpha, lam, float(f_bound))
-
-
-def _tg_candidates(p, interaction, linear):
-    """The Gaussian and the scaled-Dirichlet proposal for the truncated
-    Gaussian with these (k, k) interaction and (k,) linear bytes."""
-    k = p - 1
-    a_k = np.frombuffer(interaction).reshape(k, k)
-    b_k = np.frombuffer(linear)
-    low = np.linalg.cholesky(-a_k)
-    mu = np.linalg.solve(low.T, np.linalg.solve(low, b_k)) / 2.0
-    # Sigma^{-1} mu = b and |Sigma| = 2^{-k} / |-A|
-    log_gauss = b_k @ mu / 2.0 + k * math.log(math.pi) / 2.0 - np.log(np.diag(low)).sum()
-    return _Proposal("gaussian", float(log_gauss)), _scaled_dirichlet(a_k, b_k, np.ones(p))
-
-
-@functools.lru_cache(maxsize=32)
-def _proposal(p, interaction, linear, shape=None):
-    """The proposal for the model with these (k, k) interaction, (k,)
-    linear and (p,) shape bytes, built once per spec: the scaled
-    Dirichlet with shapes shape + 1, or for the truncated Gaussian
-    (shape None) whichever of its candidates has the smaller M."""
-    if shape is None:
-        return min(_tg_candidates(p, interaction, linear), key=lambda c: c.log_bound)
-    a_k = np.frombuffer(interaction).reshape(p - 1, p - 1)
-    return _scaled_dirichlet(a_k, np.frombuffer(linear), np.frombuffer(shape) + 1.0)
-
-
 def _gamma_variates(gen, alpha, out, scratch):
     """Fill row j of out with Gamma(alpha_j) variates from the Generator
     gen, category by category; scratch is a row of out's length.
@@ -437,10 +398,15 @@ def _gamma_variates(gen, alpha, out, scratch):
             gen.standard_gamma(a, out=out[j])
 
 
-def _scaled_dirichlet_proposer(a_k, b_k, proposal):
-    """The propose function of a scaled-Dirichlet proposal for _rejection:
-    a proposal u is kept when its coin is at most exp(f(u) - bound)."""
-    alpha, lam, f_bound = proposal.alpha, proposal.lam, proposal.f_bound
+def _scaled_dirichlet(a_k, b_k, alpha):
+    """The scaled-Dirichlet proposal with shapes alpha for the interaction
+    model with this (k, k) interaction and (k,) linear block. A proposal
+    u is kept when its coin is at most exp(f(u) - bound)."""
+    a, chord = _concave_split(a_k)
+    lam, f_bound = _scaled_dirichlet_scale(a, np.append(b_k, 0.0) + chord, alpha)
+    lam.setflags(write=False)  # cached and shared by every caller
+    log_beta = sum(math.lgamma(x) for x in alpha) - math.lgamma(alpha.sum())
+    log_bound = f_bound + log_beta - (alpha * np.log(lam)).sum()
     p, k = alpha.size, alpha.size - 1
     total = alpha.sum()
 
@@ -457,102 +423,104 @@ def _scaled_dirichlet_proposer(a_k, b_k, proposal):
         g /= lam[:, None]
         w_sum = g.sum(axis=0)
         g /= w_sum
-        # lam'u = sum(g) / sum(w)
-        expo = _energy(a_k, b_k, g[:k]) + total * np.log(g_sum / w_sum)
+        # u'Au + b'u by einsum, never a BLAS product (see the module
+        # docstring), plus P log(lam'u), lam'u = sum(g) / sum(w)
+        expo = np.einsum("ij,jb->ib", a_k, g[:k])
+        expo += b_k[:, None]
+        expo *= g[:k]
+        expo = expo.sum(axis=0) + total * np.log(g_sum / w_sum)
         pos = np.flatnonzero(coins <= np.exp(expo - f_bound))
         return pos, g[:, pos].T
 
-    return propose
+    return _Proposal("scaled-dirichlet", float(log_bound), propose, lam, float(f_bound))
 
 
-def _sample_truncated_gaussian(spec, n, rng):
-    """sample_truncated_gaussian, plus its RejectionStats."""
-    if spec.family != FAMILY_TRUNCATED_GAUSSIAN:
-        raise FamilyError("spec must be a truncated-Gaussian model")
-    mu, sigma = spec.gaussian_moments()  # FamilyError unless negative definite
-    n = int(n)
-    if n < 1:
-        raise DataError("need at least one draw")
-    p, k = spec.p, spec.p - 1
-    a_k = np.ascontiguousarray(spec.interaction, dtype=float)
-    b_k = np.ascontiguousarray(spec.linear, dtype=float)
-    proposal = _proposal(p, a_k.tobytes(), b_k.tobytes())
+def _gaussian(a_k, b_k):
+    """The untruncated-Gaussian proposal N(mu, Sigma), Sigma = -A^{-1} / 2,
+    for the truncated Gaussian with this (k, k) interaction and (k,)
+    linear block; a draw is kept when it lies in the simplex. Raises
+    FamilyError unless A is negative definite."""
+    k = b_k.size
+    try:
+        low = np.linalg.cholesky(-a_k)
+    except np.linalg.LinAlgError:
+        raise FamilyError("a truncated Gaussian's interaction must be negative definite") from None
+    mu = np.linalg.solve(low.T, np.linalg.solve(low, b_k)) / 2.0
+    # Sigma^{-1} mu = b and |Sigma| = 2^{-k} / |-A|
+    log_bound = b_k @ mu / 2.0 + k * math.log(math.pi) / 2.0 - np.log(np.diag(low)).sum()
+    # the draws take mu and Sigma from the explicit inverse, which fixes their bits
+    inv = np.linalg.solve(low.T, np.linalg.solve(low, np.eye(k)))
+    mean = 0.5 * inv @ b_k
+    chol = np.linalg.cholesky(0.5 * inv)
 
-    if proposal.name == "gaussian":
-        chol = np.linalg.cholesky(sigma)
+    def propose(sub, size):
+        # one row of normals per proposal, transformed into one column each
+        draw = np.einsum("ij,bj->ib", chol, sub.generator().standard_normal((size, k)))
+        draw += mean[:, None]
+        pos = np.flatnonzero((draw >= 0.0).all(axis=0) & (draw.sum(axis=0) <= 1.0))
+        rows = np.empty((pos.shape[0], k + 1))
+        rows[:, :-1] = draw[:, pos].T
+        rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
+        return pos, rows
 
-        def propose(sub, size):
-            # one row of normals per proposal, transformed into one column each
-            draw = np.einsum("ij,bj->ib", chol, sub.generator().standard_normal((size, k)))
-            draw += mu[:, None]
-            pos = np.flatnonzero((draw >= 0.0).all(axis=0) & (draw.sum(axis=0) <= 1.0))
-            rows = np.empty((pos.shape[0], p))
-            rows[:, :-1] = draw[:, pos].T
-            rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
-            return pos, rows
+    return _Proposal("gaussian", float(log_bound), propose)
 
+
+@functools.lru_cache(maxsize=32)
+def _proposal(p, interaction, linear, shape):
+    """The proposal for the model with these (k, k) interaction, (k,)
+    linear and (p,) shape bytes, built once per spec: the scaled
+    Dirichlet with shapes shape + 1, or for the truncated Gaussian
+    (shape None) whichever of the Gaussian and the unit-shape scaled
+    Dirichlet has the smaller M."""
+    a_k = np.frombuffer(interaction).reshape(p - 1, p - 1)
+    b_k = np.frombuffer(linear)
+    if shape is not None:
+        return _scaled_dirichlet(a_k, b_k, np.frombuffer(shape) + 1.0)
+    candidates = (_gaussian(a_k, b_k), _scaled_dirichlet(a_k, b_k, np.ones(p)))
+    return min(candidates, key=lambda c: c.log_bound)
+
+
+def _sample_interaction(spec, n, rng):
+    """Rejection sampling of either interaction family from its cached
+    proposal; the family sets the shape bytes, the error and the first
+    rate guess."""
+    if spec.family == FAMILY_TRUNCATED_GAUSSIAN:
+        shape, error, rate = None, InfeasibleTruncationError, 0.5
     else:
-        propose = _scaled_dirichlet_proposer(a_k, b_k, proposal)
-    u, stats = _rejection(n, rng, propose, InfeasibleTruncationError, 0.5, proposal)
+        shape, error, rate = spec.shape.tobytes(), EnvelopeFailureError, 0.25
+    # ModelSpec holds float64 arrays, and tobytes() is in C order
+    proposal = _proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(), shape)
+    u, stats = _rejection(n, rng, proposal, error, rate)
     return ContinuousDataset(u), stats
 
 
-def sample_truncated_gaussian(spec, n, rng):
-    """Rejection sampling of the zero-shape interaction model.
-
-    Proposes from the matching Gaussian or from a scaled Dirichlet,
-    whichever has the smaller certified envelope (see the module
-    docstring). Raises InfeasibleTruncationError when fewer than a
-    MIN_RATE share of PATIENCE proposals is kept.
-    """
-    return _sample_truncated_gaussian(spec, n, rng)[0]
-
-
 def sample_dirichlet(spec_or_shape, n, rng):
-    """Exact Dirichlet draws with parameters shape + 1; a raw shape is
+    """sample_model for a Dirichlet ModelSpec or its raw shape, which is
     checked as the shape of a Dirichlet ModelSpec."""
     spec = spec_or_shape
     if not isinstance(spec, ModelSpec):
         spec = ModelSpec(family=FAMILY_DIRICHLET, p=np.size(spec), shape=np.ravel(spec))
     if spec.family != FAMILY_DIRICHLET:
         raise FamilyError("spec must be a dirichlet model")
-    n = int(n)
-    if n < 1:
-        raise DataError("need at least one draw")
-    gen = rng.generator()
-    u = gen.dirichlet(spec.shape + 1.0, size=n)
-    return ContinuousDataset(u)
-
-
-def sample_hybrid(spec, n, rng):
-    """Rejection sampling of the interaction model from the scaled
-    Dirichlet with shapes shape + 1 and a certified envelope (see the
-    module docstring).
-
-    Returns (dataset, RejectionStats). Raises EnvelopeFailureError when
-    fewer than a MIN_RATE share of PATIENCE proposals is kept.
-    """
-    n = int(n)
-    if n < 1:
-        raise DataError("need at least one draw")
-    a_k = np.ascontiguousarray(spec.interaction, dtype=float)
-    b_k = np.ascontiguousarray(spec.linear, dtype=float)
-    shape = np.ascontiguousarray(spec.shape, dtype=float)
-    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), shape.tobytes())
-    propose = _scaled_dirichlet_proposer(a_k, b_k, proposal)
-    u, stats = _rejection(n, rng, propose, EnvelopeFailureError, 0.25, proposal)
-    return ContinuousDataset(u), stats
+    return sample_model(spec, n, rng)
 
 
 def sample_model(spec, n, rng, return_stats=False):
-    """Family dispatch. Stats are None for the exact Dirichlet sampler
-    and RejectionStats for the two rejection samplers."""
-    if spec.family == FAMILY_TRUNCATED_GAUSSIAN:
-        data, stats = _sample_truncated_gaussian(spec, n, rng)
-    elif spec.family == FAMILY_DIRICHLET:
-        data, stats = sample_dirichlet(spec, n, rng), None
+    """n rows of the model spec from the stream rng, and with
+    return_stats their RejectionStats (None for the exact Dirichlet
+    draws, parameters shape + 1). The interaction families raise
+    InfeasibleTruncationError (truncated Gaussian) or
+    EnvelopeFailureError (hybrid) when fewer than a MIN_RATE share of
+    PATIENCE proposals is kept, and a truncated Gaussian whose A is not
+    negative definite raises FamilyError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DataError(f"the number of draws must be an integer of at least 1, got {n!r}")
+    n = int(n)
+    if spec.family == FAMILY_DIRICHLET:
+        data, stats = ContinuousDataset(rng.generator().dirichlet(spec.shape + 1.0, size=n)), None
     else:
-        data, stats = sample_hybrid(spec, n, rng)
+        data, stats = _sample_interaction(spec, n, rng)
     return (data, stats) if return_stats else data
 
 
@@ -564,7 +532,10 @@ def sample_multinomial_counts(latent, totals, rng):
     """
     u = latent.proportions
     n, p = u.shape
-    m = np.broadcast_to(np.asarray(totals, dtype=np.int64), (n,)).copy()
+    m = np.asarray(totals)
+    if m.dtype.kind not in "iu" or m.ndim > 1 or m.size not in (1, n):
+        raise DataError(f"totals must be one integer or {n}, one per row, not {m.dtype} {m.shape}")
+    m = np.broadcast_to(m.astype(np.int64), (n,)).copy()
     if np.any(m < 1):
         raise DataError("every total must be at least 1")
     gen = rng.generator()

@@ -22,6 +22,7 @@ check_route and fit_route below are the one home of these routes, for
 studies and for `compscore fit` alike.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -46,6 +47,14 @@ _ROUTES = {
     6: ("moment", None),
 }
 MAX_FAILURE_RATE = 0.20
+
+
+def _integer(value):
+    """value as an int if it is an integer or an integral float (JSON
+    writes 1e3); int() would truncate 2.5 and take True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or value != int(value):
+        raise ValueError(value)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -74,9 +83,11 @@ class StudyConfig:
                 continue
             try:
                 if f.type is tuple:
-                    value = tuple(int(e) for e in value)
-                elif f.type in (int, float):
-                    value = f.type(value)
+                    value = tuple(_integer(e) for e in value)
+                elif f.type is int:
+                    value = _integer(value)
+                elif f.type is float:
+                    value = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"study {f.name} {value!r} does not convert to {f.type.__name__}"

@@ -610,42 +610,59 @@ def boosted_gamma_reference(gen, alpha, size):
 
 
 def chunked_hybrid_reference(spec, n, rng):
-    """sample_hybrid walked one proposal at a time.
+    """sample_model on a hybrid or truncated-Gaussian spec, walked one
+    proposal at a time.
 
     Reads the same chunk streams as the sampler (chunk c of the run from
-    rng.substream(c), batches sized by samplers._next_batch), draws the
-    same scaled-Dirichlet proposals with the scale and bound of
-    samplers._proposal, and computes the same density ratios. It then
-    visits every proposal in order and keeps it when coin <= ratio. The
-    walk stops at the n-th kept proposal, and attempted counts the
-    proposals through it. Returns (rows, attempted). No patience check:
-    callers pass models the sampler can serve.
+    rng.substream(c), batches sized by samplers._next_batch from a first
+    rate guess of 0.25 for the hybrid family and 0.5 for the truncated
+    Gaussian) and draws the proposal that samplers._proposal picks. The
+    scaled Dirichlet takes its scale and bound from that proposal and
+    computes the same density ratios; a proposal is kept when
+    coin <= ratio. The Gaussian takes mu = inv(-A) b / 2 and the Cholesky
+    factor of Sigma = inv(-A) / 2, formed here, and a proposal is kept
+    when it lies in the simplex. The walk visits every proposal in order
+    and stops at the n-th kept one, and attempted counts the proposals
+    through it. Returns (rows, attempted). No patience check: callers
+    pass models the sampler can serve.
     """
     from compscore.samplers import CHUNK, _next_batch, _proposal
 
     k = spec.p - 1
-    a_k, b_k, shape = spec.interaction, spec.linear, spec.shape
-    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), shape.tobytes())
-    alpha = shape + 1.0
+    a_k, b_k = spec.interaction, spec.linear
+    gaussian_family = spec.family == "truncated-gaussian"
+    shape = None if gaussian_family else spec.shape.tobytes()
+    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), shape)
+    alpha = np.ones(spec.p) if gaussian_family else spec.shape + 1.0
+    if proposal.name == "gaussian":
+        low = np.linalg.cholesky(-a_k)
+        inv = np.linalg.solve(low.T, np.linalg.solve(low, np.eye(k)))
+        mu = 0.5 * inv @ b_k
+        chol = np.linalg.cholesky(0.5 * inv)
     kept = []
     attempted = 0
     chunk = 0
-    rate = 0.25
+    rate = 0.5 if gaussian_family else 0.25
     while len(kept) < n:
         batch = _next_batch(n - len(kept), rate)
         for lo in range(0, batch, CHUNK):
             size = min(CHUNK, batch - lo)
             gen = rng.substream(chunk).generator()
             chunk += 1
-            g = boosted_gamma_reference(gen, alpha, size)
-            coins = gen.uniform(size=size)
-            w = g / proposal.lam[:, None]
-            ut = w / w.sum(axis=0)
-            energy = ((np.einsum("ij,jb->ib", a_k, ut[:k]) + b_k[:, None]) * ut[:k]).sum(axis=0)
-            log_scale = alpha.sum() * np.log(g.sum(axis=0) / w.sum(axis=0))
-            ratio = np.exp(energy + log_scale - proposal.f_bound)
-            for i, (r, coin) in enumerate(zip(ratio.tolist(), coins.tolist())):
-                if coin <= r:
+            if proposal.name == "gaussian":
+                x = np.einsum("ij,bj->ib", chol, gen.standard_normal((size, k))) + mu[:, None]
+                keep = (x >= 0.0).all(axis=0) & (x.sum(axis=0) <= 1.0)
+                ut = np.vstack([x, 1.0 - x.sum(axis=0)])
+            else:
+                g = boosted_gamma_reference(gen, alpha, size)
+                coins = gen.uniform(size=size)
+                w = g / proposal.lam[:, None]
+                ut = w / w.sum(axis=0)
+                energy = ((np.einsum("ij,jb->ib", a_k, ut[:k]) + b_k[:, None]) * ut[:k]).sum(axis=0)
+                log_scale = alpha.sum() * np.log(g.sum(axis=0) / w.sum(axis=0))
+                keep = coins <= np.exp(energy + log_scale - proposal.f_bound)
+            for i, ok in enumerate(keep.tolist()):
+                if ok:
                     kept.append(ut[:, i])
                     if len(kept) == n:
                         return np.array(kept), attempted + i + 1

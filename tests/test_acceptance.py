@@ -30,7 +30,6 @@ from compscore.moments import (
 from compscore.samplers import (
     RngConfig,
     sample_dirichlet,
-    sample_hybrid,
     sample_model,
     sample_multinomial_counts,
 )
@@ -209,7 +208,7 @@ def test_criterion_7_samplers_match_known_distributions():
         family="hybrid", p=4,
         interaction=np.zeros((3, 3)), linear=np.zeros(3), shape=shape,
     )
-    hyb, _ = sample_hybrid(flat, 20_000, RngConfig(5).substream(0))
+    hyb = sample_model(flat, 20_000, RngConfig(5).substream(0))
     direct = sample_dirichlet(shape, 20_000, RngConfig(5).substream(1))
     pvals = [
         stats.ks_2samp(
@@ -239,7 +238,7 @@ def test_criterion_8_overdispersion_signature_on_bundled_data():
     dsim = sample_dirichlet(np.asarray(dfit.estimates), 100_000, sim_rng.substream(0))
     dir_sd = round_to_grid(dsim.proportions, totals).std(axis=0, ddof=1)
 
-    hsim, _ = sample_hybrid(registry.get("model1").spec, 100_000, sim_rng.substream(1))
+    hsim = sample_model(registry.get("model1").spec, 100_000, sim_rng.substream(1))
     hyb_sd = round_to_grid(hsim.proportions, totals).std(axis=0, ddof=1)
 
     under = int((dir_sd < obs_sd).sum())

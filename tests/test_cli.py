@@ -394,6 +394,12 @@ def test_config_rejections(tmp_path, capsys):
     negative_seed = _write_config(tmp_path / "ns.json", model="model3", n=50, replicates=2,
                                   seed=-3)
     study = _write_config(tmp_path / "st.json", model="model3", n=50, replicates=2)
+    # int() would run these as n = 1000, estimator 1, seed 3 and n = 1
+    truncated = [
+        _write_config(tmp_path / f"t{i}.json", **{"model": "model3", "replicates": 2, **bad})
+        for i, bad in enumerate([{"n": 1000.7}, {"estimators": [1.5]}, {"seed": 3.9},
+                                 {"n": True}])
+    ]
     assert run_cli("fit", "--data", data, "--config", tg, "--out", tmp_path / "fit") == 0
     fitted = tmp_path / "fit" / "fit.json"
     diagnose = ["diagnose", "--data", data, "--n-sim", 100, "--fit"]
@@ -409,6 +415,7 @@ def test_config_rejections(tmp_path, capsys):
         ["fit", "--data", data, "--config", bad_ridge],
         ["fit", "--data", data, "--config", bad_weight],
         ["bench", "--config", bad_n],
+        *[["bench", "--config", config] for config in truncated],
         diagnose + [not_json],
         diagnose + [unlabelled],
         diagnose + [not_object],

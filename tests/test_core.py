@@ -256,18 +256,3 @@ class TestModelSpec:
             ).estimation_mask(imap)
         with pytest.raises(FamilyError, match="estimate_linear mask has wrong length"):
             ModelSpec(family="hybrid", p=3, estimate_linear=[True]).estimation_mask(imap)
-
-    def test_gaussian_moments_hand_case(self):
-        a = np.array([[-3.0, 1.0], [1.0, -2.0]])
-        b = np.array([2.0, 4.0])
-        spec = ModelSpec(family="truncated-gaussian", p=3, interaction=a, linear=b)
-        mu, sigma = spec.gaussian_moments()
-        np.testing.assert_allclose(sigma, 0.5 * np.linalg.inv(-a), atol=1e-14)
-        np.testing.assert_allclose(mu, 0.5 * np.linalg.inv(-a) @ b, atol=1e-14)
-
-    def test_gaussian_moments_need_negative_definite(self):
-        spec = ModelSpec(
-            family="truncated-gaussian", p=3, interaction=[[1.0, 0.0], [0.0, -1.0]]
-        )
-        with pytest.raises(FamilyError, match="negative definite"):
-            spec.gaussian_moments()

@@ -2,6 +2,7 @@
 oracles (1-d quadrature, exact moments), and failure modes."""
 
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -39,10 +40,8 @@ from compscore.samplers import (
     CHUNK,
     RngConfig,
     sample_dirichlet,
-    sample_hybrid,
     sample_model,
     sample_multinomial_counts,
-    sample_truncated_gaussian,
 )
 
 
@@ -71,17 +70,32 @@ TGAUSS3 = ModelSpec(
 
 
 def test_truncated_gaussian_support_and_determinism():
-    data = sample_truncated_gaussian(TGAUSS3, 500, RngConfig(1))
+    data = sample_model(TGAUSS3, 500, RngConfig(1))
     u = data.proportions
     assert u.shape == (500, 3)
     assert np.all(u >= 0.0)
     np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
-    again = sample_truncated_gaussian(TGAUSS3, 500, RngConfig(1))
+    again = sample_model(TGAUSS3, 500, RngConfig(1))
     np.testing.assert_array_equal(u, again.proportions)
-    with pytest.raises(FamilyError):
-        sample_truncated_gaussian(ModelSpec(family="dirichlet", p=3), 10, RngConfig(0))
-    with pytest.raises(DataError):
-        sample_truncated_gaussian(TGAUSS3, 0, RngConfig(0))
+    np.testing.assert_array_equal(u[:10], sample_model(TGAUSS3, np.int64(10), RngConfig(1)).proportions)
+
+
+def test_draw_count_must_be_a_positive_integer():
+    """Every family refuses a count of draws that is not an integer of at
+    least 1, where int() would truncate 2.9 to 2 and True to 1."""
+    for name in ("model3", "model4", "model7", "model1"):
+        for n in (0, -3, 2.9, 2.0, True, "5", None):
+            with pytest.raises(DataError, match="integer of at least 1"):
+                sample_model(registry.get(name).spec, n, RngConfig(0))
+
+
+def test_truncated_gaussian_needs_negative_definite_interaction():
+    """The Gaussian proposal needs -A positive definite: an indefinite
+    and a singular interaction raise FamilyError before any draw."""
+    for interaction in ([[1.0, 0.0], [0.0, -1.0]], [[-1.0, 1.0], [1.0, -1.0]]):
+        spec = ModelSpec(family="truncated-gaussian", p=3, interaction=interaction)
+        with pytest.raises(FamilyError, match="negative definite"):
+            sample_model(spec, 10, RngConfig(0))
 
 
 def test_truncated_gaussian_mean_against_quadrature():
@@ -93,7 +107,7 @@ def test_truncated_gaussian_mean_against_quadrature():
     )
     num = integrate.quad(lambda r: r * np.exp(a11 * r * r + b1 * r), 0.0, 1.0)[0]
     den = integrate.quad(lambda r: np.exp(a11 * r * r + b1 * r), 0.0, 1.0)[0]
-    draws = sample_truncated_gaussian(spec, 200_000, RngConfig(11)).proportions[:, 0]
+    draws = sample_model(spec, 200_000, RngConfig(11)).proportions[:, 0]
     mc_se = draws.std() / np.sqrt(draws.size)
     assert abs(draws.mean() - num / den) < 4.0 * mc_se
 
@@ -119,14 +133,22 @@ def test_infeasible_truncation_fails_fast():
         linear=[50000.0] * 9,  # untruncated mean 5 in every coordinate
     )
     with pytest.raises(InfeasibleTruncationError):
-        sample_truncated_gaussian(far, 100, RngConfig(2))
+        sample_model(far, 100, RngConfig(2))
+
+
+def _tg_candidates(p, interaction, linear):
+    """The Gaussian and the unit-shape scaled-Dirichlet proposal for the
+    truncated Gaussian with these interaction and linear bytes."""
+    a_k = np.frombuffer(interaction).reshape(p - 1, p - 1)
+    b_k = np.frombuffer(linear)
+    return samplers._gaussian(a_k, b_k), samplers._scaled_dirichlet(a_k, b_k, np.ones(p))
 
 
 def _force_proposal(monkeypatch, name):
     """Make the truncated-Gaussian sampler use the named proposal."""
 
-    def pick(p, interaction, linear):
-        return next(c for c in samplers._tg_candidates(p, interaction, linear) if c.name == name)
+    def pick(p, interaction, linear, shape):
+        return next(c for c in _tg_candidates(p, interaction, linear) if c.name == name)
 
     monkeypatch.setattr(samplers, "_proposal", pick)
 
@@ -144,7 +166,7 @@ def test_proposal_choice_and_certified_envelopes():
         _, stats = sample_model(spec, 200, RngConfig(0), return_stats=True)
         key = (spec.p, spec.interaction.tobytes(), spec.linear.tobytes())
         assert stats.proposal == proposal
-        assert stats.log_bound == min(c.log_bound for c in samplers._tg_candidates(*key))
+        assert stats.log_bound == min(c.log_bound for c in _tg_candidates(*key))
     for name in ("model1", "model2", "model3", "model6"):
         spec = registry.get(name).spec
         shape = None if spec.family == "truncated-gaussian" else spec.shape.tobytes()
@@ -459,7 +481,7 @@ def test_hybrid_flat_energy_accepts_everything():
     request."""
     shape = np.array([0.5, -0.2, 1.0])
     spec = ModelSpec(family="hybrid", p=3, shape=shape)
-    data, stats = sample_hybrid(spec, 3000, RngConfig(6))
+    data, stats = sample_model(spec, 3000, RngConfig(6), return_stats=True)
     assert data.n == 3000
     assert stats.proposal == "scaled-dirichlet"
     log_beta = sum(math.lgamma(a) for a in shape + 1.0) - math.lgamma((shape + 1.0).sum())
@@ -479,10 +501,10 @@ def test_hybrid_envelope_growth_and_determinism():
         interaction=[[-63602.0, 15145.0], [15145.0, -5694.0]],
         shape=[-0.75, -0.75, -0.75],
     )
-    data, stats = sample_hybrid(spec, 800, RngConfig(7))
+    data, stats = sample_model(spec, 800, RngConfig(7), return_stats=True)
     assert data.n == 800
     assert 0.0 < stats.acceptance_rate < 1.0
-    again, stats2 = sample_hybrid(spec, 800, RngConfig(7))
+    again, stats2 = sample_model(spec, 800, RngConfig(7), return_stats=True)
     np.testing.assert_array_equal(data.proportions, again.proportions)
     assert stats2 == stats
 
@@ -507,7 +529,7 @@ def test_hybrid_unbounded_energy_fails():
     log_m = c * u[:3].sum() + np.log(u).sum() + 4.0 * math.log(4.0) - math.log(6.0)
     assert abs(proposal.log_bound - log_m) < 1e-6
     with pytest.raises(EnvelopeFailureError):
-        sample_hybrid(spec, 1000, RngConfig(8))
+        sample_model(spec, 1000, RngConfig(8))
 
 
 def test_hybrid_convex_energy_samples_under_the_chord_bound():
@@ -520,7 +542,7 @@ def test_hybrid_convex_energy_samples_under_the_chord_bound():
     every row has u_1 >= 0.998 (a Gamma(2) tail of 17 e^-16 per row), and
     the mean of t is within four standard errors of 2.5e-4."""
     spec = ModelSpec(family="hybrid", p=3, interaction=[[4000.0, 0.0], [0.0, 0.0]])
-    data, stats = sample_hybrid(spec, 20_000, RngConfig(8))
+    data, stats = sample_model(spec, 20_000, RngConfig(8), return_stats=True)
     assert stats.acceptance_rate > 0.1, stats
     t = 1.0 - data.proportions[:, 0]
     assert t.max() <= 0.002
@@ -530,10 +552,6 @@ def test_hybrid_convex_energy_samples_under_the_chord_bound():
 
 def test_sample_model_dispatch():
     rng = RngConfig(9)
-    np.testing.assert_array_equal(
-        sample_model(TGAUSS3, 50, rng).proportions,
-        sample_truncated_gaussian(TGAUSS3, 50, rng).proportions,
-    )
     dspec = ModelSpec(family="dirichlet", p=3, shape=[1.0, 2.0, 0.5])
     np.testing.assert_array_equal(
         sample_model(dspec, 50, rng).proportions,
@@ -542,13 +560,33 @@ def test_sample_model_dispatch():
     data, stats = sample_model(dspec, 50, rng, return_stats=True)
     assert stats is None
     data, stats = sample_model(TGAUSS3, 50, rng, return_stats=True)
-    np.testing.assert_array_equal(
-        data.proportions, sample_truncated_gaussian(TGAUSS3, 50, rng).proportions
-    )
+    np.testing.assert_array_equal(data.proportions, sample_model(TGAUSS3, 50, rng).proportions)
     assert stats.accepted == 50 and stats.attempted >= 50
     hspec = ModelSpec(family="hybrid", p=3, shape=[0.0, 0.0, 0.0])
     data, stats = sample_model(hspec, 50, rng, return_stats=True)
     assert stats is not None and stats.accepted == 50
+
+
+def test_long_runs_log_their_projection_once(caplog):
+    """A run that its first batch leaves short logs one INFO line, after
+    that batch: the acceptance so far and the projected number of
+    proposals. model1 at n = 20000 takes three batches; the projection
+    lies within 10% of the proposals the run took. A run that its first
+    batch serves logs nothing."""
+    caplog.set_level(logging.INFO, logger="compscore.samplers")
+    n = 20_000
+    _, stats = sample_model(registry.get("model1").spec, n, RngConfig(5), return_stats=True)
+    assert len(caplog.records) == 1
+    name, kept, attempted, acceptance, projected, rows = caplog.records[0].args
+    assert (name, rows) == ("scaled-dirichlet", n)
+    assert attempted == samplers._next_batch(n, 0.25) and 0 < kept < n
+    assert acceptance == kept / attempted and projected == n / acceptance
+    assert stats.attempted > attempted + samplers._next_batch(n - kept, acceptance)
+    assert abs(projected / stats.attempted - 1.0) < 0.1
+    caplog.clear()
+    sample_model(TGAUSS3, 50, RngConfig(5))
+    sample_model(registry.get("model7").spec, 50, RngConfig(5))
+    assert caplog.records == []
 
 
 def _draw_both_samplers():
@@ -556,7 +594,7 @@ def _draw_both_samplers():
     RejectionStats."""
     model1 = registry.get("model1").spec
     return (
-        sample_hybrid(model1, 100_000, RngConfig(12)),
+        sample_model(model1, 100_000, RngConfig(12), return_stats=True),
         sample_model(TGAUSS3, 30_000, RngConfig(13), return_stats=True),
     )
 
@@ -583,7 +621,7 @@ def test_chunks_read_their_own_streams():
     shape = np.array([0.5, -0.2, 1.0])
     spec = ModelSpec(family="hybrid", p=3, shape=shape)
     rng = RngConfig(14)
-    data, stats = sample_hybrid(spec, 3 * CHUNK, rng)
+    data, stats = sample_model(spec, 3 * CHUNK, rng, return_stats=True)
     assert stats.attempted == 3 * CHUNK
     u = data.proportions
     for c in range(3):
@@ -592,14 +630,14 @@ def test_chunks_read_their_own_streams():
         chunk = ContinuousDataset((g / g.sum(axis=0)).T)
         np.testing.assert_array_equal(u[c * CHUNK : (c + 1) * CHUNK], chunk.proportions)
     assert np.unique(u, axis=0).shape[0] == u.shape[0]
-    tg = sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(15)).proportions
+    tg = sample_model(TGAUSS3, 20_000, RngConfig(15)).proportions
     assert np.unique(tg, axis=0).shape[0] == tg.shape[0]
 
 
 def test_concurrent_callers_share_one_pool(monkeypatch):
     """Callers on several threads create the chunk pool once and still
     get the draws a lone caller gets."""
-    want = sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(16)).proportions
+    want = sample_model(TGAUSS3, 20_000, RngConfig(16)).proportions
     created = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -613,7 +651,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
 
     def call():
         start.wait(timeout=30)
-        return sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(16)).proportions
+        return sample_model(TGAUSS3, 20_000, RngConfig(16)).proportions
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -630,14 +668,14 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
 
 
 def _sample_in_child():
-    sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(17))
+    sample_model(TGAUSS3, 20_000, RngConfig(17))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_gets_its_own_pool():
     """A child forked after the pool exists inherits none of its threads;
     it must start its own pool rather than wait on the parent's."""
-    sample_truncated_gaussian(TGAUSS3, 20_000, RngConfig(17))
+    sample_model(TGAUSS3, 20_000, RngConfig(17))
     assert samplers._pool is not None
     child = multiprocessing.get_context("fork").Process(target=_sample_in_child)
     child.start()
@@ -648,30 +686,42 @@ def test_forked_child_gets_its_own_pool():
     assert child.exitcode == 0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_prefilter_matches_unfiltered_reference(data):
     """Workers return only the proposals they accept, and the main
-    thread keeps them in chunk order: sample_hybrid equals the
+    thread keeps them in chunk order: sample_model equals the
     row-by-row walk over every proposal, bit for bit, attempted
-    included. A has zero, one or two positive eigenvalues."""
+    included. A hybrid spec's A has zero, one or two positive
+    eigenvalues. A truncated-Gaussian spec's A is negative definite with
+    eigenvalues down to -400 and its untruncated mean lies in the
+    simplex, so some specs take the Gaussian proposal and some the
+    scaled Dirichlet."""
+    family = data.draw(st.sampled_from(["hybrid", "truncated-gaussian"]), label="family")
+    gaussian_family = family == "truncated-gaussian"
     p = data.draw(st.integers(3, 5), label="p")
     k = p - 1
-    eig = -np.array(data.draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k), label="eig"))
-    positive = data.draw(st.integers(0, 2), label="positive")
+    stiffest = 400.0 if gaussian_family else 40.0
+    eig = -np.array(data.draw(st.lists(st.floats(0.5, stiffest), min_size=k, max_size=k), label="eig"))
+    positive = 0 if gaussian_family else data.draw(st.integers(0, 2), label="positive")
     eig[:positive] = data.draw(st.lists(st.floats(0.05, 5.0), min_size=positive, max_size=positive),
                                label="positive eig")
     basis = np.linalg.qr(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((k, k)))[0]
-    spec = ModelSpec(
-        family="hybrid",
-        p=p,
-        interaction=(basis * eig) @ basis.T,
-        linear=data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k), label="linear"),
-        shape=data.draw(st.lists(st.floats(-0.9, 2.0), min_size=p, max_size=p), label="shape"),
-    )
+    a_k = (basis * eig) @ basis.T
+    if gaussian_family:
+        mean = np.array(data.draw(st.lists(st.floats(0.2 / k, 0.8 / k), min_size=k, max_size=k), label="mean"))
+        spec = ModelSpec(family=family, p=p, interaction=a_k, linear=-2.0 * a_k @ mean)
+    else:
+        spec = ModelSpec(
+            family=family,
+            p=p,
+            interaction=a_k,
+            linear=data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k), label="linear"),
+            shape=data.draw(st.lists(st.floats(-0.9, 2.0), min_size=p, max_size=p), label="shape"),
+        )
     n = data.draw(st.integers(200, 3000), label="n")
     rng = RngConfig(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    got, stats = sample_hybrid(spec, n, rng)
+    got, stats = sample_model(spec, n, rng, return_stats=True)
     rows, attempted = chunked_hybrid_reference(spec, n, rng)
     np.testing.assert_array_equal(got.proportions, ContinuousDataset(rows).proportions)
     assert stats.attempted == attempted
@@ -686,7 +736,7 @@ def test_hybrid_matches_dirichlet_base_reference(name):
     Gaussian's two proposals are held to."""
     spec = registry.get(name).spec
     n = 20_000
-    got = sample_hybrid(spec, n, RngConfig(31))[0].proportions
+    got = sample_model(spec, n, RngConfig(31)).proportions
     want = dirichlet_base_hybrid_reference(spec, n, np.random.default_rng(32))
     pvals = [ks_2samp(got[:, j], want[:, j], method="asymp").pvalue for j in range(spec.p)]
     assert min(pvals) > 0.0033, pvals
@@ -716,6 +766,14 @@ def test_multinomial_counts_edge_cases():
     assert counts.names == ["a", "b", "c"]
     with pytest.raises(DataError):
         sample_multinomial_counts(latent, 0, RngConfig(0))
+    # totals are whole, one or one per row: int64 casts would truncate 2.7
+    # and numpy would refuse a wrong length with a bare ValueError
+    for bad in (2.7, [10.0, 20.0], [10, 20, 30], [[10, 20]], True, "10"):
+        with pytest.raises(DataError, match="totals must be"):
+            sample_multinomial_counts(latent, bad, RngConfig(0))
+    np.testing.assert_array_equal(
+        sample_multinomial_counts(latent, [np.uint8(7)], RngConfig(11)).totals, [7, 7]
+    )
     # deterministic under a fixed stream
     c2 = sample_multinomial_counts(latent, [10, 20], RngConfig(11))
     np.testing.assert_array_equal(counts.counts, c2.counts)

@@ -23,6 +23,14 @@ def test_config_validation():
         StudyConfig(model="model3", ridge=-0.5)
     with pytest.raises(ConfigError, match="unknown model"):
         run_study(StudyConfig(model="model99", replicates=2))
+    # integer fields take integers and integral floats, as JSON writes 1e3
+    config = StudyConfig(model="model3", n=1e3, estimators=[2.0, np.int64(3)], seed=np.int32(4))
+    assert (config.n, config.estimators, config.seed) == (1000, (2, 3), 4)
+    assert all(type(v) is int for v in (config.n, *config.estimators, config.seed))
+    for bad in ({"n": 1000.7}, {"n": True}, {"n": "50"}, {"n": float("nan")},
+                {"estimators": [1.5]}, {"seed": 3.9}, {"replicates": 2.5}):
+        with pytest.raises(ConfigError, match="does not convert to"):
+            StudyConfig(model="model3", **bad)
 
 
 def test_summary_identity_and_rows():

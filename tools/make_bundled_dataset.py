@@ -6,14 +6,16 @@ required --out path:
 
     python tools/make_bundled_dataset.py --out counts.csv
 
-The checked-in src/compscore/data/synthetic_microbiome_counts.csv was
-drawn with this seed by the hybrid sampler as it stood at commit
-6385eb3. Commit c17b9c7 gave that sampler per-chunk substreams, and the
-sampler after commit 31bbd6a proposes from a scaled Dirichlet with a
-certified envelope instead of the Dirichlet base with an empirical one,
-so today's sampler draws a different table from the same seed. The
-checked-in file is kept as it is, because the benchmark's reference
-fits depend on its bytes; this tool no longer rewrites it.
+The rows come from compscore.samplers.sample_model, the one entry point
+of the samplers. The checked-in
+src/compscore/data/synthetic_microbiome_counts.csv was drawn with this
+seed by the hybrid sampler as it stood at commit 6385eb3. Commit c17b9c7
+gave that sampler per-chunk substreams, and the sampler after commit
+31bbd6a proposes from a scaled Dirichlet with a certified envelope
+instead of the Dirichlet base with an empirical one, so today's sampler
+draws a different table from the same seed. The checked-in file is kept
+as it is, because the benchmark's reference fits depend on its bytes;
+this tool no longer rewrites it.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import argparse
 from compscore import registry
 from compscore.core import CountDataset
 from compscore.io import write_counts_csv
-from compscore.samplers import RngConfig, sample_hybrid, sample_multinomial_counts
+from compscore.samplers import RngConfig, sample_model, sample_multinomial_counts
 
 SEED = 5
 N = 92
@@ -35,7 +37,7 @@ def main():
     args = parser.parse_args()
     entry = registry.get("model1")
     rng = RngConfig(SEED)
-    latent, _ = sample_hybrid(entry.spec, N, rng.substream(0))
+    latent = sample_model(entry.spec, N, rng.substream(0))
     counts = sample_multinomial_counts(latent, TOTALS, rng.substream(1))
     counts = CountDataset(counts.counts, totals=counts.totals, names=NAMES)
     write_counts_csv(args.out, counts)
