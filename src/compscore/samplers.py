@@ -423,12 +423,13 @@ def _scaled_dirichlet(a_k, b_k, alpha):
         g /= lam[:, None]
         w_sum = g.sum(axis=0)
         g /= w_sum
-        # u'Au + b'u by einsum, never a BLAS product (see the module
-        # docstring), plus P log(lam'u), lam'u = sum(g) / sum(w)
+        # u'Au + b'u by einsum, never a BLAS product (see the module docstring). Adding
+        # P log(lam'u) in place, or before the sum, took 1-6 MB more peak RSS (1e5 model1 rows)
         expo = np.einsum("ij,jb->ib", a_k, g[:k])
         expo += b_k[:, None]
         expo *= g[:k]
-        expo = expo.sum(axis=0) + total * np.log(g_sum / w_sum)
+        expo = expo.sum(axis=0)
+        expo = expo + total * np.log(g_sum / w_sum)  # lam'u = sum(g) / sum(w)
         pos = np.flatnonzero(coins <= np.exp(expo - f_bound))
         return pos, g[:, pos].T
 

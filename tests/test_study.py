@@ -27,8 +27,8 @@ def test_config_validation():
     config = StudyConfig(model="model3", n=1e3, estimators=[2.0, np.int64(3)], seed=np.int32(4))
     assert (config.n, config.estimators, config.seed) == (1000, (2, 3), 4)
     assert all(type(v) is int for v in (config.n, *config.estimators, config.seed))
-    for bad in ({"n": 1000.7}, {"n": True}, {"n": "50"}, {"n": float("nan")},
-                {"estimators": [1.5]}, {"seed": 3.9}, {"replicates": 2.5}):
+    # test_cli's test_config_rejections runs 1000.7, true, [1.5] and 3.9
+    for bad in ({"n": "50"}, {"n": float("nan")}, {"replicates": 2.5}, {"totals": 1e400}):
         with pytest.raises(ConfigError, match="does not convert to"):
             StudyConfig(model="model3", **bad)
 
