@@ -32,28 +32,23 @@ from .errors import (
     StudyFailureError,
 )
 from .io import (
-    _fmt,
+    counts_csv,
+    csv_text,
     dump_json,
     fit_to_csv_rows,
     model_spec_from_fit,
     model_spec_to_dict,
+    proportions_csv,
     read_counts_csv,
     read_proportions_csv,
     sha256_file,
-    write_counts_csv,
     write_output_dir,
-    write_proportions_csv,
 )
 from .samplers import RngConfig, sample_model, sample_multinomial_counts
-from .study import StudyConfig, check_route, fit_route, run_study
+from .study import StudyConfig, _cast, check_route, fit_route, run_study
 from .weights import KINDS, WeightSpec, cap_from_quantile
 
 __all__ = ["main"]
-
-
-def _csv_text(rows):
-    lines = [",".join(str(cell) for cell in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _parse_exclude(text):
@@ -68,10 +63,12 @@ def _parse_exclude(text):
     return idx
 
 
-def _number(value, what):
+def _number(value, what, parse=False):
+    """value as a float. A config value must be a JSON number (study._cast);
+    argv text such as --ac 0.2 is parsed."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return float(value) if parse else _cast(value, float)
+    except (ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -128,12 +125,12 @@ def _resolve_weight(config_weight, arg_weight, arg_ac, data=None):
         if arg_ac.startswith("auto"):
             quantile = 0.90
             if ":" in arg_ac:
-                quantile = _number(arg_ac.split(":", 1)[1], "the --ac auto quantile")
+                quantile = _number(arg_ac.split(":", 1)[1], "the --ac auto quantile", parse=True)
             if data is None:
                 raise ConfigError("--ac auto needs per-observation data")
             a_c = cap_from_quantile(sqrt_transform(data), kind, quantile)
         else:
-            a_c = _number(arg_ac, "--ac")
+            a_c = _number(arg_ac, "--ac", parse=True)
     if capped:
         return WeightSpec(kind, 0.1 if a_c is None else _number(a_c, "weight a_c"))
     return WeightSpec(kind)
@@ -209,7 +206,7 @@ def cmd_fit(args):
 
     files = {
         "fit.json": dump_json(result.to_dict()),
-        "fit.csv": _csv_text(fit_to_csv_rows(result)),
+        "fit.csv": csv_text(fit_to_csv_rows(result)),
     }
     files["manifest.json"] = dump_json(
         _manifest("fit", args.seed, [args.data, args.config], resolved, started)
@@ -244,10 +241,10 @@ def cmd_simulate(args):
         sidecar["rejection"] = stats.to_dict()
     if totals is not None:
         counts = sample_multinomial_counts(latent, totals, rng.substream(1))
-        files["counts.csv"] = lambda path: write_counts_csv(path, counts)
-        files["latent.csv"] = lambda path: write_proportions_csv(path, latent)
+        files["counts.csv"] = counts_csv(counts)
+        files["latent.csv"] = proportions_csv(latent)
     else:
-        files["data.csv"] = lambda path: write_proportions_csv(path, latent)
+        files["data.csv"] = proportions_csv(latent)
     files["sidecar.json"] = dump_json(sidecar)
     files["manifest.json"] = dump_json(
         _manifest("simulate", args.seed, [], sidecar, started)
@@ -281,12 +278,11 @@ def cmd_diagnose(args):
     )
     files = {"report.json": dump_json(report.to_dict())}
     if args.qq:
+        probs = (np.arange(args.qq) + 0.5) / args.qq
         rows = [["category", "prob", "observed", "simulated"]]
         for name, (obs_q, sim_q) in report.qq.items():
-            probs = (np.arange(args.qq) + 0.5) / args.qq
-            for prob, o, s in zip(probs, obs_q, sim_q):
-                rows.append([name, _fmt(prob), _fmt(o), _fmt(s)])
-        files["qq.csv"] = _csv_text(rows)
+            rows += [[name, *cells] for cells in zip(probs, obs_q, sim_q)]
+        files["qq.csv"] = csv_text(rows)
     resolved = {
         "data_kind": args.data_kind,
         "n_sim": int(args.n_sim),
@@ -313,12 +309,6 @@ def cmd_diagnose(args):
 _BENCH_KEYS = tuple(f.name for f in dataclasses.fields(StudyConfig))
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    return value if isinstance(value, (int, str)) else _fmt(value)
-
-
 def cmd_bench(args):
     started = time.monotonic()
     cfg = _load_config(args.config, _BENCH_KEYS)
@@ -331,33 +321,20 @@ def cmd_bench(args):
     summary = run_study(config)
 
     records = summary.to_rows()
-    rows = [list(records[0])] + [[_cell(v) for v in row.values()] for row in records]
-
+    rows = [list(records[0]), *(row.values() for row in records)]
     rep_rows = [["estimator", "replicate", "parameter", "estimate", "se_estimate"]]
     for est in sorted(summary.replicate_estimates):
         est_mat = summary.replicate_estimates[est]
-        se_mat = summary.replicate_se[est]
-        for r in range(est_mat.shape[0]):
-            for i, lab in enumerate(summary.labels):
-                val = est_mat[r, i]
-                if np.isnan(val):
-                    continue
-                se_val = se_mat[r, i]
-                rep_rows.append(
-                    [
-                        est,
-                        r,
-                        lab,
-                        _fmt(val),
-                        "" if np.isnan(se_val) else _fmt(se_val),
-                    ]
-                )
+        vals, ses = est_mat.tolist(), summary.replicate_se[est].tolist()
+        # failed replicates hold NaN estimates and get no rows
+        rep_rows += [[est, r, summary.labels[i], vals[r][i], ses[r][i]]
+                     for r, i in np.argwhere(~np.isnan(est_mat)).tolist()]
 
     resolved = dict(cfg)
     resolved["seed"] = config.seed
     files = {
-        "summary.csv": _csv_text(rows),
-        "replicates.csv": _csv_text(rep_rows),
+        "summary.csv": csv_text(rows),
+        "replicates.csv": csv_text(rep_rows),
         "manifest.json": dump_json(
             _manifest(
                 "bench",

@@ -526,10 +526,15 @@ def _sandwich(inv_w, sigma0):
 
 
 def standard_errors(workspace, result, mask=None):
-    """Plug-in covariance of sqrt(n) * theta_hat for an existing fit."""
+    """Plug-in covariance of sqrt(n) * theta_hat for an existing fit.
+    mask marks the fit's free parameters; by default, its labels."""
     imap = workspace.imap
+    if mask is None:
+        mask = [lab in result.labels for lab in imap.labels]
     mask = _normalize_mask(imap, mask)
     free = np.flatnonzero(mask)
+    if free.size != result.estimates.size:
+        raise ConfigError(f"mask frees {free.size} parameters; the fit has {result.estimates.size}")
     theta_full = np.zeros(imap.q)
     theta_full[free] = result.estimates
     for lab, val in result.fixed.items():

@@ -1,19 +1,22 @@
 """File formats: CSV ingestion, JSON artifacts, atomic output dirs.
 
 CSV files carry a header of category names. Count files may include a
-``total`` column, which must equal the row sum exactly. All JSON written
-here is sorted-key and all CSV floats use repr-faithful %.17g, so a
-rerun with identical inputs produces byte-identical payloads.
+``total`` column, which must equal the row sum exactly. csv_text writes
+every CSV payload by one cell rule (repr-faithful %.17g floats, quotes
+only where needed, so any category name round-trips) and all JSON is
+sorted-key, so a rerun with identical inputs writes identical bytes.
 """
 
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
 from importlib import resources
+from io import StringIO
 
 import numpy as np
 
@@ -23,8 +26,9 @@ from .errors import ConfigError, DataError, FamilyError
 __all__ = [
     "read_proportions_csv",
     "read_counts_csv",
-    "write_proportions_csv",
-    "write_counts_csv",
+    "csv_text",
+    "proportions_csv",
+    "counts_csv",
     "load_synthetic_counts",
     "model_spec_to_dict",
     "model_spec_from_fit",
@@ -35,8 +39,19 @@ __all__ = [
 ]
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _cell(value):
+    """%.17g for a finite float (numpy's float64 is one), an empty cell for
+    a non-finite one; csv writes None as empty and the rest with str()."""
+    if isinstance(value, float):
+        return format(value, ".17g") if math.isfinite(value) else ""
+    return value
+
+
+def csv_text(rows):
+    """rows as CSV text with LF line ends, each cell by _cell's rule."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _read_rows(path, exclude_rows):
@@ -98,20 +113,15 @@ def read_counts_csv(path, exclude_rows=()):
     return CountDataset(arr[:, keep], totals=arr[:, total_col], names=names)
 
 
-def write_proportions_csv(path, dataset):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.names)
-        for row in dataset.proportions:
-            writer.writerow([_fmt(v) for v in row])
+def proportions_csv(dataset):
+    """The text of a proportions CSV, as read_proportions_csv reads it."""
+    return csv_text([dataset.names, *dataset.proportions.tolist()])
 
 
-def write_counts_csv(path, counts):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(counts.names) + ["total"])
-        for row, total in zip(counts.counts, counts.totals):
-            writer.writerow([str(int(v)) for v in row] + [str(int(total))])
+def counts_csv(counts):
+    """The text of a counts CSV with a total column, as read_counts_csv reads it."""
+    table = np.column_stack([counts.counts, counts.totals])
+    return csv_text([[*counts.names, "total"], *table.tolist()])
 
 
 def load_synthetic_counts():
@@ -192,13 +202,10 @@ def model_spec_from_fit(fit_dict):
 
 
 def fit_to_csv_rows(result):
-    """Table rows: parameter, estimate, estimate/SE (blank without SEs)."""
-    zs = result.z_scores
-    rows = [["parameter", "estimate", "estimate_over_se"]]
-    for i, lab in enumerate(result.labels):
-        z = "" if zs is None or not np.isfinite(zs[i]) else _fmt(zs[i])
-        rows.append([lab, _fmt(result.estimates[i]), z])
-    return rows
+    """Table rows: parameter, estimate, estimate/SE (None without SEs)."""
+    zs = result.z_scores if result.cov_scaled is not None else [None] * len(result.labels)
+    rows = zip(result.labels, result.estimates, zs)
+    return [("parameter", "estimate", "estimate_over_se"), *rows]
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +227,16 @@ def sha256_file(path):
 def write_output_dir(out_dir, files):
     """Write files atomically: everything goes into a temp dir next to
     the target, which is swapped in with a rename. files maps relative
-    name -> str (text) or callable(path) for custom writers. An existing
+    name -> text, written with no newline translation. An existing
     target is replaced, so reruns converge to the same bytes."""
     out_dir = os.path.abspath(out_dir)
     parent = os.path.dirname(out_dir) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out_dir) + ".tmp-", dir=parent)
     try:
-        for name, content in files.items():
-            target = os.path.join(tmp, name)
-            if callable(content):
-                content(target)
-            else:
-                with open(target, "w") as fh:
-                    fh.write(content)
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", newline="") as fh:
+                fh.write(text)
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
         os.rename(tmp, out_dir)

@@ -155,21 +155,19 @@ class RngConfig:
     key: tuple = ()
 
     def __post_init__(self):
-        # SeedSequence takes non-negative integers only
-        if int(self.seed) < 0 or any(int(k) < 0 for k in self.key):
+        # SeedSequence takes non-negative integers; int() would truncate 3.9 and take True as 1
+        path = (self.seed, *self.key)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0 for v in path):
             raise ConfigError(
-                f"seeds and substream indices must be non-negative, got seed "
-                f"{self.seed} and substream path {tuple(self.key)}"
+                f"seeds and substream indices must be non-negative integers, got seed "
+                f"{self.seed!r} and substream path {tuple(self.key)!r}"
             )
 
     def generator(self):
-        ss = np.random.SeedSequence(
-            int(self.seed), spawn_key=tuple(int(k) for k in self.key)
-        )
-        return np.random.default_rng(ss)
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=tuple(self.key)))
 
     def substream(self, index):
-        return RngConfig(self.seed, tuple(self.key) + (int(index),))
+        return RngConfig(self.seed, tuple(self.key) + (index,))
 
 
 @dataclass

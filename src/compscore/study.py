@@ -49,12 +49,13 @@ _ROUTES = {
 MAX_FAILURE_RATE = 0.20
 
 
-def _integer(value):
-    """value as an int if it is an integer or an integral float (JSON
-    writes 1e3); int() would truncate 2.5 and take True as 1."""
-    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or value != int(value):
+def _cast(value, kind):
+    """value as kind, int or float, if it is a number that kind holds
+    exactly (JSON writes 1e3 for 1000). int() would truncate 2.5, float()
+    would take the string "0.5", and both would take True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or kind(value) != value:
         raise ValueError(value)
-    return int(value)
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,9 @@ class StudyConfig:
                 continue
             try:
                 if f.type is tuple:
-                    value = tuple(_integer(e) for e in value)
-                elif f.type is int:
-                    value = _integer(value)
-                elif f.type is float:
-                    value = float(value)
+                    value = tuple(_cast(e, int) for e in value)
+                elif f.type in (int, float):
+                    value = _cast(value, f.type)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"study {f.name} {value!r} does not convert to {f.type.__name__}"

@@ -16,7 +16,7 @@ from compscore.cli import main
 from compscore.core import ContinuousDataset, CountDataset, index_map
 from compscore.errors import ConfigError
 from compscore.fitting import _blocks
-from compscore.io import dump_json, write_counts_csv, write_proportions_csv
+from compscore.io import counts_csv, dump_json, proportions_csv
 from compscore.samplers import CHUNK
 from compscore.study import StudyConfig, run_study
 
@@ -110,7 +110,7 @@ def test_fit_identical_across_blas_threads(tmp_path):
     assert len(list(_blocks(rows, index_map(10).q))) >= 3
     u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
     data = tmp_path / "data.csv"
-    write_proportions_csv(data, ContinuousDataset(u))
+    data.write_text(proportions_csv(ContinuousDataset(u)))
     cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian")
     payloads = _fit_json_per_blas_threads(tmp_path, data, cfg)
     assert payloads[0] == payloads[1]
@@ -128,7 +128,7 @@ def test_factorial_fit_identical_across_blas_threads(tmp_path):
     dense = int(np.all(counts.counts[:, :-1] > 0, axis=1).sum())
     assert len(list(_blocks(dense, 715))) >= 3
     data = tmp_path / "counts.csv"
-    write_counts_csv(data, counts)
+    data.write_text(counts_csv(counts))
     cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian", data_kind="counts",
                         estimator="factorial")
     payloads = _fit_json_per_blas_threads(tmp_path, data, cfg)
@@ -394,11 +394,18 @@ def test_config_rejections(tmp_path, capsys):
     negative_seed = _write_config(tmp_path / "ns.json", model="model3", n=50, replicates=2,
                                   seed=-3)
     study = _write_config(tmp_path / "st.json", model="model3", n=50, replicates=2)
-    # int() would run these as n = 1000, estimator 1, seed 3 and n = 1
+    # int() would run these as n = 1000, estimator 1, seed 3 and n = 1, and
+    # float() as ridge 1.0 and cap 0.5
     truncated = [
         _write_config(tmp_path / f"t{i}.json", **{"model": "model3", "replicates": 2, **bad})
         for i, bad in enumerate([{"n": 1000.7}, {"estimators": [1.5]}, {"seed": 3.9},
-                                 {"n": True}])
+                                 {"n": True}, {"ridge": True}, {"cap_min": "0.5"}])
+    ]
+    # float() would run these as ridge 1.0, cap 0.2 and ridge NaN
+    fit_numbers = [
+        _write_config(tmp_path / f"f{i}.json", family="truncated-gaussian", **bad)
+        for i, bad in enumerate([{"ridge": True}, {"weight": {"kind": "capped-min", "a_c": "0.2"}},
+                                 {"ridge": float("nan")}])
     ]
     assert run_cli("fit", "--data", data, "--config", tg, "--out", tmp_path / "fit") == 0
     fitted = tmp_path / "fit" / "fit.json"
@@ -416,6 +423,7 @@ def test_config_rejections(tmp_path, capsys):
         ["fit", "--data", data, "--config", bad_weight],
         ["bench", "--config", bad_n],
         *[["bench", "--config", config] for config in truncated],
+        *[["fit", "--data", data, "--config", config] for config in fit_numbers],
         diagnose + [not_json],
         diagnose + [unlabelled],
         diagnose + [not_object],

@@ -318,6 +318,21 @@ def test_standard_errors_consistent():
     assert np.linalg.eigvalsh(cov).min() > -1e-9
 
 
+def test_standard_errors_default_to_the_fit_mask():
+    """Without a mask, standard_errors of a masked fit frees the fit's own
+    labels and gives solve's cov_scaled bit for bit; a mask that frees
+    another number of parameters is refused."""
+    z = _random_z(3, 300, seed=12)
+    ws = build_workspace(z, WeightSpec("capped-min", 0.3))
+    mask = np.array([lab.startswith("a") for lab in ws.imap.labels])
+    fit = solve(ws, mask=mask, with_se=True)
+    assert len(fit.labels) == 3 < ws.imap.q
+    np.testing.assert_array_equal(standard_errors(ws, fit), fit.cov_scaled)
+    np.testing.assert_array_equal(standard_errors(ws, fit, mask=mask), fit.cov_scaled)
+    with pytest.raises(ConfigError, match="mask frees 5 parameters; the fit has 3"):
+        standard_errors(ws, fit, mask=np.ones(ws.imap.q, dtype=bool))
+
+
 def test_moment_only_workspace_refuses_se():
     z = _random_z(3, 30, seed=13)
     ws = build_workspace(z, WeightSpec("product"))

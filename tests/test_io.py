@@ -1,14 +1,20 @@
 """CSV and JSON round trips, the bundled dataset, and atomic output
 directories."""
 
+import csv
 import functools
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compscore import registry
+from compscore.cli import main
 from compscore.core import (
     ContinuousDataset,
     CountDataset,
@@ -19,28 +25,47 @@ from compscore.core import (
 from compscore.errors import ConfigError, DataError
 from compscore.fitting import fit_dirichlet_moments, fit_hybrid
 from compscore.io import (
+    counts_csv,
+    csv_text,
     dump_json,
     fit_to_csv_rows,
     load_synthetic_counts,
     model_spec_from_fit,
     model_spec_to_dict,
+    proportions_csv,
     read_counts_csv,
     read_proportions_csv,
     sha256_file,
-    write_counts_csv,
     write_output_dir,
-    write_proportions_csv,
 )
 from compscore.samplers import RngConfig, sample_model, sample_multinomial_counts
 from compscore.study import _ROUTES, check_route, fit_route
 from compscore.weights import WeightSpec
 
 
+def test_csv_text_cell_rule():
+    """Finite floats (numpy's too) as %.17g, non-finite ones and None as
+    empty cells, integers exactly past 2**53, strings quoted only where
+    needed, and LF line ends."""
+    rows = [
+        ["name", "x", "y"],
+        ["a, b", 0.1, np.float64(2 / 3)],
+        ['say "hi"', float("nan"), np.float64(-np.inf)],
+        ["plain", None, np.int64(2**62 + 1)],
+    ]
+    assert csv_text(rows) == (
+        "name,x,y\n"
+        '"a, b",0.10000000000000001,0.66666666666666663\n'
+        '"say ""hi""",,\n'
+        "plain,,4611686018427387905\n"
+    )
+
+
 def test_proportions_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     data = ContinuousDataset(rng.dirichlet(np.ones(3), size=20), names=["x", "y", "z"])
     path = tmp_path / "props.csv"
-    write_proportions_csv(path, data)
+    path.write_text(proportions_csv(data))
     back = read_proportions_csv(path)
     assert back.names == ["x", "y", "z"]
     # %.17g is repr-faithful for doubles
@@ -49,13 +74,61 @@ def test_proportions_roundtrip(tmp_path):
 
 def test_counts_roundtrip(tmp_path):
     counts = CountDataset([[3, 0, 7], [1, 4, 5]], names=["a", "b", "c"])
+    text = counts_csv(counts)
+    assert text.splitlines()[0] == "a,b,c,total"
     path = tmp_path / "counts.csv"
-    write_counts_csv(path, counts)
-    assert open(path).readline().strip() == "a,b,c,total"
+    path.write_text(text)
     back = read_counts_csv(path)
     np.testing.assert_array_equal(back.counts, counts.counts)
     np.testing.assert_array_equal(back.totals, counts.totals)
     assert back.names == ["a", "b", "c"]
+
+
+# names that a CSV header gives back as written: _read_rows strips header
+# cells, and read_counts_csv takes a column named total (any case) as the totals
+_NAMES = st.lists(
+    st.text(st.sampled_from('ab,;" ') | st.characters(categories=("L",)), min_size=1, max_size=8)
+    .filter(lambda name: name == name.strip() and name.lower() != "total"),
+    min_size=2, max_size=4, unique=True,
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(names=_NAMES, seed=st.integers(0, 2**32 - 1))
+@example(names=["Bact, sp", 'say "hi"', "a;b", "Größe x"], seed=0)
+def test_category_names_roundtrip(names, seed):
+    """Names with commas, double quotes, semicolons, inner spaces and
+    non-ASCII letters read back from proportions_csv and counts_csv with
+    bit-identical values, and `diagnose --qq` writes a qq.csv of
+    four-field rows that carry them."""
+    rng = np.random.default_rng(seed)
+    p, qq = len(names), 3
+    data = ContinuousDataset(rng.dirichlet(np.ones(p), size=30), names=names)
+    counts = CountDataset(rng.integers(1, 2**60, size=(5, p)), names=names)
+    fit = {"labels": [f"shape{j + 1}" for j in range(p)], "estimates": [0.0] * p,
+           "config": {"family": "dirichlet"}}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "props.csv").write_text(proportions_csv(data), newline="")
+        (tmp / "counts.csv").write_text(counts_csv(counts), newline="")
+        (tmp / "fit.json").write_text(dump_json(fit))
+        props_back = read_proportions_csv(tmp / "props.csv")
+        counts_back = read_counts_csv(tmp / "counts.csv")
+        assert props_back.names == names and counts_back.names == names
+        # the reader scales each row by its float sum again, as for data
+        renormalized = ContinuousDataset(data.proportions).proportions
+        np.testing.assert_array_equal(props_back.proportions, renormalized)
+        np.testing.assert_array_equal(counts_back.counts, counts.counts)
+        np.testing.assert_array_equal(counts_back.totals, counts.totals)
+
+        argv = ["diagnose", "--data", tmp / "props.csv", "--fit", tmp / "fit.json",
+                "--n-sim", 200, "--qq", qq, "--out", tmp / "diag"]
+        assert main([str(a) for a in argv]) == 0
+        with open(tmp / "diag" / "qq.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[0] == ["category", "prob", "observed", "simulated"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows[1:]] == [name for name in names for _ in range(qq)]
 
 
 def test_counts_csv_without_total_column(tmp_path):
@@ -217,12 +290,12 @@ def test_fit_to_csv_rows():
     u = rng.dirichlet(np.ones(3), size=150)
     fit = fit_hybrid(u, np.zeros(3), WeightSpec("min"), with_se=True)
     rows = fit_to_csv_rows(fit)
-    assert rows[0] == ["parameter", "estimate", "estimate_over_se"]
+    assert rows[0] == ("parameter", "estimate", "estimate_over_se")
     assert len(rows) == 1 + len(fit.labels)
-    assert float(rows[1][1]) == fit.estimates[0]
-    assert rows[1][2] != ""
+    assert rows[1][1] == fit.estimates[0]
+    assert rows[1][2] == fit.z_scores[0]
     fit_no_se = fit_hybrid(u, np.zeros(3), WeightSpec("min"), with_se=False)
-    assert fit_to_csv_rows(fit_no_se)[1][2] == ""
+    assert fit_to_csv_rows(fit_no_se)[1][2] is None
 
 
 def test_dump_json_deterministic():
@@ -243,31 +316,17 @@ def test_write_output_dir_atomic(tmp_path):
     write_output_dir(target, {"a.txt": "one\n"})
     assert (target / "a.txt").read_text() == "one\n"
 
-    # a failing writer leaves the existing output untouched and no temp dirs
-    def boom(path):
-        raise RuntimeError("disk full")
-
-    with pytest.raises(RuntimeError):
-        write_output_dir(target, {"a.txt": "two\n", "b.bin": boom})
+    # a failing write leaves the existing output untouched and no temp dirs
+    with pytest.raises(FileNotFoundError):
+        write_output_dir(target, {"a.txt": "two\n", "missing/b.txt": "x\n"})
     assert (target / "a.txt").read_text() == "one\n"
-    assert not (target / "b.bin").exists()
+    assert [p.name for p in target.iterdir()] == ["a.txt"]
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     # successful rewrite replaces the whole directory
     write_output_dir(target, {"c.txt": "three\n"})
     assert not (target / "a.txt").exists()
     assert (target / "c.txt").read_text() == "three\n"
-
-
-def test_write_output_dir_callable(tmp_path):
-    target = tmp_path / "out"
-
-    def writer(path):
-        with open(path, "w") as fh:
-            fh.write("custom")
-
-    write_output_dir(target, {"w.txt": writer})
-    assert (target / "w.txt").read_text() == "custom"
 
 
 def test_load_synthetic_counts():

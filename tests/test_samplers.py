@@ -30,6 +30,7 @@ from compscore import registry, samplers
 from compscore.cli import main
 from compscore.core import ContinuousDataset, ModelSpec
 from compscore.errors import (
+    ConfigError,
     DataError,
     EnvelopeFailureError,
     FamilyError,
@@ -58,6 +59,22 @@ def test_rng_config_reproducible_streams():
     np.testing.assert_array_equal(
         rng.substream(2).substream(3).generator().uniform(size=4),
         RngConfig(5, (2, 3)).generator().uniform(size=4),
+    )
+
+
+def test_rng_config_takes_integers_only():
+    """A seed or substream index that is a float, a bool or a string is
+    refused rather than truncated, and numpy integers draw the stream of
+    the same int."""
+    for bad in (3.9, 3.0, True, "3", -1):
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            RngConfig(bad)
+    for bad in (1.5, False, np.float64(1.0)):
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            RngConfig(3).substream(bad)
+    np.testing.assert_array_equal(
+        RngConfig(np.int64(3)).substream(np.int64(1)).generator().random(3),
+        RngConfig(3).substream(1).generator().random(3),
     )
 
 

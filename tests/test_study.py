@@ -27,8 +27,12 @@ def test_config_validation():
     config = StudyConfig(model="model3", n=1e3, estimators=[2.0, np.int64(3)], seed=np.int32(4))
     assert (config.n, config.estimators, config.seed) == (1000, (2, 3), 4)
     assert all(type(v) is int for v in (config.n, *config.estimators, config.seed))
-    # test_cli's test_config_rejections runs 1000.7, true, [1.5] and 3.9
-    for bad in ({"n": "50"}, {"n": float("nan")}, {"replicates": 2.5}, {"totals": 1e400}):
+    # float fields take numbers; true and "0.5" are refused, not run as 1.0 and 0.5
+    config = StudyConfig(model="model3", ridge=1, cap_min=np.float64(0.5))
+    assert (config.ridge, config.cap_min) == (1.0, 0.5) and type(config.ridge) is float
+    # test_cli's test_config_rejections runs 1000.7, true, [1.5], 3.9, ridge true and cap "0.5"
+    for bad in ({"n": "50"}, {"n": float("nan")}, {"replicates": 2.5}, {"totals": 1e400},
+                {"ridge": True}, {"cap_min": "0.5"}, {"cap_product": float("nan")}):
         with pytest.raises(ConfigError, match="does not convert to"):
             StudyConfig(model="model3", **bad)
 

@@ -14,15 +14,16 @@ gave that sampler per-chunk substreams, and the sampler after commit
 31bbd6a proposes from a scaled Dirichlet with a certified envelope
 instead of the Dirichlet base with an empirical one, so today's sampler
 draws a different table from the same seed. The checked-in file is kept
-as it is, because the benchmark's reference fits depend on its bytes;
-this tool no longer rewrites it.
+as it is, CRLF line ends included, because the benchmark's reference
+fits depend on its bytes; this tool no longer rewrites it.
 """
 
 import argparse
+from pathlib import Path
 
 from compscore import registry
 from compscore.core import CountDataset
-from compscore.io import write_counts_csv
+from compscore.io import counts_csv
 from compscore.samplers import RngConfig, sample_model, sample_multinomial_counts
 
 SEED = 5
@@ -40,7 +41,7 @@ def main():
     latent = sample_model(entry.spec, N, rng.substream(0))
     counts = sample_multinomial_counts(latent, TOTALS, rng.substream(1))
     counts = CountDataset(counts.counts, totals=counts.totals, names=NAMES)
-    write_counts_csv(args.out, counts)
+    Path(args.out).write_text(counts_csv(counts), newline="")
     zeros = (counts.counts == 0).mean(axis=0)
     print(f"wrote {args.out}: {counts.n} rows, zero fractions {zeros.round(2)}")
 
