@@ -94,10 +94,14 @@ def ks_2samp(a, b):
         return math.nan, math.nan
     a = np.sort(a)
     b = np.sort(b)
-    pooled = np.concatenate([a, b])
-    diff = (np.searchsorted(a, pooled, side="right") / a.size
-            - np.searchsorted(b, pooled, side="right") / b.size)
-    d = max(float(diff.max()), float(_clip(-diff.min())))
+    # F_a - F_b at every point of the pooled sample, a's points and then
+    # b's, so no pooled array is formed
+    high, low = -math.inf, math.inf
+    for points in (a, b):
+        diff = np.searchsorted(a, points, side="right") / a.size
+        diff -= np.searchsorted(b, points, side="right") / b.size
+        high, low = max(high, float(diff.max())), min(low, float(diff.min()))
+    d = max(high, float(_clip(-low)))
     m, n = sorted([float(a.size), float(b.size)], reverse=True)
     return d, kstwo_sf(d, round(m * n / (m + n)))
 

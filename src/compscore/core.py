@@ -69,7 +69,18 @@ class ContinuousDataset:
     """
 
     def __init__(self, proportions, names=None):
-        u = _as_matrix(proportions, "proportions").copy()
+        self._own(_as_matrix(proportions, "proportions").copy(), names)
+
+    @classmethod
+    def _adopt(cls, u, names=None):
+        """The dataset of u, a new float64 (n, p) array that no one else
+        holds, taken over without a copy: checked as __init__ checks its
+        copy, and divided by its row sums in place."""
+        data = cls.__new__(cls)
+        data._own(u, names)
+        return data
+
+    def _own(self, u, names):
         n, p = u.shape
         if p < 2:
             raise DimensionError(f"need at least 2 categories, got p={p}")
@@ -94,7 +105,7 @@ class ContinuousDataset:
         if n_renorm:
             warnings.warn(
                 f"renormalized {n_renorm} row(s) with sums off by more than {RENORM_TOL}",
-                stacklevel=2,
+                stacklevel=3,
             )
         u /= sums[:, None]
         u.flags.writeable = False
@@ -195,7 +206,7 @@ class CountDataset:
 def counts_to_proportions(counts):
     """Divide each count row by its total. Zeros stay exact zeros."""
     u = counts.counts / counts.totals[:, None]
-    return ContinuousDataset(u, names=counts.names)
+    return ContinuousDataset._adopt(u, names=counts.names)
 
 
 def sqrt_transform(data):

@@ -121,15 +121,14 @@ def marginal_report(observed, fitted_spec, rng, n_sim=100_000, grid_totals=None,
         raise ConfigError(f"the number of QQ points must be non-negative, got {qq_points}")
     sim, rejection = sample_model(fitted_spec, n_sim, rng, return_stats=True)
     sim = sim.proportions
-    if grid_totals is not None:
-        sim = round_to_grid(sim, grid_totals)
 
     obs = observed.proportions
     cats = []
     qq = {}
+    # one column at a time: the draw is the only (n_sim, p) array
     for j, name in enumerate(observed.names):
         ocol = obs[:, j]
-        scol = sim[:, j]
+        scol = sim[:, j] if grid_totals is None else round_to_grid(sim[:, j], grid_totals)
         degenerate = bool(np.ptp(ocol) == 0.0)
         ks = ks_compare(ocol, scol)
         cats.append(

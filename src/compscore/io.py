@@ -81,7 +81,7 @@ def read_proportions_csv(path, exclude_rows=()):
         values = np.array([[float(cell) for cell in row] for row in rows])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell ({exc})") from None
-    return ContinuousDataset(values, names=header)
+    return ContinuousDataset._adopt(values, names=header)
 
 
 def read_counts_csv(path, exclude_rows=()):
@@ -113,15 +113,32 @@ def read_counts_csv(path, exclude_rows=()):
     return CountDataset(arr[:, keep], totals=arr[:, total_col], names=names)
 
 
+def _header(names):
+    """names as a CSV header that reads back unchanged: _read_rows strips
+    header cells, so a name with leading or trailing whitespace raises
+    DataError."""
+    for name in names:
+        if str(name) != str(name).strip():
+            raise DataError(f"category name {str(name)!r} has leading or trailing whitespace, "
+                            f"which a CSV header does not keep")
+    return list(names)
+
+
 def proportions_csv(dataset):
     """The text of a proportions CSV, as read_proportions_csv reads it."""
-    return csv_text([dataset.names, *dataset.proportions.tolist()])
+    return csv_text([_header(dataset.names), *dataset.proportions.tolist()])
 
 
 def counts_csv(counts):
-    """The text of a counts CSV with a total column, as read_counts_csv reads it."""
+    """The text of a counts CSV with a total column, as read_counts_csv
+    reads it. A category named total, in any case, raises DataError:
+    read_counts_csv would take it for the total column."""
+    header = _header(counts.names)
+    for name in header:
+        if str(name).lower() == "total":
+            raise DataError(f"category name {str(name)!r} would be read back as the total column")
     table = np.column_stack([counts.counts, counts.totals])
-    return csv_text([[*counts.names, "total"], *table.tolist()])
+    return csv_text([[*header, "total"], *table.tolist()])
 
 
 def load_synthetic_counts():

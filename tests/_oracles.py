@@ -10,9 +10,10 @@ tensors, a polynomial assembly of the count route with expanded
 factorial moments, the Dirichlet ratios and weight term written out
 per weight kind, a row-by-row envelope rejection loop, rejection
 from the Dirichlet base with no computed bound, inverse-CDF draws
-of a truncated Gaussian with independent coordinates, and a
+of a truncated Gaussian with independent coordinates, a
 derivative-free search for the scaled-Dirichlet scale over a
-log-barrier ascent.
+log-barrier ascent, and the two-sample KS statistic from the CDFs on the
+pooled sample.
 
 Only the two assemblies (with the dense per-row tables under them), the
 row-by-row rejection loop and the scale search import from the package.
@@ -809,3 +810,15 @@ def nelder_mead_log_bound(a_k, b_k, alpha):
     )
     starts = [centre, *np.random.default_rng(0).dirichlet(np.ones(p), size=4), last[0]]
     return float(log_bound(res.x, starts, mus=10.0 ** -np.arange(2, 13, 2)))
+
+
+def pooled_ks_statistic(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic D of the 1-d samples a
+    and b, as scipy.stats.ks_2samp computes it: the right-continuous
+    empirical CDFs F_a and F_b at every point of the pooled sample, and
+    D the larger of max(F_a - F_b) and max(F_b - F_a)."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    diff = (np.searchsorted(a, pooled, side="right") / a.size
+            - np.searchsorted(b, pooled, side="right") / b.size)
+    return max(float(diff.max()), float(-diff.min()))

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from compscore._kolmogorov import kstwo_sf
+from _oracles import pooled_ks_statistic
+from compscore._kolmogorov import ks_2samp, kstwo_sf
 from compscore.core import ContinuousDataset, ModelSpec
 from compscore.diagnostics import (
     ks_compare,
@@ -175,6 +176,27 @@ def test_ks_compare_matches_scipy(data):
     assert ours.statistic == float(ref.statistic)
     big, small = max(m, n), min(m, n)
     assert _agrees(ours.pvalue, float(ref.pvalue), round(big * small / (big + small)))
+
+
+# sample sizes from one element up, with small ones common
+_KS_SIZES = st.sampled_from([1, 2, 3]) | st.integers(1, 50) | st.integers(50, 5000)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=_KS_SIZES, n=_KS_SIZES, grid=st.sampled_from([None, 1, 4, 50]),
+       shift=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_ks_statistic_matches_pooled_oracle(m, n, grid, shift, seed):
+    """ks_2samp evaluates F_a - F_b at a's points and then at b's, not on
+    the pooled array: its statistic equals the pooled formula's bit for
+    bit, in either argument order, for unequal sizes, one-element
+    samples and grid-valued samples with ties."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal(m)
+    b = shift + gen.standard_normal(n)
+    if grid is not None:
+        a, b = round_to_grid(a, grid), round_to_grid(b, grid)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert ks_2samp(x, y)[0] == pooled_ks_statistic(x, y)
 
 
 # Regions of (n, x) for each method of kstwo_sf, from the cut-offs of

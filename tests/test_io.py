@@ -5,6 +5,7 @@ import csv
 import functools
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compscore import registry
+from compscore import cli, registry
 from compscore.cli import main
 from compscore.core import (
     ContinuousDataset,
@@ -129,6 +130,43 @@ def test_category_names_roundtrip(names, seed):
     assert rows[0] == ["category", "prob", "observed", "simulated"]
     assert all(len(row) == 4 for row in rows)
     assert [row[0] for row in rows[1:]] == [name for name in names for _ in range(qq)]
+
+
+@pytest.mark.parametrize("names", [[" a", "b"], ["a", "b "], ["a", "b\t"]])
+def test_writers_refuse_names_a_header_does_not_keep(tmp_path, names):
+    """_read_rows strips header cells, so a name with leading or trailing
+    whitespace would read back renamed: both writers raise DataError
+    naming it. The reader stays tolerant of padded header cells."""
+    bad = re.escape(repr(next(name for name in names if name != name.strip())))
+    with pytest.raises(DataError, match=bad):
+        proportions_csv(ContinuousDataset([[0.25, 0.75]], names=names))
+    with pytest.raises(DataError, match=bad):
+        counts_csv(CountDataset([[1, 3]], names=names))
+    path = tmp_path / "padded.csv"
+    path.write_text(" a ,b\t,total\n1,3,4\n")
+    assert read_counts_csv(path).names == ["a", "b"]
+
+
+def test_counts_csv_refuses_a_category_named_total(tmp_path, monkeypatch, capsys):
+    """read_counts_csv takes a column named total, in any case, for the
+    totals, so counts_csv refuses such a category; simulate then exits 2
+    with one error line and writes nothing."""
+    names = ["a", "Total"]
+    with pytest.raises(DataError, match="'Total'"):
+        counts_csv(CountDataset([[1, 3]], names=names))
+    assert proportions_csv(ContinuousDataset([[0.25, 0.75]], names=names)).startswith("a,Total\n")
+
+    def named_draws(spec, n, rng, return_stats=False):
+        return ContinuousDataset(np.full((n, 2), 0.5), names=names), None
+
+    monkeypatch.setattr(cli, "sample_model", named_draws)
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", "model3", "--n", "5", "--totals", "10",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error code=2 kind=DataError"), err
+    assert not out.exists()
 
 
 def test_counts_csv_without_total_column(tmp_path):

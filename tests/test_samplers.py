@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
@@ -28,7 +29,8 @@ from _oracles import (
 )
 from compscore import registry, samplers
 from compscore.cli import main
-from compscore.core import ContinuousDataset, ModelSpec
+from compscore.core import ContinuousDataset, ModelSpec, counts_to_proportions
+from compscore.diagnostics import marginal_report
 from compscore.errors import (
     ConfigError,
     DataError,
@@ -36,7 +38,7 @@ from compscore.errors import (
     FamilyError,
     InfeasibleTruncationError,
 )
-from compscore.io import dump_json, model_spec_from_fit
+from compscore.io import dump_json, load_synthetic_counts, model_spec_from_fit
 from compscore.samplers import (
     CHUNK,
     RngConfig,
@@ -742,6 +744,52 @@ def test_prefilter_matches_unfiltered_reference(data):
     rows, attempted = chunked_hybrid_reference(spec, n, rng)
     np.testing.assert_array_equal(got.proportions, ContinuousDataset(rows).proportions)
     assert stats.attempted == attempted
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["model1", "model6"])
+def test_draws_hold_their_rows_once(name):
+    """sample_model writes the accepted rows of each chunk into one (n, p)
+    array and hands it to the dataset without a copy, so a draw holds its
+    rows once. Its traced peak is the rows' bytes plus, for each pool
+    worker, one chunk's working set: its (p, CHUNK) proposals, their
+    accepted rows (at most as many) and eight (CHUNK,) rows. A draw that
+    kept the chunks' rows in a list, stacked them and copied the stack
+    peaked at 2.73 (model1) and 2.43 (model6) times the rows at
+    n = 200000 on a two-worker pool, above this bound."""
+    spec = registry.get(name).spec
+    sample_model(spec, 1000, RngConfig(0))  # builds the cached proposal and the pool
+    workers = samplers._executor()._max_workers
+    data, peak = _traced_peak(lambda: sample_model(spec, 200_000, RngConfig(1)))
+    rows = data.proportions.nbytes
+    allowance = workers * (2 * spec.p + 8) * CHUNK * 8
+    assert peak < rows + allowance, (peak, rows, workers)
+
+
+def test_marginal_report_memory_is_bounded(tmp_path, monkeypatch):
+    """marginal_report on the bundled table's interaction fit draws 1e5
+    rows (4 MB) and rounds and compares them one column at a time, and
+    the KS statistic forms no pooled array: on a two-worker pool its
+    traced peak stays below 10.5 MB. Rounding the whole draw and pooling
+    each pair of columns peaked at 12.0 MB."""
+    spec = _bundled_interaction_fit(tmp_path)
+    observed = counts_to_proportions(load_synthetic_counts())
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        monkeypatch.setattr(samplers, "_pool", pool)
+        marginal_report(observed, spec, RngConfig(0), n_sim=1000, grid_totals=2000)
+        report, peak = _traced_peak(
+            lambda: marginal_report(observed, spec, RngConfig(1), grid_totals=2000)
+        )
+    assert report.n_simulated == 100_000
+    assert peak < 10.5e6, peak
 
 
 @pytest.mark.parametrize("name", ["model2", "model1"])

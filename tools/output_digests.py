@@ -1,0 +1,98 @@
+"""Print sha1 digests of what the samplers and the CLI write, one line
+per item, so that two trees can be checked for byte-identical output:
+
+    PYTHONPATH=src python tools/output_digests.py > after.txt
+    diff before.txt after.txt
+
+The items are
+* every preset's sample_model rows and RejectionStats at n = 5000,
+  seeds 0 and 7 (the latent model of a thinned preset);
+* the payload files of `compscore simulate` for five presets;
+* the bundled table's factorial and continuous fit.json and the
+  report.json and manifest `rejection` block of `compscore diagnose` on
+  the continuous fit, at seeds 1 to 3, as the pipeline-bundled
+  benchmark workload runs them.
+Manifests are read for their rejection block only, since they carry
+timings.
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+from importlib import resources
+from io import StringIO
+
+from compscore import registry
+from compscore.cli import main as cli_main
+from compscore.samplers import RngConfig, sample_model
+
+SIMULATED = ("model1", "model3", "model6", "model7", "model13")
+
+
+def _sha1(data):
+    return hashlib.sha1(data).hexdigest()
+
+
+def _file_sha1(path):
+    with open(path, "rb") as fh:
+        return _sha1(fh.read())
+
+
+def _cli(argv):
+    with redirect_stdout(StringIO()):
+        code = cli_main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"exit {code}: compscore {' '.join(map(str, argv))}")
+
+
+def preset_lines():
+    for entry in registry.entries():
+        for seed in (0, 7):
+            data, stats = sample_model(entry.spec, 5000, RngConfig(seed), return_stats=True)
+            stats = None if stats is None else stats.to_dict()
+            digest = _sha1(data.proportions.tobytes() + json.dumps(stats, sort_keys=True).encode())
+            yield f"preset {entry.name} seed {seed} {digest}"
+
+
+def simulate_lines(tmp):
+    for name in SIMULATED:
+        out = os.path.join(tmp, f"sim-{name}")
+        _cli(["simulate", "--model", name, "--n", 2000, "--seed", 3, "--out", out])
+        for file in sorted(os.listdir(out)):
+            if file != "manifest.json":
+                yield f"simulate {name} {file} {_file_sha1(os.path.join(out, file))}"
+
+
+def pipeline_lines(tmp):
+    table = str(resources.files("compscore").joinpath("data/synthetic_microbiome_counts.csv"))
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w") as fh:
+        json.dump({"schema_version": 1, "family": "hybrid", "data_kind": "counts",
+                   "shape": registry.get("model1").spec.shape.tolist()}, fh)
+    fit = ["fit", "--data", table, "--config", config]
+    factorial, continuous = os.path.join(tmp, "factorial"), os.path.join(tmp, "continuous")
+    _cli(fit + ["--estimator", "factorial", "--out", factorial])
+    _cli(fit + ["--estimator", "continuous", "--weight", "capped-min", "--ac", "auto:0.9",
+                "--out", continuous])
+    yield f"fit factorial fit.json {_file_sha1(os.path.join(factorial, 'fit.json'))}"
+    yield f"fit continuous fit.json {_file_sha1(os.path.join(continuous, 'fit.json'))}"
+    for seed in (1, 2, 3):
+        out = os.path.join(tmp, f"diagnose-{seed}")
+        _cli(["diagnose", "--data", table, "--data-kind", "counts", "--grid-totals", 2000,
+              "--fit", os.path.join(continuous, "fit.json"), "--seed", seed, "--out", out])
+        yield f"diagnose seed {seed} report.json {_file_sha1(os.path.join(out, 'report.json'))}"
+        with open(os.path.join(out, "manifest.json")) as fh:
+            rejection = json.load(fh)["rejection"]
+        yield f"diagnose seed {seed} rejection {json.dumps(rejection, sort_keys=True)}"
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp)):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()
