@@ -33,11 +33,12 @@ leading coordinate j (u_j times u_{j+1..p-1}). Per block the assembly
 adds one SYRK of h f to S and the sums h^2 u_ext omega' and h^2 kappa f
 in the weight's direction. One read-off (_system) turns them into W, d
 and V; the moment route fills S from monomial means and calls the same
-read-off. W and Sigma_0 are symmetrized explicitly.
+read-off. W and Sigma_0 are symmetrized explicitly. The assembly keeps
+h^2 and the min kinds' argmin per row for the covariance pass.
 
 The Dirichlet family, whose sufficient statistics are logarithms,
-shares the per-row weight features (_row_features: h^2, the weight's
-direction omega and kappa), the Jacobi-scaled Cholesky solve
+shares the per-row weight features (_row_weights: h^2 and the argmin;
+_row_features: the direction omega and kappa), the Jacobi-scaled Cholesky solve
 (_solve_psd) and the covariance sandwich (_sandwich). The weight
 cancels against 1/u_j, so each row needs only the ratios h^2 / u_j. Its
 per-row arrays are n x p and formed whole, not in blocks.
@@ -92,11 +93,12 @@ def _pairs(a, b, out):
     feature-major a, b (p-1, rows): one multiply per leading j, no gather."""
     k = a.shape[0]
     stop = 0
+    scratch = None if b is None else np.empty((k - 1, a.shape[1]))
     for j in range(k - 1):
         start, stop = stop, stop + k - 1 - j
         np.multiply(a[j], a[j + 1 :] if b is None else b[j + 1 :], out=out[start:stop])
         if b is not None:
-            out[start:stop] += b[j] * a[j + 1 :]
+            out[start:stop] += np.multiply(b[j], a[j + 1 :], out=scratch[: stop - start])
     return out
 
 
@@ -197,24 +199,29 @@ def _layout(p):
     return lay
 
 
-def _row_features(u, weight):
-    """h^2, omega (p, rows) and kappa for a feature-major block u (p,
-    rows) of squared coordinates, with grad h^2 . mu_i = 2 h^2 (G omega)_i
-    (G reads omega's first p-1 rows), z_j (grad h^2)_j = 2 h^2 omega_j and
-    z . grad h^2 = 2 kappa h^2, all zero where the cap binds.
+def _row_weights(u, weight):
+    """h^2 and, for min kinds, the lead a = argmin_j u_j (lowest index on
+    ties; None for product kinds) per row of a feature-major block u."""
+    return _hsq(u.T, weight), None if weight.product_family else np.argmin(u, axis=0)
+
+
+def _row_features(hsq, lead, weight, p):
+    """omega (p, rows) and kappa from the row weights of _row_weights,
+    with grad h^2 . mu_i = 2 h^2 (G omega)_i (G reads omega's first p-1
+    rows), z_j (grad h^2)_j = 2 h^2 omega_j and z . grad h^2 = 2 kappa
+    h^2, all zero where the cap binds.
 
     Product kinds: grad h^2 = 2 h^2 / z_j on every coordinate, so omega
     is all ones and kappa = p. Min kinds: grad h^2 = 2 z_a e_a on the
-    argmin a (ties take the lowest index), so omega = e_a and kappa = 1.
+    lead a, so omega = e_a and kappa = 1.
     """
-    p, nb = u.shape
-    hsq = _hsq(u.T, weight)
+    nb = hsq.shape[0]
     smooth = (hsq < weight.a_c * weight.a_c).astype(float)
-    if weight.product_family:
-        return hsq, np.broadcast_to(smooth, (p, nb)), p * smooth
+    if lead is None:
+        return np.broadcast_to(smooth, (p, nb)), p * smooth
     omega = np.zeros((p, nb))
-    omega[np.argmin(u, axis=0), np.arange(nb)] = smooth
-    return hsq, omega, smooth
+    omega[lead, np.arange(nb)] = smooth
+    return omega, smooth
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +234,9 @@ class EstimatorWorkspace:
 
     gram is the (q, q) matrix W, and the linear term d splits into the
     Laplacian part, the weight-derivative part, and the shape-coupling
-    part (shape_term = -shape_matrix @ (1 + 2 * shape)). z is retained
-    for the plug-in covariance pass; moment-route workspaces set it to
-    None and cannot produce standard errors.
+    part (shape_term = -shape_matrix @ (1 + 2 * shape)). z, h^2 and lead
+    (see _row_weights) are kept for the plug-in covariance pass; moment-
+    route workspaces set them to None and cannot produce standard errors.
     """
 
     imap: object
@@ -241,6 +248,8 @@ class EstimatorWorkspace:
     weight_gradient_term: np.ndarray
     shape_matrix: np.ndarray
     z: np.ndarray = None
+    hsq: np.ndarray = None
+    lead: np.ndarray = None
 
     @property
     def shape_term(self):
@@ -317,9 +326,15 @@ def build_workspace(z, weight, shape=None, imap=None):
     s = np.zeros((q + 1, q + 1))
     s_uw = np.zeros((p, k))
     s_knu = np.zeros(q)
+    hsq_rows = np.empty(n)
+    lead_rows = None if weight.product_family else np.empty(n, dtype=np.intp)
     for start, stop in _blocks(n, q + 1):
         u = np.square(z[start:stop].T, order="C")
-        hsq, omega, kappa = _row_features(u, weight)
+        hsq, lead = _row_weights(u, weight)
+        hsq_rows[start:stop] = hsq
+        if lead is not None:
+            lead_rows[start:stop] = lead
+        omega, kappa = _row_features(hsq, lead, weight, p)
         f = _monomials(u)
         s_uw += (hsq * f[q - k :]) @ omega[:-1].T
         s_knu += f[:q] @ (hsq * kappa)
@@ -328,7 +343,7 @@ def build_workspace(z, weight, shape=None, imap=None):
 
     # _system returns gram, laplacian_term, weight_gradient_term, shape_matrix
     system = _system(s / n, lay, s_uw / n, lay.scale * s_knu / n)
-    return EstimatorWorkspace(imap, weight, shape, n, *system, z=z)
+    return EstimatorWorkspace(imap, weight, shape, n, *system, z=z, hsq=hsq_rows, lead=lead_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +520,12 @@ def _error_moment(workspace, theta_full, mask):
     pi2 = 1.0 + 2.0 * workspace.shape
     interaction, linear = imap.unpack(theta_full)
     total = np.zeros((free.size, free.size))
+    lead = workspace.lead
     for start, stop in _blocks(workspace.n, imap.q):
-        u = np.square(workspace.z[start:stop].T, order="C")
-        hsq, omega, kappa = _row_features(u, workspace.weight)
-        u = u[:k]
+        u = np.square(workspace.z[start:stop, :k].T, order="C")
+        hsq = workspace.hsq[start:stop]
+        rows_lead = None if lead is None else lead[start:stop]
+        omega, kappa = _row_features(hsq, rows_lead, workspace.weight, p)
         g = 4.0 * interaction @ u + 2.0 * linear[:, None]
         c = hsq * (np.einsum("ij,ij->j", u, g) + (pi2.sum() + p + 2.0) + 2.0 * kappa)
         e = hsq * (u * g + (pi2[:k, None] + 1.0) + 2.0 * omega[:-1]) - c * u
@@ -630,7 +647,8 @@ def _dirichlet_rows(u, weight):
     stay exact at zeros, and min kinds take u_a / u_j, with omega's 1 at
     the argmin a and 0 at the other zeros. Where the cap binds no u_j is
     zero, and the ratio is a_c^2 / u_j."""
-    hsq, omega, kappa = _row_features(u.T, weight)
+    hsq, lead = _row_weights(u.T, weight)
+    omega, kappa = _row_features(hsq, lead, weight, u.shape[1])
     omega = omega.T
     with np.errstate(divide="ignore", invalid="ignore"):
         if weight.product_family:

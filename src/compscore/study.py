@@ -2,7 +2,8 @@
 
 A study draws R independent datasets from a registry entry, runs the
 requested estimators on each, and reports per-parameter bias, spread,
-RMSE and relative bias against the generating values. Replicate r uses
+RMSE and relative bias against the generating values, with quantiles
+of the plug-in standard errors (see _se_quantiles). Replicate r uses
 substream r of the study seed, so studies are reproducible. Replicates
 run one after another; the parallelism lives in the samplers' proposal
 chunks and in BLAS.
@@ -23,7 +24,7 @@ studies and for `compscore fit` alike.
 """
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -143,8 +144,8 @@ class StudySummary:
         rows = []
         for est, label in sorted(self.cells, key=lambda k: (k[0], self.labels.index(k[1]))):
             p5, p50, p95 = self.se_quantiles.get((est, label), (None, None, None))
-            row = {"estimator": est, "parameter": label, **asdict(self.cells[est, label])}
-            rows.append({**row, "se_est_p5": p5, "se_est_p50": p50, "se_est_p95": p95})
+            rows.append({"estimator": est, "parameter": label, **vars(self.cells[est, label]),
+                         "se_est_p5": p5, "se_est_p50": p50, "se_est_p95": p95})
         return rows
 
 
@@ -219,6 +220,16 @@ def _truth(entry):
     return labels, spec.true_theta(imap)[mask]
 
 
+def _se_quantiles(se):
+    """{column: (p5, p50, p95)} over each column's SEs that are not NaN, none
+    for an all-NaN column; one axis-0 call serves the columns without NaN."""
+    have = ~np.isnan(se)
+    quantiles = np.percentile(se, [5, 50, 95], axis=0)
+    for i in np.flatnonzero(have.any(axis=0) & ~have.all(axis=0)):
+        quantiles[:, i] = np.percentile(se[have[:, i], i], [5, 50, 95])
+    return {i: tuple(quantiles[:, i].tolist()) for i in np.flatnonzero(have.any(axis=0))}
+
+
 def run_study(config):
     """Run the study and summarize. Fit failures are excluded and
     counted; a failure rate above 20% for any estimator aborts."""
@@ -276,11 +287,8 @@ def run_study(config):
         stats = np.stack([truth, mean, bias, se, rmse, rbias], axis=1)
         for i, lab in enumerate(labels):
             summary.cells[(est, lab)] = CellSummary(*map(float, stats[i]), n_ok=n_ok)
-            col = se_store[est][ok, i]
-            col = col[~np.isnan(col)]
-            if col.size:
-                quantiles = np.percentile(col, [5, 50, 95])
-                summary.se_quantiles[(est, lab)] = tuple(map(float, quantiles))
+        quantiles = _se_quantiles(se_store[est][ok])
+        summary.se_quantiles.update({(est, labels[i]): q for i, q in quantiles.items()})
         summary.replicate_estimates[est] = estimates[est]
         summary.replicate_se[est] = se_store[est]
     return summary

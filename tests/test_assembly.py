@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from _oracles import dense_error_moment, dense_fit, dense_workspace
 from compscore import fitting
 from compscore.core import ContinuousDataset, CountDataset, ModelSpec, index_map, sqrt_transform
-from compscore.fitting import _error_moment, build_workspace, fit_hybrid
-from compscore.moments import EmpiricalMoments, FactorialMoments
+from compscore.errors import ConfigError
+from compscore.fitting import _error_moment, build_workspace, fit_hybrid, solve
+from compscore.moments import EmpiricalMoments, FactorialMoments, build_workspace_from_moments
 from compscore.weights import KINDS, WeightSpec, cap_from_quantile
 
 # Largest difference allowed, relative to the largest entry of the dense value.
@@ -111,6 +112,50 @@ def test_error_moment_matches_dense_on_free_blocks(p, kind, free, seed, zero_row
         _close(ws.gram, dense.gram)
         _close(ws.linear_term, dense.linear_term)
         _close(ws.shape_matrix, dense.shape_matrix)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 5, 10]),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.integers(0, 40),
+    tie_rows=st.integers(0, 40),
+    block=st.integers(1, 400),
+)
+def test_stored_row_weights_match_recomputed_features(p, kind, seed, zero_rows, tie_rows, block):
+    """The h^2 and lead build_workspace keeps give the omega and kappa
+    that _row_features builds from the weights recomputed on blocks of
+    any size, bit for bit, on rows with exact zeros and tied minima. The
+    lead is the lowest index of the row's minimum, and the product kinds
+    keep none."""
+    data = _rows_with_zeros_and_ties(p, 400, seed, zero_rows, tie_rows)
+    z = sqrt_transform(data)
+    weight = WeightSpec(kind, cap_from_quantile(z, kind, 0.6) if "capped" in kind else 1.0)
+    ws = build_workspace(z, weight)
+    stored = fitting._row_features(ws.hsq, ws.lead, weight, p)
+    for start in range(0, z.shape[0], block):
+        u = np.square(z[start : start + block].T, order="C")
+        hsq, lead = fitting._row_weights(u, weight)
+        np.testing.assert_array_equal(ws.hsq[start : start + block], hsq)
+        for got, want in zip(stored, fitting._row_features(hsq, lead, weight, p)):
+            np.testing.assert_array_equal(got[..., start : start + block], want)
+    if weight.product_family:
+        assert ws.lead is None
+    else:
+        squares = (z * z).tolist()
+        assert ws.lead.tolist() == [row.index(min(row)) for row in squares]
+
+
+def test_moment_route_workspace_refuses_standard_errors():
+    """A workspace built from monomial means keeps no rows, row weights
+    or leads, and solve refuses its standard errors."""
+    u = np.random.default_rng(12).dirichlet(np.ones(4), size=200)
+    ws = build_workspace_from_moments(EmpiricalMoments(u))
+    assert ws.z is None and ws.hsq is None and ws.lead is None
+    with pytest.raises(ConfigError, match="moments only"):
+        solve(ws, with_se=True)
+    assert solve(ws, with_se=False).cov_scaled is None
 
 
 def test_cached_layout_is_read_only():

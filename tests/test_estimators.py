@@ -98,7 +98,8 @@ def test_cap_rule_ties_and_boundary():
     boundary row (h^2 = 0) stays on the smooth branch."""
     spec = WeightSpec("capped-min", 0.5)  # cap at 0.25
     u = np.array([[0.1, 0.9], [0.25, 0.75], [0.4, 0.6], [0.0, 1.0]]).T
-    _, omega, kappa = fitting._row_features(u, spec)
+    hsq, lead = fitting._row_weights(u, spec)
+    omega, kappa = fitting._row_features(hsq, lead, spec, 2)
     np.testing.assert_array_equal(kappa, [1.0, 0.0, 0.0, 1.0])
     np.testing.assert_array_equal(omega, [[1.0, 0.0, 0.0, 1.0], [0.0] * 4])
 

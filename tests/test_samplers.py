@@ -431,8 +431,12 @@ def test_boosted_gamma_variates():
     """Below shape 1 the proposer draws Gamma(alpha + 1) U^(1 / alpha):
     20000 such variates per shape pass a two-sample KS test against
     numpy's standard_gamma at the same shape (Bonferroni level 0.01 over
-    the shapes), and at shape 1 and above the rows are standard_gamma's
-    own bits from the same stream."""
+    the shapes). At shape 1 and above the rows are standard_gamma's own
+    bits from the same stream (shape-1 rows come from
+    standard_exponential, which standard_gamma(1.0) calls once per
+    variate; a change to that delegation fails here), all-unit shapes
+    included, and a mixed alpha draws the boosted rows' gamma and
+    exponential variates in turn from that stream."""
     shapes = np.array([0.05, 0.15, 0.2, 0.35, 0.5, 0.8, 0.95, 0.999])
     size = 20_000
     boosted = np.empty((shapes.size, size))
@@ -442,11 +446,18 @@ def test_boosted_gamma_variates():
              for a, row in zip(shapes, boosted)]
     assert min(pvals) > 0.01 / shapes.size, pvals
     assert np.all(boosted > 0.0)
-    plain = np.array([1.0, 2.5, 1.0])
-    got = np.empty((plain.size, size))
-    samplers._gamma_variates(RngConfig(33).generator(), plain, got, np.empty(size))
-    gen = RngConfig(33).generator()
-    np.testing.assert_array_equal(got, [gen.standard_gamma(a, size) for a in plain])
+    for plain in ([1.0, 2.5, 1.0], [1.0] * 4, [0.2, 1.0, 1.0, 2.5, 1.0]):
+        got = np.empty((len(plain), size))
+        samplers._gamma_variates(RngConfig(33).generator(), np.array(plain), got, np.empty(size))
+        gen = RngConfig(33).generator()
+        want = []
+        for a in plain:
+            if a < 1.0:
+                boost = gen.standard_gamma(a + 1.0, size)
+                want.append(boost * np.exp(gen.standard_exponential(size) * (-1.0 / a)))
+            else:
+                want.append(gen.standard_gamma(a, size))
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

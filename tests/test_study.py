@@ -4,6 +4,8 @@ accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compscore import study
 from compscore.errors import ConfigError, SingularSystemError, StudyFailureError
@@ -92,6 +94,33 @@ def test_discrete_pipeline_and_se_availability():
     assert (1, "a11") in summary.se_quantiles
     assert (5, "a11") not in summary.se_quantiles
     assert summary.failures == {1: 0, 5: 0}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    replicates=st.integers(1, 25),
+    columns=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    nan_share=st.sampled_from([0.0, 0.1, 0.5]),
+    empty=st.booleans(),
+)
+def test_se_quantiles_match_per_column_percentiles(replicates, columns, seed, nan_share, empty):
+    """The SE quantiles of a study, one axis-0 call over the columns
+    with every SE present, equal np.percentile of each column's SEs that
+    are not NaN, bit for bit; a column with none gets no entry."""
+    rng = np.random.default_rng(seed)
+    se = rng.lognormal(-3.0, 1.0, (replicates, columns))
+    se[rng.random(se.shape) < nan_share] = np.nan
+    if empty:
+        se[:, rng.integers(columns)] = np.nan
+    got = study._se_quantiles(se)
+    want = {}
+    for i in range(columns):
+        col = se[~np.isnan(se[:, i]), i]
+        if col.size:
+            want[i] = tuple(float(v) for v in np.percentile(col, [5, 50, 95]))
+    assert got == want
+    assert all(type(v) is float for values in got.values() for v in values)
 
 
 def test_estimator_compatibility():

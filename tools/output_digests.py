@@ -11,9 +11,14 @@ The items are
 * the bundled table's factorial and continuous fit.json and the
   report.json and manifest `rejection` block of `compscore diagnose` on
   the continuous fit, at seeds 1 to 3, as the pipeline-bundled
-  benchmark workload runs them.
+  benchmark workload runs them;
+* the summary.csv and replicates.csv of `compscore bench` on the
+  study-gauss benchmark workload's config (model6, estimators 1 and 3)
+  and on model15 with estimators 1 and 5, at seeds 1 to 3.
 Manifests are read for their rejection block only, since they carry
-timings.
+timings. Run it under OPENBLAS_NUM_THREADS=1 and =2 and diff the two
+outputs to check that nothing it covers depends on the BLAS thread
+count.
 """
 
 import hashlib
@@ -29,6 +34,8 @@ from compscore.cli import main as cli_main
 from compscore.samplers import RngConfig, sample_model
 
 SIMULATED = ("model1", "model3", "model6", "model7", "model13")
+# model and estimators of each study; n = 1000 and 20 replicates as in study-gauss
+STUDIES = (("model6", (1, 3)), ("model15", (1, 5)))
 
 
 def _sha1(data):
@@ -88,9 +95,23 @@ def pipeline_lines(tmp):
         yield f"diagnose seed {seed} rejection {json.dumps(rejection, sort_keys=True)}"
 
 
+def bench_lines(tmp):
+    for model, estimators in STUDIES:
+        for seed in (1, 2, 3):
+            config = os.path.join(tmp, f"study-{model}.json")
+            with open(config, "w") as fh:
+                json.dump({"schema_version": 1, "model": model, "estimators": list(estimators),
+                           "n": 1000, "replicates": 20, "seed": seed}, fh)
+            out = os.path.join(tmp, f"bench-{model}-{seed}")
+            _cli(["bench", "--config", config, "--out", out])
+            for file in ("summary.csv", "replicates.csv"):
+                yield f"bench {model} seed {seed} {file} {_file_sha1(os.path.join(out, file))}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for line in (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp)):
+        lines = (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp), *bench_lines(tmp))
+        for line in lines:
             print(line)
 
 
