@@ -63,6 +63,15 @@ def _parse_exclude(text):
     return idx
 
 
+def _read_data(path, kind, exclude):
+    """The rows of a data CSV as proportions, and its counts (None for
+    proportions data), without the rows whose 0-based indices are in exclude."""
+    if kind == "counts":
+        counts = read_counts_csv(path, exclude_rows=exclude)
+        return counts_to_proportions(counts), counts
+    return read_proportions_csv(path, exclude_rows=exclude), None
+
+
 def _number(value, what, parse=False):
     """value as a float. A config value must be a JSON number (study._cast);
     argv text such as --ac 0.2 is parsed."""
@@ -172,13 +181,7 @@ def cmd_fit(args):
         raise ConfigError("dirichlet fits estimate shapes; remove shape from config")
     ridge = _number(cfg.get("ridge", 0.0), "ridge")
     exclude = _parse_exclude(args.exclude_rows)
-
-    counts = None
-    if data_kind == "counts":
-        counts = read_counts_csv(args.data, exclude_rows=exclude)
-        data = counts_to_proportions(counts)
-    else:
-        data = read_proportions_csv(args.data, exclude_rows=exclude)
+    data, counts = _read_data(args.data, data_kind, exclude)
     spec = ModelSpec(
         family,
         data.p,
@@ -260,12 +263,7 @@ def cmd_simulate(args):
 
 def cmd_diagnose(args):
     started = time.monotonic()
-    exclude = _parse_exclude(args.exclude_rows)
-    if args.data_kind == "counts":
-        counts = read_counts_csv(args.data, exclude_rows=exclude)
-        data = counts_to_proportions(counts)
-    else:
-        data = read_proportions_csv(args.data, exclude_rows=exclude)
+    data = _read_data(args.data, args.data_kind, _parse_exclude(args.exclude_rows))[0]
     spec = model_spec_from_fit(_read_json(args.fit))
     rng = RngConfig(args.seed).substream(0)
     report = marginal_report(
@@ -360,8 +358,6 @@ def cmd_bench(args):
 
 
 def cmd_presets(args):
-    if args.action != "list":
-        raise ConfigError(f"unknown presets action {args.action!r}")
     header = f"{'name':<9} {'family':<20} {'p':>2} {'totals':>6} {'cap_min':>8} {'cap_prod':>9}  description"
     print(header)
     print("-" * len(header))

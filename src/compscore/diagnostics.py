@@ -119,6 +119,8 @@ def marginal_report(observed, fitted_spec, rng, n_sim=100_000, grid_totals=None,
         raise ConfigError("fitted model and data disagree on the number of categories")
     if qq_points < 0:
         raise ConfigError(f"the number of QQ points must be non-negative, got {qq_points}")
+    if grid_totals is not None and grid_totals < 1:
+        raise ConfigError(f"grid totals must be at least 1, got {grid_totals}")
     sim, rejection = sample_model(fitted_spec, n_sim, rng, return_stats=True)
     sim = sim.proportions
 

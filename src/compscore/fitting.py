@@ -26,8 +26,10 @@ everything to that sparse table and the radial components nu_i = z'mu_i:
   linear terms; per row it is built from two (p-1)-vectors u and e
   (see _error_moment), O(q) work and no gather.
 
-Both passes run over blocks of rows sized by a cache budget
-(BLOCK_ENTRIES), feature-major: a block is u' = (p, rows), and every
+Every row pass, here and in moments, is one reduction, _block_sums:
+blocks of max(1, BLOCK_ENTRIES // width) rows (a cache budget) are added
+in increasing order into zero-initialised totals, which fixes every bit.
+Both passes here are feature-major: a block is u' = (p, rows), and every
 q-wide array is written in contiguous row slices, one multiply per
 leading coordinate j (u_j times u_{j+1..p-1}). Per block the assembly
 adds one SYRK of h f to S and the sums h^2 u_ext omega' and h^2 kappa f
@@ -77,10 +79,16 @@ BLOCK_ENTRIES = 1 << 17
 _hsq = squared_weight
 
 
-def _blocks(n, width):
+def _block_sums(n, width, term, *totals):
+    """The one row reduction: add the arrays of term(start, stop) with +=
+    into the caller's zero-initialised totals for each block of max(1,
+    BLOCK_ENTRIES // width) of the n rows, in increasing order, and return
+    the totals. This order fixes every bit of every row sum."""
     size = max(1, BLOCK_ENTRIES // width)
     for start in range(0, n, size):
-        yield start, min(start + size, n)
+        for total, part in zip(totals, term(start, min(start + size, n))):
+            total += part
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +321,8 @@ def build_workspace(z, weight, shape=None, imap=None):
     Rows of z must lie on the unit sphere (as sqrt_transform makes them).
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise DataError("z must be a 2-d array of transformed rows")
+    if z.ndim != 2 or not len(z):
+        raise DataError("z must be a 2-d array of at least one transformed row")
     n, p = z.shape
     imap = imap or index_map(p)
     if imap.p != p:
@@ -323,12 +331,10 @@ def build_workspace(z, weight, shape=None, imap=None):
 
     q, k = imap.q, p - 1
     lay = _layout(p)
-    s = np.zeros((q + 1, q + 1))
-    s_uw = np.zeros((p, k))
-    s_knu = np.zeros(q)
     hsq_rows = np.empty(n)
     lead_rows = None if weight.product_family else np.empty(n, dtype=np.intp)
-    for start, stop in _blocks(n, q + 1):
+
+    def term(start, stop):
         u = np.square(z[start:stop].T, order="C")
         hsq, lead = _row_weights(u, weight)
         hsq_rows[start:stop] = hsq
@@ -336,11 +342,12 @@ def build_workspace(z, weight, shape=None, imap=None):
             lead_rows[start:stop] = lead
         omega, kappa = _row_features(hsq, lead, weight, p)
         f = _monomials(u)
-        s_uw += (hsq * f[q - k :]) @ omega[:-1].T
-        s_knu += f[:q] @ (hsq * kappa)
+        s_uw, s_knu = (hsq * f[q - k :]) @ omega[:-1].T, f[:q] @ (hsq * kappa)
         f *= np.sqrt(hsq)
-        s += f @ f.T  # one SYRK of the monomials scaled by h
+        return f @ f.T, s_uw, s_knu  # one SYRK of the monomials scaled by h
 
+    zeros = np.zeros((q + 1, q + 1)), np.zeros((p, k)), np.zeros(q)
+    s, s_uw, s_knu = _block_sums(n, q + 1, term, *zeros)
     # _system returns gram, laplacian_term, weight_gradient_term, shape_matrix
     system = _system(s / n, lay, s_uw / n, lay.scale * s_knu / n)
     return EstimatorWorkspace(imap, weight, shape, n, *system, z=z, hsq=hsq_rows, lead=lead_rows)
@@ -519,9 +526,9 @@ def _error_moment(workspace, theta_full, mask):
     free = np.flatnonzero(mask)
     pi2 = 1.0 + 2.0 * workspace.shape
     interaction, linear = imap.unpack(theta_full)
-    total = np.zeros((free.size, free.size))
     lead = workspace.lead
-    for start, stop in _blocks(workspace.n, imap.q):
+
+    def term(start, stop):
         u = np.square(workspace.z[start:stop, :k].T, order="C")
         hsq = workspace.hsq[start:stop]
         rows_lead = None if lead is None else lead[start:stop]
@@ -532,7 +539,9 @@ def _error_moment(workspace, theta_full, mask):
         resid = _statistic_rows(u, e, 2.0 * hsq)
         if free.size < imap.q:
             resid = resid[free]
-        total += resid @ resid.T
+        return (resid @ resid.T,)
+
+    (total,) = _block_sums(workspace.n, imap.q, term, np.zeros((free.size, free.size)))
     fac = _layout(p).coef[free, 0]
     return _symmetric(total) * np.outer(fac, fac) / workspace.n
 

@@ -17,8 +17,9 @@ and kappa = p.
 
 A moment provider supplies the means: any object with p, n and
 means(table), which returns the mean of prod_j u_j^table[k, j] for every
-row k of an integer exponent table in one row-blocked pass. Two are
-included:
+row k of an integer exponent table. The two included ones take it in one
+pass of fitting's _block_sums, adding block sums in block order into
+zero-initialised totals:
 
 - EmpiricalMoments averages monomials of observed proportions, which
   reproduces the direct continuous estimator to rounding;
@@ -42,7 +43,7 @@ import numpy as np
 
 from .core import CountDataset, ModelSpec, index_map
 from .errors import ConfigError, DataError, InsufficientTotalsError
-from .fitting import EstimatorWorkspace, _blocks, _layout, _shape_vector, _system, solve
+from .fitting import EstimatorWorkspace, _block_sums, _layout, _shape_vector, _system, solve
 from .weights import WeightSpec
 
 __all__ = [
@@ -109,8 +110,8 @@ class EmpiricalMoments:
 
     def __init__(self, proportions):
         u = np.asarray(proportions, dtype=float)
-        if u.ndim != 2:
-            raise DataError("proportions must be 2-d")
+        if u.ndim != 2 or not len(u):
+            raise DataError("proportions must be 2-d, with at least one row")
         self.u = u
         self.n, self.p = u.shape
         self._tables = []  # a copy of each table means is given
@@ -119,11 +120,13 @@ class EmpiricalMoments:
         """Mean of prod_j u_j^table[k, j] for each row k of the table."""
         table = _exponent_table(table, self.p)
         plan = _plan(table.shape, table.tobytes())
-        total = np.zeros(len(plan.parent))
-        for start, stop in _blocks(self.n, len(plan.parent)):
+
+        def term(start, stop):
             u = self.u[start:stop].T
             factors = np.broadcast_to(u[:, None], (self.p, plan.step.max() + 1, stop - start))
-            total += _products(plan, np.prod(u ** plan.floor[:, None], axis=0), factors).sum(axis=1)
+            return (_products(plan, np.prod(u ** plan.floor[:, None], axis=0), factors).sum(axis=1),)
+
+        (total,) = _block_sums(self.n, len(plan.parent), term, np.zeros(len(plan.parent)))
         self._tables.append(table.copy())
         return total[plan.index] / self.n
 
@@ -209,8 +212,8 @@ class FactorialMoments:
         sign = np.array([[math.comb(a, t) * (-1.0) ** t for t in ts.tolist()] for a in ts.tolist()])
         at = np.arange(len(plan.levels))[:, None] + int(plan.floor.sum()) + ts  # |b| + t by level
         mix = np.einsum("at,lt,ts->las", sign, 1.0 / np.maximum(eligible[at], 1), sign)
-        sums = np.zeros((len(ts), len(plan.parent)))
-        for start, stop in _blocks(len(m), len(plan.parent)):
+
+        def term(start, stop):
             xb, mb = x[:, start:stop], m[start:stop]
             root = _falling(xb[:-1], floor).prod(axis=0)
             vals = _products(plan, root, (xb[:-1] - floor)[:, None] - steps)
@@ -221,9 +224,11 @@ class FactorialMoments:
             whole = np.einsum("at,ltr->lar", sign, w)
             np.copyto(whole, _falling(xb[-1], ts[:, None]) * inverse, where=inverse > 0)
             weights = np.einsum("las,lsr->lar", mix, whole)
-            for d, level in enumerate(plan.levels):
-                sums[:, level] += np.einsum("kr,ar->ak", vals[level], weights[d])
+            return [np.einsum("kr,ar->ak", vals[level], lw) for level, lw in zip(plan.levels, weights)]
 
+        # one total per plan level, in the plan's node order
+        zeros = [np.zeros((len(ts), level.stop - level.start)) for level in plan.levels]
+        sums = np.hstack(_block_sums(len(m), len(plan.parent), term, *zeros))
         self._tables.append(table.copy())
         return sums[last, plan.index]
 
@@ -297,12 +302,10 @@ def fit_from_counts(
     plugging x/m into the continuous estimator. No plug-in standard
     errors are available on this route.
     """
-    if not isinstance(counts, CountDataset):
-        counts = CountDataset(counts)
     provider = FactorialMoments(counts)
     spec = ModelSpec(
         family="hybrid",
-        p=counts.p,
+        p=provider.p,
         shape=np.asarray(shape, dtype=float),
         estimate_interaction=estimate_interaction,
         estimate_linear=estimate_linear,
@@ -313,7 +316,7 @@ def fit_from_counts(
         {
             "family": "hybrid",
             "estimator": "factorial",
-            "names": list(counts.names),
+            "names": list(provider.counts.names),
             "moment_exclusions": {str(k): int(v) for k, v in provider.exclusions.items()},
         }
     )

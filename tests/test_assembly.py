@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from _oracles import dense_error_moment, dense_fit, dense_workspace
 from compscore import fitting
 from compscore.core import ContinuousDataset, CountDataset, ModelSpec, index_map, sqrt_transform
-from compscore.errors import ConfigError
+from compscore.errors import ConfigError, DataError
 from compscore.fitting import _error_moment, build_workspace, fit_hybrid, solve
 from compscore.moments import EmpiricalMoments, FactorialMoments, build_workspace_from_moments
 from compscore.weights import KINDS, WeightSpec, cap_from_quantile
@@ -212,12 +212,63 @@ def test_block_partition_invariance(monkeypatch):
         providers = (EmpiricalMoments(data.proportions), FactorialMoments(counts))
         return out + [provider.means(table) for provider in providers]
 
-    assert len(list(fitting._blocks(n, theta.size))) == 2
+    size = fitting.BLOCK_ENTRIES // theta.size
+    assert size < n <= 2 * size  # _error_moment's pass takes two blocks
     default = values()
     for entries in (1, 1 << 40):
         monkeypatch.setattr(fitting, "BLOCK_ENTRIES", entries)
         for got, want in zip(values(), default):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 5000),
+    width=st.integers(1, 2000),
+    entries=st.sampled_from([1, 7, 1000, 1 << 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sums_contract(n, width, entries, seed):
+    """_block_sums hands its terms contiguous, increasing, disjoint row
+    ranges of max(1, BLOCK_ENTRIES // width) rows covering [0, n), and its
+    totals equal a serial loop that adds each block's terms into
+    zero-initialised totals, bit for bit; no rows leave the totals at zero."""
+    rows = np.random.default_rng(seed).standard_normal((n, 3))
+    seen = []
+
+    def term(start, stop):
+        seen.append((start, stop))
+        block = rows[start:stop]
+        return block.sum(axis=0), block.T @ block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "BLOCK_ENTRIES", entries)
+        got = fitting._block_sums(n, width, term, np.zeros(3), np.zeros((3, 3)))
+    ends = [0] + [stop for _, stop in seen]
+    assert [start for start, _ in seen] == ends[:-1] and ends[-1] == n
+    assert all(start < stop for start, stop in seen)
+    size = max(1, entries // width)
+    assert seen == [(start, min(start + size, n)) for start in range(0, n, size)]
+    sums, grams = np.zeros(3), np.zeros((3, 3))
+    for start in range(0, n, size):
+        block = rows[start : start + size]
+        sums += block.sum(axis=0)
+        grams += block.T @ block
+    np.testing.assert_array_equal(got[0], sums)
+    np.testing.assert_array_equal(got[1], grams)
+    if not n:
+        assert not got[0].any() and not got[1].any()
+
+
+def test_zero_rows_raise_data_error():
+    """A row pass over no rows has no mean to take: the assembly and the
+    empirical moment provider refuse zero rows instead of dividing 0/0."""
+    z = np.empty((0, 4))
+    for kind in KINDS:
+        with pytest.raises(DataError, match="at least one"):
+            build_workspace(z, WeightSpec(kind, 0.3))
+    with pytest.raises(DataError, match="at least one row"):
+        EmpiricalMoments(np.empty((0, 4)))
 
 
 def test_wide_fit_memory_is_independent_of_n():

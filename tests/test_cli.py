@@ -15,7 +15,7 @@ import compscore
 from compscore.cli import main
 from compscore.core import ContinuousDataset, CountDataset, index_map
 from compscore.errors import ConfigError
-from compscore.fitting import _blocks
+from compscore.fitting import BLOCK_ENTRIES
 from compscore.io import counts_csv, dump_json, proportions_csv
 from compscore.samplers import CHUNK
 from compscore.study import StudyConfig, run_study
@@ -107,7 +107,7 @@ def test_fit_identical_across_blas_threads(tmp_path):
     """A continuous p=10 fit over several row blocks writes the same
     fit.json bytes with one and with two BLAS threads."""
     rows = 19384
-    assert len(list(_blocks(rows, index_map(10).q))) >= 3
+    assert rows > 2 * (BLOCK_ENTRIES // index_map(10).q)  # three or more blocks
     u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
     data = tmp_path / "data.csv"
     data.write_text(proportions_csv(ContinuousDataset(u)))
@@ -126,7 +126,7 @@ def test_factorial_fit_identical_across_blas_threads(tmp_path):
     # the moments run over the rows without a zero in the first p - 1
     # categories, in blocks as wide as their C(p + 3, 4) = 715 monomials
     dense = int(np.all(counts.counts[:, :-1] > 0, axis=1).sum())
-    assert len(list(_blocks(dense, 715))) >= 3
+    assert dense > 2 * (BLOCK_ENTRIES // 715)
     data = tmp_path / "counts.csv"
     data.write_text(counts_csv(counts))
     cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian", data_kind="counts",

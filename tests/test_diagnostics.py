@@ -12,6 +12,7 @@ from scipy import stats
 from _oracles import pooled_ks_statistic
 from compscore._kolmogorov import ks_2samp, kstwo_sf
 from compscore.core import ContinuousDataset, ModelSpec
+from compscore import diagnostics
 from compscore.diagnostics import (
     ks_compare,
     marginal_report,
@@ -90,6 +91,21 @@ def test_marginal_report_grid_and_qq():
         assert np.all(np.diff(obs_q) >= 0) and np.all(np.diff(sim_q) >= 0)
         # simulated quantiles live on the grid
         np.testing.assert_allclose(sim_q * 100, np.round(sim_q * 100), atol=1e-9)
+
+
+def test_marginal_report_refuses_grid_totals_before_drawing(monkeypatch):
+    """A grid total below 1 is refused before any row is drawn, not after
+    the whole simulation."""
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sample_model was called")
+
+    monkeypatch.setattr(diagnostics, "sample_model", no_draws)
+    spec = ModelSpec(family="dirichlet", p=3, shape=[1.0, 1.0, 1.0])
+    observed = ContinuousDataset(np.random.default_rng(18).dirichlet(np.ones(3), size=20))
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="grid totals must be at least 1"):
+            marginal_report(observed, spec, RngConfig(19), grid_totals=bad)
 
 
 def test_marginal_report_degenerate_category():

@@ -14,7 +14,13 @@ The items are
   benchmark workload runs them;
 * the summary.csv and replicates.csv of `compscore bench` on the
   study-gauss benchmark workload's config (model6, estimators 1 and 3)
-  and on model15 with estimators 1 and 5, at seeds 1 to 3.
+  and on model15 with estimators 1 and 5, at seeds 1 to 3;
+* fits whose row passes span several row blocks, so that block
+  summation is covered: fit_hybrid's estimates and cov_scaled at p = 10
+  on 19384 Dirichlet rows (eight or nine blocks per pass) for every
+  weight kind, fit_from_counts at p = 10 on 2000 rows at total 1000
+  (eleven blocks of moments), and the system and estimates that
+  EmpiricalMoments gives for the 19384 rows.
 Manifests are read for their rejection block only, since they carry
 timings. Run it under OPENBLAS_NUM_THREADS=1 and =2 and diff the two
 outputs to check that nothing it covers depends on the BLAS thread
@@ -29,9 +35,15 @@ from contextlib import redirect_stdout
 from importlib import resources
 from io import StringIO
 
+import numpy as np
+
 from compscore import registry
 from compscore.cli import main as cli_main
+from compscore.core import ContinuousDataset, CountDataset, sqrt_transform
+from compscore.fitting import fit_hybrid, solve
+from compscore.moments import EmpiricalMoments, build_workspace_from_moments, fit_from_counts
 from compscore.samplers import RngConfig, sample_model
+from compscore.weights import KINDS, WeightSpec, cap_from_quantile
 
 SIMULATED = ("model1", "model3", "model6", "model7", "model13")
 # model and estimators of each study; n = 1000 and 20 replicates as in study-gauss
@@ -108,9 +120,27 @@ def bench_lines(tmp):
                 yield f"bench {model} seed {seed} {file} {_file_sha1(os.path.join(out, file))}"
 
 
+def fit_lines():
+    p, n = 10, 19384
+    shape = np.linspace(-0.5, 2.0, p)
+    data = ContinuousDataset(np.random.default_rng(21).dirichlet(np.full(p, 1.5), size=n))
+    z = sqrt_transform(data)
+    for kind in KINDS:
+        weight = WeightSpec(kind, cap_from_quantile(z, kind, 0.9) if "capped" in kind else 1.0)
+        fit = fit_hybrid(data, shape, weight, estimate_linear=True)
+        yield f"fit_hybrid p {p} {kind} {_sha1(fit.estimates.tobytes() + fit.cov_scaled.tobytes())}"
+    latent = np.random.default_rng(22).dirichlet(np.full(p, 3.0), size=2000)
+    counts = CountDataset(np.random.default_rng(23).multinomial(1000, latent))
+    yield f"fit_from_counts p {p} {_sha1(fit_from_counts(counts, shape).estimates.tobytes())}"
+    ws = build_workspace_from_moments(EmpiricalMoments(data.proportions), shape=shape)
+    system = ws.gram.tobytes() + ws.linear_term.tobytes()
+    yield f"empirical moments p {p} {_sha1(system + solve(ws, with_se=False).estimates.tobytes())}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        lines = (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp), *bench_lines(tmp))
+        lines = (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp), *bench_lines(tmp),
+                 *fit_lines())
         for line in lines:
             print(line)
 
