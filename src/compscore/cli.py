@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import __version__, registry
+from . import __version__, _parallel, registry
 from .core import FAMILIES, ModelSpec, counts_to_proportions, sqrt_transform
 from .diagnostics import marginal_report
 from .errors import (
@@ -110,6 +110,8 @@ def _manifest(subcommand, seed, inputs, config, started, extra=None):
         "inputs": {path: sha256_file(path) for path in inputs},
         "config": config,
         "duration_seconds": round(time.monotonic() - started, 3),
+        "blas_pinned": _parallel.openblas() is not None,
+        "pool_workers": _parallel.executor()._max_workers,
     }
     if extra:
         doc.update(extra)

@@ -29,14 +29,18 @@ everything to that sparse table and the radial components nu_i = z'mu_i:
 Every row pass, here and in moments, is one reduction, _block_sums:
 blocks of max(1, BLOCK_ENTRIES // width) rows (a cache budget) are added
 in increasing order into zero-initialised totals, which fixes every bit.
-Both passes here are feature-major: a block is u' = (p, rows), and every
-q-wide array is written in contiguous row slices, one multiply per
-leading coordinate j (u_j times u_{j+1..p-1}). Per block the assembly
-adds one SYRK of h f to S and the sums h^2 u_ext omega' and h^2 kappa f
-in the weight's direction. One read-off (_system) turns them into W, d
-and V; the moment route fills S from monomial means and calls the same
-read-off. W and Sigma_0 are symmetrized explicitly. The assembly keeps
-h^2 and the min kinds' argmin per row for the covariance pass.
+The two passes here also compute blocks on the shared pool (_parallel;
+those of moments, many small calls holding the interpreter lock, stay
+serial), and build_workspace, solve and standard_errors pin OpenBLAS to
+one thread, so no bit depends on the thread counts. Both passes here are
+feature-major: a block is u' = (p, rows), and every q-wide array is
+written in contiguous row slices, one multiply per leading coordinate j
+(u_j times u_{j+1..p-1}). Per block the assembly adds one SYRK of h f to
+S and the sums h^2 u_ext omega' and h^2 kappa f in the weight's
+direction. One read-off (_system) turns them into W, d and V; the moment
+route fills S from monomial means and calls the same read-off. W and
+Sigma_0 are symmetrized explicitly. The assembly keeps h^2 and the min
+kinds' argmin per row for the covariance pass.
 
 The Dirichlet family, whose sufficient statistics are logarithms,
 shares the per-row weight features (_row_weights: h^2 and the argmin;
@@ -51,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
 from .core import ContinuousDataset, ModelSpec, index_map, sqrt_transform
 from .errors import (
     ConfigError,
@@ -79,15 +84,20 @@ BLOCK_ENTRIES = 1 << 17
 _hsq = squared_weight
 
 
-def _block_sums(n, width, term, *totals):
+def _block_sums(n, width, term, *totals, pooled=False):
     """The one row reduction: add the arrays of term(start, stop) with +=
     into the caller's zero-initialised totals for each block of max(1,
     BLOCK_ENTRIES // width) of the n rows, in increasing order, and return
-    the totals. This order fixes every bit of every row sum."""
+    the totals. This order fixes every bit of every row sum; pooled
+    computes the terms on the shared pool too (_parallel.ordered_blocks)."""
     size = max(1, BLOCK_ENTRIES // width)
-    for start in range(0, n, size):
-        for total, part in zip(totals, term(start, min(start + size, n))):
+    starts = range(0, n, size)
+
+    def add(parts):
+        for total, part in zip(totals, parts):
             total += part
+
+    _parallel.ordered_blocks(len(starts), lambda i: term(starts[i], min(starts[i] + size, n)), add, pooled)
     return totals
 
 
@@ -315,6 +325,7 @@ def _shape_vector(shape, p):
     return shape
 
 
+@_parallel.one_blas_thread()
 def build_workspace(z, weight, shape=None, imap=None):
     """One blocked pass over transformed rows z -> EstimatorWorkspace.
 
@@ -347,7 +358,7 @@ def build_workspace(z, weight, shape=None, imap=None):
         return f @ f.T, s_uw, s_knu  # one SYRK of the monomials scaled by h
 
     zeros = np.zeros((q + 1, q + 1)), np.zeros((p, k)), np.zeros(q)
-    s, s_uw, s_knu = _block_sums(n, q + 1, term, *zeros)
+    s, s_uw, s_knu = _block_sums(n, q + 1, term, *zeros, pooled=True)
     # _system returns gram, laplacian_term, weight_gradient_term, shape_matrix
     system = _system(s / n, lay, s_uw / n, lay.scale * s_knu / n)
     return EstimatorWorkspace(imap, weight, shape, n, *system, z=z, hsq=hsq_rows, lead=lead_rows)
@@ -456,6 +467,7 @@ def _normalize_mask(imap, mask):
     return mask
 
 
+@_parallel.one_blas_thread()
 def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
     """Minimize the quadratic objective over the unmasked parameters.
 
@@ -477,13 +489,13 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
         theta_full[fixed] = fv[fixed]
 
     d = workspace.linear_term
-    wff = workspace.gram[np.ix_(free, free)]
     rhs = d[free]
     if fixed.size:
         rhs = rhs - workspace.gram[np.ix_(free, fixed)] @ theta_full[fixed]
 
     labels = [imap.labels[i] for i in free]
-    theta_f, inv_w, cond = _solve_psd(wff, rhs, ridge, labels)
+    # W's free block is not kept into the covariance pass, where memory peaks
+    theta_f, inv_w, cond = _solve_psd(workspace.gram[np.ix_(free, free)], rhs, ridge, labels)
     theta_full[free] = theta_f
 
     cov = _sandwich(inv_w, _error_moment(workspace, theta_full, mask)) if with_se else None
@@ -541,7 +553,8 @@ def _error_moment(workspace, theta_full, mask):
             resid = resid[free]
         return (resid @ resid.T,)
 
-    (total,) = _block_sums(workspace.n, imap.q, term, np.zeros((free.size, free.size)))
+    zeros = np.zeros((free.size, free.size))
+    (total,) = _block_sums(workspace.n, imap.q, term, zeros, pooled=True)
     fac = _layout(p).coef[free, 0]
     return _symmetric(total) * np.outer(fac, fac) / workspace.n
 
@@ -551,6 +564,7 @@ def _sandwich(inv_w, sigma0):
     return inv_w @ sigma0 @ inv_w
 
 
+@_parallel.one_blas_thread()
 def standard_errors(workspace, result, mask=None):
     """Plug-in covariance of sqrt(n) * theta_hat for an existing fit.
     mask marks the fit's free parameters; by default, its labels."""
@@ -565,9 +579,8 @@ def standard_errors(workspace, result, mask=None):
     theta_full[free] = result.estimates
     for lab, val in result.fixed.items():
         theta_full[imap.index(lab)] = val
-    wff = workspace.gram[np.ix_(free, free)]
     labels = [imap.labels[i] for i in free]
-    inv_w = _solve_psd(wff, np.zeros(free.size), result.ridge, labels)[1]
+    inv_w = _solve_psd(workspace.gram[np.ix_(free, free)], np.zeros(free.size), result.ridge, labels)[1]
     return _sandwich(inv_w, _error_moment(workspace, theta_full, mask))
 
 

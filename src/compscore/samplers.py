@@ -57,10 +57,10 @@ README lists what the presets pick and keep.
 The loop draws its proposals in chunks of CHUNK rows.
 Each proposal batch is split into chunks, and the c-th chunk of a run,
 counted across batches, draws from its own stream rng.substream(c).
-Chunks run on a shared thread pool with one worker per usable CPU
-(numpy releases the interpreter lock while it draws), but the draws
-depend only on the seed: neither the pool size nor the BLAS thread
-count changes a single bit. Workers transform proposals with einsum,
+Chunks run on the package's one thread pool (_parallel, shared with
+fitting's row passes; numpy releases the interpreter lock while it
+draws), but the draws depend only on the seed: neither the pool size nor
+the BLAS thread count changes a single bit. Workers transform proposals with einsum,
 never a BLAS product: concurrent calls into a threaded BLAS contend
 with each other (with a BLAS product, a truncated-Gaussian run took
 1.4 times as long on two workers as on one under two OpenBLAS threads),
@@ -75,14 +75,12 @@ import functools
 import logging
 import math
 import numbers
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _parallel
 from .core import (
     ContinuousDataset,
     CountDataset,
@@ -114,33 +112,6 @@ PATIENCE = 2_000_000
 MIN_RATE = 1e-6
 # proposal rows per chunk; chunk c of a run draws from rng.substream(c)
 CHUNK = 32_768
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _reset_pool():
-    # a forked child has none of its parent's pool threads: work sent to
-    # the inherited pool would never run
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _executor():
-    """The chunk pool, one worker per usable CPU, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # platforms without CPU affinity
-                cpus = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=cpus)
-        return _pool
 
 
 @dataclass(frozen=True)
@@ -223,7 +194,7 @@ def _rejection(out, rng, proposal, error, rate):
         if len(sizes) == 1:
             results = [proposal.propose(subs[0], sizes[0])]
         else:
-            results = _executor().map(proposal.propose, subs, sizes)
+            results = _parallel.executor().map(proposal.propose, subs, sizes)
         for size, (pos, rows) in zip(sizes, results):
             take = min(pos.size, n - kept)
             out[kept:kept + take] = rows[:take]

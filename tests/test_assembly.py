@@ -3,7 +3,11 @@ reference in _oracles, its independence of the row blocking, the cached
 statistic layout, and the memory it needs at larger p."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import dense_error_moment, dense_fit, dense_workspace
-from compscore import fitting
+from compscore import _parallel, fitting
 from compscore.core import ContinuousDataset, CountDataset, ModelSpec, index_map, sqrt_transform
 from compscore.errors import ConfigError, DataError
 from compscore.fitting import _error_moment, build_workspace, fit_hybrid, solve
@@ -227,37 +231,125 @@ def test_block_partition_invariance(monkeypatch):
     width=st.integers(1, 2000),
     entries=st.sampled_from([1, 7, 1000, 1 << 17]),
     seed=st.integers(0, 2**32 - 1),
+    workers=st.sampled_from([None, 1, 2, 3]),
 )
-def test_block_sums_contract(n, width, entries, seed):
+def test_block_sums_contract(n, width, entries, seed, workers):
     """_block_sums hands its terms contiguous, increasing, disjoint row
     ranges of max(1, BLOCK_ENTRIES // width) rows covering [0, n), and its
     totals equal a serial loop that adds each block's terms into
-    zero-initialised totals, bit for bit; no rows leave the totals at zero."""
+    zero-initialised totals, bit for bit; no rows leave the totals at zero.
+    The same holds pooled (workers set: the caller and workers - 1 pool
+    helpers, in whatever order they finish, switching threads every
+    microsecond), with at most workers + 1 blocks' results alive at a time."""
     rows = np.random.default_rng(seed).standard_normal((n, 3))
     seen = []
+    lock = threading.Lock()
+    live = [0, 0]  # blocks whose results are alive, and the most at once
+
+    def release(left):
+        with lock:
+            left[0] -= 1
+            live[0] -= not left[0]
 
     def term(start, stop):
+        with lock:
+            live[0] += 1
+            live[1] = max(live)
         seen.append((start, stop))
         block = rows[start:stop]
-        return block.sum(axis=0), block.T @ block
+        parts, left = (block.sum(axis=0), block.T @ block), [2]
+        for part in parts:
+            weakref.finalize(part, release, left)
+        return parts
 
-    with pytest.MonkeyPatch.context() as mp:
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(max_workers=workers or 1) as pool:
         mp.setattr(fitting, "BLOCK_ENTRIES", entries)
-        got = fitting._block_sums(n, width, term, np.zeros(3), np.zeros((3, 3)))
+        mp.setattr(_parallel, "_pool", pool)
+        with _parallel.one_blas_thread():
+            sys.setswitchinterval(1e-6)  # threads interleave at every chance
+            try:
+                got = fitting._block_sums(n, width, term, np.zeros(3), np.zeros((3, 3)), pooled=bool(workers))
+            finally:
+                sys.setswitchinterval(interval)
+            size = max(1, entries // width)
+            sums, grams = np.zeros(3), np.zeros((3, 3))
+            for start in range(0, n, size):
+                block = rows[start : start + size]
+                sums += block.sum(axis=0)
+                grams += block.T @ block
+    if workers:
+        seen.sort()
+        assert live[1] <= workers + 1
     ends = [0] + [stop for _, stop in seen]
     assert [start for start, _ in seen] == ends[:-1] and ends[-1] == n
     assert all(start < stop for start, stop in seen)
-    size = max(1, entries // width)
     assert seen == [(start, min(start + size, n)) for start in range(0, n, size)]
-    sums, grams = np.zeros(3), np.zeros((3, 3))
-    for start in range(0, n, size):
-        block = rows[start : start + size]
-        sums += block.sum(axis=0)
-        grams += block.T @ block
     np.testing.assert_array_equal(got[0], sums)
     np.testing.assert_array_equal(got[1], grams)
     if not n:
         assert not got[0].any() and not got[1].any()
+
+
+def test_pooled_block_error_reaches_the_caller():
+    """A term that raises on one pool helper raises in the caller, while
+    the other helper fills the window of claimed blocks and waits; every
+    helper then returns to the pool, so all three workers can meet at a
+    barrier at once."""
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    failer, other_done, failed = [], threading.Event(), threading.Event()
+
+    def term(start, stop):
+        me = threading.current_thread()
+        if me is caller:
+            assert failed.wait(timeout=30)
+            return (np.ones(1),)
+        with lock:
+            if not failer:
+                failer.append(me)
+        if failer[0] is me:  # fail once the other helper runs
+            assert other_done.wait(timeout=30)
+            failed.set()
+            raise ValueError("helper term failed")
+        other_done.set()
+        return (np.ones(1),)
+
+    pool = ThreadPoolExecutor(max_workers=3)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_parallel, "_pool", pool)
+            mp.setattr(fitting, "BLOCK_ENTRIES", 1)
+            if _parallel.openblas() is None:
+                pytest.skip("no BLAS pin, so blocks run serially")
+            with pytest.raises(ValueError, match="helper term failed"):
+                fitting._block_sums(100, 1, term, np.zeros(1), pooled=True)
+        barrier = threading.Barrier(3)
+        for future in [pool.submit(barrier.wait, 10) for _ in range(3)]:
+            future.result(timeout=30)
+    finally:
+        pool.shutdown(wait=False)  # a helper left waiting would hang a waiting shutdown
+
+
+def test_fits_run_serially_without_the_blas_pin(monkeypatch):
+    """Without the pin symbol (a BLAS other than numpy's bundled OpenBLAS)
+    a fit never touches the pool, and a p=10 fit keeps its bits (thread
+    identity holds there unpinned)."""
+    u = np.random.default_rng(24).dirichlet(np.full(10, 1.5), size=19384)
+    weight = WeightSpec("capped-min", 0.3)
+    want = fit_hybrid(u, np.zeros(10), weight)
+
+    class Unusable:
+        _max_workers = 3
+
+        def submit(self, *args):
+            raise AssertionError("a serial fit used the pool")
+
+    monkeypatch.setattr(_parallel, "openblas", lambda: None)
+    monkeypatch.setattr(_parallel, "_pool", Unusable())
+    got = fit_hybrid(u, np.zeros(10), weight)
+    np.testing.assert_array_equal(got.estimates, want.estimates)
+    np.testing.assert_array_equal(got.cov_scaled, want.cov_scaled)
 
 
 def test_zero_rows_raise_data_error():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import compscore
+from compscore import _parallel
 from compscore.cli import main
 from compscore.core import ContinuousDataset, CountDataset, index_map
 from compscore.errors import ConfigError
@@ -85,35 +86,47 @@ def test_simulate_then_fit_roundtrip(tmp_path, capsys):
     assert (fit_dir / "fit.json").read_bytes() == before
 
 
-def _fit_json_per_blas_threads(tmp_path, data, cfg):
-    """The fit.json bytes of `compscore fit` run in a child process under
-    one and under two BLAS threads."""
+def _fit_json_per_blas_threads(tmp_path, data, cfg, pool_sizes=()):
+    """The fit.json bytes of `compscore fit` on each of the data files
+    (one path or a list) run in a child process under one and under two
+    BLAS threads, then under two BLAS threads with the child's shared
+    pool limited to each of pool_sizes workers: one list per run."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(compscore.__file__)))
-    payloads = []
-    for threads in ("1", "2"):
+    files = data if isinstance(data, list) else [data]
+    runs = []
+    for i, (threads, workers) in enumerate([("1", None), ("2", None)] + [("2", k) for k in pool_sizes]):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"fit{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "compscore.cli", "fit", "--data", str(data),
-             "--config", str(cfg), "--out", str(out)],
-            env=env, check=True, capture_output=True,
+        outs = [tmp_path / f"fit{i}-{j}" for j in range(len(files))]
+        argv = [str(a) for file, out in zip(files, outs)
+                for a in ("fit", "--data", file, "--config", cfg, "--out", out)]
+        pool = "" if workers is None else (
+            "from concurrent.futures import ThreadPoolExecutor; from compscore import _parallel; "
+            f"_parallel._pool = ThreadPoolExecutor({workers}); "
         )
-        payloads.append((out / "fit.json").read_bytes())
-    return payloads
+        code = (f"import sys; {pool}from compscore.cli import main; a = sys.argv[1:]; "
+                "sys.exit(max(main(a[i : i + 7]) for i in range(0, len(a), 7)))")
+        subprocess.run([sys.executable, "-c", code] + argv,
+                       env=env, check=True, capture_output=True, timeout=300)
+        runs.append([(out / "fit.json").read_bytes() for out in outs])
+    return runs if isinstance(data, list) else [payloads[0] for payloads in runs]
 
 
 def test_fit_identical_across_blas_threads(tmp_path):
-    """A continuous p=10 fit over several row blocks writes the same
-    fit.json bytes with one and with two BLAS threads."""
-    rows = 19384
-    assert rows > 2 * (BLOCK_ENTRIES // index_map(10).q)  # three or more blocks
-    u = np.random.default_rng(21).dirichlet(np.full(10, 1.5), size=rows)
-    data = tmp_path / "data.csv"
-    data.write_text(proportions_csv(ContinuousDataset(u)))
+    """A continuous fit over several row blocks writes the same fit.json
+    bytes with one and with two BLAS threads, and with the shared pool
+    that runs its blocks limited to 1, 2 and 3 workers, at p = 10, 14,
+    16, 20 and 30. Unpinned, two BLAS threads changed the bits from
+    p = 14 on."""
+    files = []
+    for p, rows in ((10, 19384), (14, 4000), (16, 4000), (20, 4000), (30, 4000)):
+        assert rows > 2 * (BLOCK_ENTRIES // index_map(p).q)  # three or more blocks
+        u = np.random.default_rng(21).dirichlet(np.full(p, 1.5), size=rows)
+        files.append(tmp_path / f"data{p}.csv")
+        files[-1].write_text(proportions_csv(ContinuousDataset(u)))
     cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian")
-    payloads = _fit_json_per_blas_threads(tmp_path, data, cfg)
-    assert payloads[0] == payloads[1]
+    runs = _fit_json_per_blas_threads(tmp_path, files, cfg, pool_sizes=(1, 2, 3))
+    assert all(payloads == runs[0] for payloads in runs[1:])
 
 
 def test_factorial_fit_identical_across_blas_threads(tmp_path):
@@ -334,6 +347,26 @@ def test_bench_workflow(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("bench", "--config", cfg, "--out", out, "--threads", 2)
     assert exc.value.code == 2
+
+
+def test_manifests_record_blas_pin_and_pool(tmp_path):
+    """fit, simulate and bench manifests record whether fits pin the BLAS
+    to one thread and the shared pool's worker count; no payload does."""
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--model", "model3", "--n", 200, "--seed", 3, "--out", sim) == 0
+    cfg = _write_config(tmp_path / "fit.cfg", family="truncated-gaussian")
+    assert run_cli("fit", "--data", sim / "data.csv", "--config", cfg, "--out", tmp_path / "fit") == 0
+    study = _write_config(tmp_path / "bench.json", model="model3", estimators=[1], n=100,
+                          replicates=2, seed=4)
+    assert run_cli("bench", "--config", study, "--out", tmp_path / "bench") == 0
+    for out in ("sim", "fit", "bench"):
+        manifest = _read_json(tmp_path / out / "manifest.json")
+        assert manifest["blas_pinned"] is (_parallel.openblas() is not None)
+        assert manifest["pool_workers"] == _parallel.executor()._max_workers >= 1
+        for payload in (tmp_path / out).iterdir():
+            if payload.name != "manifest.json":
+                assert b"blas_pinned" not in payload.read_bytes()
+                assert b"pool_workers" not in payload.read_bytes()
 
 
 def test_config_rejections(tmp_path, capsys):

@@ -27,7 +27,7 @@ from _oracles import (
     dirichlet_base_hybrid_reference,
     nelder_mead_log_bound,
 )
-from compscore import registry, samplers
+from compscore import _parallel, registry, samplers
 from compscore.cli import main
 from compscore.core import ContinuousDataset, ModelSpec, counts_to_proportions
 from compscore.diagnostics import marginal_report
@@ -38,6 +38,7 @@ from compscore.errors import (
     FamilyError,
     InfeasibleTruncationError,
 )
+from compscore.fitting import fit_hybrid
 from compscore.io import dump_json, load_synthetic_counts, model_spec_from_fit
 from compscore.samplers import (
     CHUNK,
@@ -46,6 +47,7 @@ from compscore.samplers import (
     sample_model,
     sample_multinomial_counts,
 )
+from compscore.weights import WeightSpec
 
 
 def test_rng_config_reproducible_streams():
@@ -635,7 +637,7 @@ def test_draws_do_not_depend_on_the_worker_count(monkeypatch):
     assert reference[1][1].attempted > 2 * CHUNK
     for workers in (1, 3):
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            monkeypatch.setattr(samplers, "_pool", pool)
+            monkeypatch.setattr(_parallel, "_pool", pool)
             got = _draw_both_samplers()
         for (data, stats), (want, want_stats) in zip(got, reference):
             np.testing.assert_array_equal(data.proportions, want.proportions)
@@ -675,8 +677,8 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
             created.append(self)
 
-    monkeypatch.setattr(samplers, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(samplers, "_pool", None)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(_parallel, "_pool", None)
     start = threading.Barrier(4)
 
     def call():
@@ -697,22 +699,36 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
-def _sample_in_child():
-    sample_model(TGAUSS3, 20_000, RngConfig(17))
+def _fit_rows():
+    """A p=10 fit_hybrid whose row passes take ten blocks each."""
+    u = np.random.default_rng(18).dirichlet(np.full(10, 1.5), size=19384)
+    fit = fit_hybrid(u, np.zeros(10), WeightSpec("capped-min", 0.3))
+    return fit.estimates, fit.cov_scaled
+
+
+def _fit_and_draw_in_child(want):
+    got = (*_fit_rows(), sample_model(TGAUSS3, 20_000, RngConfig(17)).proportions)
+    for array, expected in zip(got, want, strict=True):
+        np.testing.assert_array_equal(array, expected)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_gets_its_own_pool():
-    """A child forked after the pool exists inherits none of its threads;
-    it must start its own pool rather than wait on the parent's."""
-    sample_model(TGAUSS3, 20_000, RngConfig(17))
-    assert samplers._pool is not None
-    child = multiprocessing.get_context("fork").Process(target=_sample_in_child)
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
+def test_forked_child_gets_its_own_pool(monkeypatch):
+    """A child forked after the shared pool ran a multi-block fit's row
+    blocks and a draw's chunks inherits none of its threads; it must
+    start its own pool rather than wait on the parent's, and it fits
+    and draws the parent's bits."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        monkeypatch.setattr(_parallel, "_pool", pool)
+        fit = _fit_rows()
+        assert pool._threads or _parallel.openblas() is None  # the fit's blocks ran pooled
+        want = (*fit, sample_model(TGAUSS3, 20_000, RngConfig(17)).proportions)
+        child = multiprocessing.get_context("fork").Process(target=_fit_and_draw_in_child, args=(want,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
     assert child.exitcode == 0
 
 
@@ -778,7 +794,7 @@ def test_draws_hold_their_rows_once(name):
     n = 200000 on a two-worker pool, above this bound."""
     spec = registry.get(name).spec
     sample_model(spec, 1000, RngConfig(0))  # builds the cached proposal and the pool
-    workers = samplers._executor()._max_workers
+    workers = _parallel.executor()._max_workers
     data, peak = _traced_peak(lambda: sample_model(spec, 200_000, RngConfig(1)))
     rows = data.proportions.nbytes
     allowance = workers * (2 * spec.p + 8) * CHUNK * 8
@@ -794,7 +810,7 @@ def test_marginal_report_memory_is_bounded(tmp_path, monkeypatch):
     spec = _bundled_interaction_fit(tmp_path)
     observed = counts_to_proportions(load_synthetic_counts())
     with ThreadPoolExecutor(max_workers=2) as pool:
-        monkeypatch.setattr(samplers, "_pool", pool)
+        monkeypatch.setattr(_parallel, "_pool", pool)
         marginal_report(observed, spec, RngConfig(0), n_sim=1000, grid_totals=2000)
         report, peak = _traced_peak(
             lambda: marginal_report(observed, spec, RngConfig(1), grid_totals=2000)

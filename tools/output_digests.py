@@ -20,7 +20,10 @@ The items are
   on 19384 Dirichlet rows (eight or nine blocks per pass) for every
   weight kind, fit_from_counts at p = 10 on 2000 rows at total 1000
   (eleven blocks of moments), and the system and estimates that
-  EmpiricalMoments gives for the 19384 rows.
+  EmpiricalMoments gives for the 19384 rows; and fit_hybrid's estimates
+  and cov_scaled at p = 16 and 20 on 12288 rows (13 to 20 blocks per
+  pass) for every weight kind, where unpinned OpenBLAS threads changed
+  the bits.
 Manifests are read for their rejection block only, since they carry
 timings. Run it under OPENBLAS_NUM_THREADS=1 and =2 and diff the two
 outputs to check that nothing it covers depends on the BLAS thread
@@ -135,6 +138,13 @@ def fit_lines():
     ws = build_workspace_from_moments(EmpiricalMoments(data.proportions), shape=shape)
     system = ws.gram.tobytes() + ws.linear_term.tobytes()
     yield f"empirical moments p {p} {_sha1(system + solve(ws, with_se=False).estimates.tobytes())}"
+    for p in (16, 20):
+        data = ContinuousDataset(np.random.default_rng(p).dirichlet(np.full(p, 2.0), size=12288))
+        z = sqrt_transform(data)
+        for kind in KINDS:
+            weight = WeightSpec(kind, cap_from_quantile(z, kind, 0.9) if "capped" in kind else 1.0)
+            fit = fit_hybrid(data, np.zeros(p), weight, estimate_linear=True)
+            yield f"fit_hybrid p {p} {kind} {_sha1(fit.estimates.tobytes() + fit.cov_scaled.tobytes())}"
 
 
 def main():
