@@ -1,6 +1,6 @@
-"""The package's one thread pool (one worker per usable CPU, shared by the
-samplers' chunks and fitting's row blocks, dropped in a forked child) and
-the pin of numpy's bundled OpenBLAS to one thread."""
+"""The package's one thread pool (one worker per usable CPU, dropped in a
+forked child), ordered_blocks, the one runner that puts the samplers' chunks
+and fitting's row blocks on it, and the fits' pin of OpenBLAS to one thread."""
 
 import contextlib
 import ctypes
@@ -14,9 +14,11 @@ _pool, _pool_lock, _pin_lock = None, threading.Lock(), threading.Lock()
 _pins = _saved = 0  # live pins, and the thread count before the first
 
 
-def _reset():  # a forked child has none of the parent's threads, nor their locks
-    global _pool, _pool_lock, _pin_lock
-    _pool, _pool_lock, _pin_lock = None, threading.Lock(), threading.Lock()
+def _reset():  # a forked child has none of the parent's threads, nor their locks or pins
+    global _pool, _pool_lock, _pin_lock, _pins
+    if _pins and openblas():
+        openblas()[1](_saved)
+    _pool, _pool_lock, _pin_lock, _pins = None, threading.Lock(), threading.Lock(), 0
 
 
 if hasattr(os, "register_at_fork"):
@@ -51,8 +53,7 @@ def openblas():
 @contextlib.contextmanager
 def one_blas_thread():
     """OpenBLAS on one thread, process-wide, for the body (or each call, as
-    a decorator) until the last nested or concurrent pin ends; yields
-    whether it could pin."""
+    a decorator) until the last nested or concurrent pin ends."""
     global _pins, _saved
     blas = openblas()
     with _pin_lock:
@@ -61,7 +62,7 @@ def one_blas_thread():
             blas[1](1)
         _pins += 1
     try:
-        yield blas is not None
+        yield
     finally:
         with _pin_lock:
             _pins -= 1
@@ -71,15 +72,16 @@ def one_blas_thread():
 
 def ordered_blocks(count, compute, consume, pooled):
     """consume(compute(i)) for i = 0 .. count - 1, the consumes in order on
-    this thread. Pooled, with OpenBLAS pinned, this thread and up to
+    this thread, until one returns True. Pooled, this thread and up to
     workers - 1 pool helpers claim the blocks in order, at most workers + 1
     claimed and not yet consumed; this thread never waits on a helper that
-    has not started. A compute's error is raised when its block comes up,
-    after the started helpers have stopped."""
-    helpers = min(count, executor()._max_workers) - 1 if pooled and openblas() else 0
+    has not started. A compute's error is raised when its block comes up.
+    The started helpers have stopped on return. Pins no BLAS."""
+    helpers = min(count, executor()._max_workers) - 1 if pooled else 0
     if helpers < 1:
         for i in range(count):
-            consume(compute(i))
+            if consume(compute(i)):
+                return
         return
     slots, claims, stopped = threading.Semaphore(helpers + 2), itertools.count(), []
     done, ready = [None] * count, [threading.Event() for _ in range(count)]
@@ -98,22 +100,22 @@ def ordered_blocks(count, compute, consume, pooled):
         while step(True):
             pass
 
-    with one_blas_thread():
-        futures = [executor().submit(helper) for _ in range(helpers)]
-        try:
-            for i in range(count):
-                while not ready[i].is_set() and step(False):
-                    pass
-                ready[i].wait()  # when nothing is claimable, block i is
-                (part, exc), done[i] = done[i], None
-                if exc is not None:
-                    raise exc
-                consume(part)
-                del part
-                slots.release()
-        finally:
-            stopped.append(True)
-            for future in futures:
-                future.cancel()
-                slots.release()  # wakes a helper waiting for a slot
-            wait(futures)
+    futures = [executor().submit(helper) for _ in range(helpers)]
+    try:
+        for i in range(count):
+            while not ready[i].is_set() and step(False):
+                pass
+            ready[i].wait()  # nothing is claimable: a started helper has block i
+            (part, exc), done[i] = done[i], None
+            if exc is not None:
+                raise exc
+            if consume(part):
+                break
+            del part
+            slots.release()
+    finally:
+        stopped.append(True)
+        for future in futures:
+            future.cancel()
+            slots.release()  # wakes a helper waiting for a slot
+        wait(futures)

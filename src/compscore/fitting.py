@@ -29,11 +29,11 @@ everything to that sparse table and the radial components nu_i = z'mu_i:
 Every row pass, here and in moments, is one reduction, _block_sums:
 blocks of max(1, BLOCK_ENTRIES // width) rows (a cache budget) are added
 in increasing order into zero-initialised totals, which fixes every bit.
-The two passes here also compute blocks on the shared pool (_parallel;
-those of moments, many small calls holding the interpreter lock, stay
-serial), and build_workspace, solve and standard_errors pin OpenBLAS to
-one thread, so no bit depends on the thread counts. Both passes here are
-feature-major: a block is u' = (p, rows), and every q-wide array is
+build_workspace, solve and standard_errors pin OpenBLAS to one thread,
+so no bit depends on the thread counts; pinned, the two passes here also
+use the shared pool (_parallel; with no pin symbol, and in moments,
+whose terms hold the interpreter lock, blocks stay serial). Both passes
+are feature-major: a block is u' = (p, rows), and every q-wide array is
 written in contiguous row slices, one multiply per leading coordinate j
 (u_j times u_{j+1..p-1}). Per block the assembly adds one SYRK of h f to
 S and the sums h^2 u_ext omega' and h^2 kappa f in the weight's
@@ -88,8 +88,8 @@ def _block_sums(n, width, term, *totals, pooled=False):
     """The one row reduction: add the arrays of term(start, stop) with +=
     into the caller's zero-initialised totals for each block of max(1,
     BLOCK_ENTRIES // width) of the n rows, in increasing order, and return
-    the totals. This order fixes every bit of every row sum; pooled
-    computes the terms on the shared pool too (_parallel.ordered_blocks)."""
+    the totals. This order fixes every bit of every row sum; pooled, with
+    OpenBLAS pinnable (the caller pins it), the shared pool computes terms too."""
     size = max(1, BLOCK_ENTRIES // width)
     starts = range(0, n, size)
 
@@ -97,6 +97,7 @@ def _block_sums(n, width, term, *totals, pooled=False):
         for total, part in zip(totals, parts):
             total += part
 
+    pooled = pooled and _parallel.openblas() is not None
     _parallel.ordered_blocks(len(starts), lambda i: term(starts[i], min(starts[i] + size, n)), add, pooled)
     return totals
 

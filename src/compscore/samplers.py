@@ -54,21 +54,20 @@ Each spec's proposal, its draw included, is built once and cached;
 building it draws nothing, so the draws depend only on the seed. The
 README lists what the presets pick and keep.
 
-The loop draws its proposals in chunks of CHUNK rows.
-Each proposal batch is split into chunks, and the c-th chunk of a run,
-counted across batches, draws from its own stream rng.substream(c).
-Chunks run on the package's one thread pool (_parallel, shared with
-fitting's row passes; numpy releases the interpreter lock while it
-draws), but the draws depend only on the seed: neither the pool size nor
-the BLAS thread count changes a single bit. Workers transform proposals with einsum,
-never a BLAS product: concurrent calls into a threaded BLAS contend
-with each other (with a BLAS product, a truncated-Gaussian run took
-1.4 times as long on two workers as on one under two OpenBLAS threads),
-and the proposals then do not depend on the BLAS library at all. A
-worker returns the rows of its chunk that it accepts, and the main
-thread copies them, in chunk order, into the one (n, p) array that the
-returned dataset takes over without a copy. So a draw holds its rows
-once, beside one chunk's working set per worker.
+The loop draws its proposals in batches of chunks of CHUNK rows, and the
+c-th chunk of a run, counted across batches, draws from its own stream
+rng.substream(c). The calling thread and the package's one thread pool
+compute the chunks (_parallel.ordered_blocks; numpy releases the
+interpreter lock while it draws), none after the n-th acceptance, and
+neither the pool size nor the BLAS thread count changes a bit of a draw.
+Chunks transform proposals with einsum, never a BLAS product: concurrent
+calls into a threaded BLAS contend (with a BLAS product, a
+truncated-Gaussian run took 1.4 times as long on two workers as on one
+under two OpenBLAS threads), so draws need no BLAS pin and pool on any
+BLAS. A chunk returns the rows it accepts, and the calling thread copies
+them, in chunk order, into the one (n, p) array that the returned
+dataset takes over without a copy. So a draw holds its rows once, beside
+one chunk's working set per thread.
 """
 
 import functools
@@ -187,22 +186,23 @@ def _rejection(out, rng, proposal, error, rate):
     kept = 0
     attempted = 0
     chunks = 0
+
+    def draw(c):  # chunk c of the batch, the run's chunk chunks + c
+        return sizes[c], *proposal.propose(rng.substream(chunks + c), sizes[c])
+
+    def copy(chunk):  # True at the n-th acceptance, which ends the run
+        nonlocal kept, attempted
+        size, pos, rows = chunk
+        take = min(pos.size, n - kept)
+        out[kept:kept + take] = rows[:take]
+        kept += take
+        attempted += int(pos[take - 1]) + 1 if kept == n else size
+        return kept == n
+
     while kept < n:
         batch = _next_batch(n - kept, rate)
         sizes = [min(CHUNK, batch - lo) for lo in range(0, batch, CHUNK)]
-        subs = [rng.substream(chunks + i) for i in range(len(sizes))]
-        if len(sizes) == 1:
-            results = [proposal.propose(subs[0], sizes[0])]
-        else:
-            results = _parallel.executor().map(proposal.propose, subs, sizes)
-        for size, (pos, rows) in zip(sizes, results):
-            take = min(pos.size, n - kept)
-            out[kept:kept + take] = rows[:take]
-            kept += take
-            if kept == n:
-                attempted += int(pos[take - 1]) + 1
-                break
-            attempted += size
+        _parallel.ordered_blocks(len(sizes), draw, copy, pooled=True)
         rate = max(kept / attempted, 1e-8)
         if not chunks and kept < n:  # a long run says so before it ends
             logger.info("%s proposals: %d of %d kept (acceptance %.3g), about %.3g projected "

@@ -644,6 +644,58 @@ def test_draws_do_not_depend_on_the_worker_count(monkeypatch):
             assert stats == want_stats
 
 
+def test_draw_inside_a_pool_worker_finishes(monkeypatch):
+    """A draw started on the only worker of a one-worker pool (one usable
+    CPU) computes its chunks on that worker instead of queueing them
+    behind it, and draws the direct draw's bits. model1 at n = 20000
+    takes three chunks in its first batch. Cancelling the pool's queue
+    on shutdown frees a worker that waits on queued chunks, so a hang
+    fails here instead of stalling the run."""
+    spec = registry.get("model1").spec
+    want = sample_model(spec, 20_000, RngConfig(5)).proportions
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        monkeypatch.setattr(_parallel, "_pool", pool)
+        got = pool.submit(sample_model, spec, 20_000, RngConfig(5)).result(timeout=30)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    np.testing.assert_array_equal(got.proportions, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_draw_stops_at_its_last_acceptance(monkeypatch, workers):
+    """A flat hybrid spec (A = 0, b = 0, zero shapes) keeps every
+    proposal, so a 40000-row draw needs 2 chunks of its 6-chunk first
+    batch. No chunk is started after the n-th acceptance: on one worker
+    exactly 2 are drawn, and on more at most those claimed by then (the
+    2, one per helper and one free slot), with the same rows each time."""
+    spec = ModelSpec(family="hybrid", p=3)
+    n = 40_000
+    assert -(-samplers._next_batch(n, 0.25) // CHUNK) == 6 and -(-n // CHUNK) == 2
+    want = sample_model(spec, n, RngConfig(6)).proportions
+    cached, calls = samplers._proposal, []
+
+    def counted(*args):
+        proposal = cached(*args)
+
+        def propose(sub, size):
+            calls.append(size)
+            return proposal.propose(sub, size)
+
+        return proposal._replace(propose=propose)
+
+    monkeypatch.setattr(samplers, "_proposal", counted)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(_parallel, "_pool", pool)
+        got, stats = sample_model(spec, n, RngConfig(6), return_stats=True)
+    assert stats.attempted == n
+    np.testing.assert_array_equal(got.proportions, want)
+    if workers == 1:
+        assert len(calls) == 2, calls
+    else:
+        assert 2 <= len(calls) <= 2 + workers + 1, calls
+
+
 def test_chunks_read_their_own_streams():
     """With a flat energy every proposal is kept, so the output is the
     chunks in order: chunk c is the start of rng.substream(c), one row
@@ -730,6 +782,48 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
             child.kill()
             child.join()
     assert child.exitcode == 0
+
+
+def _blas_threads_in_child(want):
+    get = _parallel.openblas()[0]
+    assert _parallel._pins == 0 and get() == want
+    with _parallel.one_blas_thread():
+        assert get() == 1
+    assert get() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_drops_a_live_blas_pin():
+    """A child forked while another thread pins OpenBLAS has no such
+    thread: it starts unpinned, with the count from before the pin (2
+    here), and its own pins restore that count."""
+    blas = _parallel.openblas()
+    if blas is None:
+        pytest.skip("no BLAS pin symbol")
+    before = blas[0]()
+    pinned, release = threading.Event(), threading.Event()
+
+    def hold():
+        with _parallel.one_blas_thread():
+            pinned.set()
+            release.wait(timeout=60)
+
+    blas[1](2)
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert pinned.wait(timeout=30) and blas[0]() == 1
+        child = multiprocessing.get_context("fork").Process(target=_blas_threads_in_child, args=(2,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    finally:
+        release.set()
+        holder.join(timeout=30)
+        blas[1](before)
+    assert not holder.is_alive() and child.exitcode == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
