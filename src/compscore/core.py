@@ -89,13 +89,14 @@ class ContinuousDataset:
         if not np.all(np.isfinite(u)):
             raise DataError("proportions contain NaN or infinity")
         # tolerate float dust from upstream subtractions, reject real negatives
-        tiny_neg = (u < 0) & (u >= -1e-12)
-        u[tiny_neg] = 0.0
+        # no (n, p) mask outlives its line: a draw's memory bound counts on it
+        u[(u < 0) & (u >= -1e-12)] = 0.0
         if np.any(u < 0):
             bad = int(np.argwhere(u < 0)[0, 0])
             raise DataError(f"negative proportion in row {bad}")
         sums = u.sum(axis=1)
-        off = np.abs(sums - 1.0)
+        off = sums - 1.0
+        np.abs(off, out=off)
         if np.any(off > REJECT_TOL):
             bad = int(np.argmax(off))
             raise DataError(

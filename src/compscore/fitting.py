@@ -39,15 +39,17 @@ written in contiguous row slices, one multiply per leading coordinate j
 S and the sums h^2 u_ext omega' and h^2 kappa f in the weight's
 direction. One read-off (_system) turns them into W, d and V; the moment
 route fills S from monomial means and calls the same read-off. W and
-Sigma_0 are symmetrized explicitly. The assembly keeps h^2 and the min
-kinds' argmin per row for the covariance pass.
+Sigma_0 are symmetrized explicitly. Both passes take h^2 and the
+weight's direction from their own blocks of z through one rule,
+_row_features, whose values for a row depend on that row alone, so the
+q-wide covariance blocks see the bits the assembly's blocks saw.
 
 The Dirichlet family, whose sufficient statistics are logarithms,
-shares the per-row weight features (_row_weights: h^2 and the argmin;
-_row_features: the direction omega and kappa), the Jacobi-scaled Cholesky solve
-(_solve_psd) and the covariance sandwich (_sandwich). The weight
-cancels against 1/u_j, so each row needs only the ratios h^2 / u_j. Its
-per-row arrays are n x p and formed whole, not in blocks.
+shares the per-row weight features (_row_features: h^2, the direction
+omega and kappa), the Jacobi-scaled Cholesky solve (_solve_psd) and
+the covariance sandwich (_sandwich). The weight cancels against 1/u_j,
+so each row needs only the ratios h^2 / u_j. Its per-row arrays are
+n x p and formed whole, not in blocks.
 """
 
 import functools
@@ -80,8 +82,6 @@ __all__ = [
 # Entries of one width-wide feature array per block of rows: 1 MiB of
 # float64, half a core's L2, so a block's per-row features stay in cache.
 BLOCK_ENTRIES = 1 << 17
-
-_hsq = squared_weight
 
 
 def _block_sums(n, width, term, *totals, pooled=False):
@@ -218,29 +218,25 @@ def _layout(p):
     return lay
 
 
-def _row_weights(u, weight):
-    """h^2 and, for min kinds, the lead a = argmin_j u_j (lowest index on
-    ties; None for product kinds) per row of a feature-major block u."""
-    return _hsq(u.T, weight), None if weight.product_family else np.argmin(u, axis=0)
-
-
-def _row_features(hsq, lead, weight, p):
-    """omega (p, rows) and kappa from the row weights of _row_weights,
-    with grad h^2 . mu_i = 2 h^2 (G omega)_i (G reads omega's first p-1
-    rows), z_j (grad h^2)_j = 2 h^2 omega_j and z . grad h^2 = 2 kappa
-    h^2, all zero where the cap binds.
+def _row_features(u, weight):
+    """h^2, omega (p, rows) and kappa for a feature-major block u (p,
+    rows) of squared coordinates, with grad h^2 . mu_i = 2 h^2 (G omega)_i
+    (G reads omega's first p-1 rows), z_j (grad h^2)_j = 2 h^2 omega_j and
+    z . grad h^2 = 2 kappa h^2, all zero where the cap binds. Each row's
+    values depend on that row alone, so every row block gets the same bits.
 
     Product kinds: grad h^2 = 2 h^2 / z_j on every coordinate, so omega
     is all ones and kappa = p. Min kinds: grad h^2 = 2 z_a e_a on the
-    lead a, so omega = e_a and kappa = 1.
+    argmin a (ties take the lowest index), so omega = e_a and kappa = 1.
     """
-    nb = hsq.shape[0]
+    p, nb = u.shape
+    hsq = squared_weight(u.T, weight)
     smooth = (hsq < weight.a_c * weight.a_c).astype(float)
-    if lead is None:
-        return np.broadcast_to(smooth, (p, nb)), p * smooth
+    if weight.product_family:
+        return hsq, np.broadcast_to(smooth, (p, nb)), p * smooth
     omega = np.zeros((p, nb))
-    omega[lead, np.arange(nb)] = smooth
-    return omega, smooth
+    omega[np.argmin(u, axis=0), np.arange(nb)] = smooth
+    return hsq, omega, smooth
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +249,10 @@ class EstimatorWorkspace:
 
     gram is the (q, q) matrix W, and the linear term d splits into the
     Laplacian part, the weight-derivative part, and the shape-coupling
-    part (shape_term = -shape_matrix @ (1 + 2 * shape)). z, h^2 and lead
-    (see _row_weights) are kept for the plug-in covariance pass; moment-
-    route workspaces set them to None and cannot produce standard errors.
+    part (shape_term = -shape_matrix @ (1 + 2 * shape)). The rows z are
+    kept for the plug-in covariance pass, which derives each row's weight
+    features from them as the assembly did; moment-route workspaces set
+    z to None and cannot produce standard errors.
     """
 
     imap: object
@@ -267,8 +264,6 @@ class EstimatorWorkspace:
     weight_gradient_term: np.ndarray
     shape_matrix: np.ndarray
     z: np.ndarray = None
-    hsq: np.ndarray = None
-    lead: np.ndarray = None
 
     @property
     def shape_term(self):
@@ -343,16 +338,10 @@ def build_workspace(z, weight, shape=None, imap=None):
 
     q, k = imap.q, p - 1
     lay = _layout(p)
-    hsq_rows = np.empty(n)
-    lead_rows = None if weight.product_family else np.empty(n, dtype=np.intp)
 
     def term(start, stop):
         u = np.square(z[start:stop].T, order="C")
-        hsq, lead = _row_weights(u, weight)
-        hsq_rows[start:stop] = hsq
-        if lead is not None:
-            lead_rows[start:stop] = lead
-        omega, kappa = _row_features(hsq, lead, weight, p)
+        hsq, omega, kappa = _row_features(u, weight)
         f = _monomials(u)
         s_uw, s_knu = (hsq * f[q - k :]) @ omega[:-1].T, f[:q] @ (hsq * kappa)
         f *= np.sqrt(hsq)
@@ -362,7 +351,7 @@ def build_workspace(z, weight, shape=None, imap=None):
     s, s_uw, s_knu = _block_sums(n, q + 1, term, *zeros, pooled=True)
     # _system returns gram, laplacian_term, weight_gradient_term, shape_matrix
     system = _system(s / n, lay, s_uw / n, lay.scale * s_knu / n)
-    return EstimatorWorkspace(imap, weight, shape, n, *system, z=z, hsq=hsq_rows, lead=lead_rows)
+    return EstimatorWorkspace(imap, weight, shape, n, *system, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +528,11 @@ def _error_moment(workspace, theta_full, mask):
     free = np.flatnonzero(mask)
     pi2 = 1.0 + 2.0 * workspace.shape
     interaction, linear = imap.unpack(theta_full)
-    lead = workspace.lead
 
     def term(start, stop):
-        u = np.square(workspace.z[start:stop, :k].T, order="C")
-        hsq = workspace.hsq[start:stop]
-        rows_lead = None if lead is None else lead[start:stop]
-        omega, kappa = _row_features(hsq, rows_lead, workspace.weight, p)
+        u = np.square(workspace.z[start:stop].T, order="C")
+        hsq, omega, kappa = _row_features(u, workspace.weight)
+        u = u[:k]
         g = 4.0 * interaction @ u + 2.0 * linear[:, None]
         c = hsq * (np.einsum("ij,ij->j", u, g) + (pi2.sum() + p + 2.0) + 2.0 * kappa)
         e = hsq * (u * g + (pi2[:k, None] + 1.0) + 2.0 * omega[:-1]) - c * u
@@ -670,8 +657,7 @@ def _dirichlet_rows(u, weight):
     stay exact at zeros, and min kinds take u_a / u_j, with omega's 1 at
     the argmin a and 0 at the other zeros. Where the cap binds no u_j is
     zero, and the ratio is a_c^2 / u_j."""
-    hsq, lead = _row_weights(u.T, weight)
-    omega, kappa = _row_features(hsq, lead, weight, u.shape[1])
+    hsq, omega, kappa = _row_features(u.T, weight)
     omega = omega.T
     with np.errstate(divide="ignore", invalid="ignore"):
         if weight.product_family:

@@ -127,36 +127,34 @@ def test_error_moment_matches_dense_on_free_blocks(p, kind, free, seed, zero_row
     tie_rows=st.integers(0, 40),
     block=st.integers(1, 400),
 )
-def test_stored_row_weights_match_recomputed_features(p, kind, seed, zero_rows, tie_rows, block):
-    """The h^2 and lead build_workspace keeps give the omega and kappa
-    that _row_features builds from the weights recomputed on blocks of
-    any size, bit for bit, on rows with exact zeros and tied minima. The
-    lead is the lowest index of the row's minimum, and the product kinds
-    keep none."""
+def test_row_features_agree_on_any_block(p, kind, seed, zero_rows, tie_rows, block):
+    """_row_features gives, bit for bit, the whole array's h^2, omega and
+    kappa on blocks of any size, on rows with exact zeros and tied
+    minima: so the q-wide blocks of the covariance pass see the weights
+    the (q+1)-wide blocks of the assembly saw. A min kind puts omega's 1
+    at the lowest index of the row's minimum."""
     data = _rows_with_zeros_and_ties(p, 400, seed, zero_rows, tie_rows)
     z = sqrt_transform(data)
     weight = WeightSpec(kind, cap_from_quantile(z, kind, 0.6) if "capped" in kind else 1.0)
-    ws = build_workspace(z, weight)
-    stored = fitting._row_features(ws.hsq, ws.lead, weight, p)
+    whole = fitting._row_features(np.square(z.T, order="C"), weight)
     for start in range(0, z.shape[0], block):
-        u = np.square(z[start : start + block].T, order="C")
-        hsq, lead = fitting._row_weights(u, weight)
-        np.testing.assert_array_equal(ws.hsq[start : start + block], hsq)
-        for got, want in zip(stored, fitting._row_features(hsq, lead, weight, p)):
-            np.testing.assert_array_equal(got[..., start : start + block], want)
-    if weight.product_family:
-        assert ws.lead is None
-    else:
-        squares = (z * z).tolist()
-        assert ws.lead.tolist() == [row.index(min(row)) for row in squares]
+        part = fitting._row_features(np.square(z[start : start + block].T, order="C"), weight)
+        for got, want in zip(part, whole):
+            np.testing.assert_array_equal(got, want[..., start : start + block])
+    if not weight.product_family:
+        _, omega, kappa = whole
+        lead = [row.index(min(row)) for row in (z * z).tolist()]
+        want = np.zeros_like(omega)
+        want[lead, np.arange(len(lead))] = kappa
+        np.testing.assert_array_equal(omega, want)
 
 
 def test_moment_route_workspace_refuses_standard_errors():
-    """A workspace built from monomial means keeps no rows, row weights
-    or leads, and solve refuses its standard errors."""
+    """A workspace built from monomial means keeps no rows, and solve
+    refuses its standard errors."""
     u = np.random.default_rng(12).dirichlet(np.ones(4), size=200)
     ws = build_workspace_from_moments(EmpiricalMoments(u))
-    assert ws.z is None and ws.hsq is None and ws.lead is None
+    assert ws.z is None
     with pytest.raises(ConfigError, match="moments only"):
         solve(ws, with_se=True)
     assert solve(ws, with_se=False).cov_scaled is None

@@ -98,8 +98,7 @@ def test_cap_rule_ties_and_boundary():
     boundary row (h^2 = 0) stays on the smooth branch."""
     spec = WeightSpec("capped-min", 0.5)  # cap at 0.25
     u = np.array([[0.1, 0.9], [0.25, 0.75], [0.4, 0.6], [0.0, 1.0]]).T
-    hsq, lead = fitting._row_weights(u, spec)
-    omega, kappa = fitting._row_features(hsq, lead, spec, 2)
+    _, omega, kappa = fitting._row_features(u, spec)
     np.testing.assert_array_equal(kappa, [1.0, 0.0, 0.0, 1.0])
     np.testing.assert_array_equal(omega, [[1.0, 0.0, 0.0, 1.0], [0.0] * 4])
 
@@ -219,7 +218,7 @@ def test_squared_weight_homogeneity(p, kind, seed):
 
     ws, fit, sigma0 = system()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "_hsq", lambda u, w: 0.25 * squared_weight(u, w))
+        mp.setattr(fitting, "squared_weight", lambda u, w: 0.25 * squared_weight(u, w))
         quarter, quarter_fit, quarter_sigma0 = system()
     for name in ("gram", "laplacian_term", "weight_gradient_term", "shape_matrix", "linear_term"):
         np.testing.assert_array_equal(getattr(quarter, name), 0.25 * getattr(ws, name))

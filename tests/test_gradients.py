@@ -17,8 +17,7 @@ from _oracles import (
     stat_functions,
 )
 from compscore.core import index_map
-from compscore.fitting import _hsq
-from compscore.weights import WeightSpec, weight_value
+from compscore.weights import WeightSpec, squared_weight, weight_value
 
 
 def _interior_point(p, seed):
@@ -116,7 +115,7 @@ def test_tables_finite_on_boundary():
     for kind in ("product", "capped-product", "min", "capped-min"):
         spec = WeightSpec(kind, 0.3) if "capped" in kind else WeightSpec(kind)
         assert np.all(np.isfinite(dense_wgrad_obs(u, imap, spec)))
-        np.testing.assert_array_equal(_hsq(u, spec), 0.0)
+        np.testing.assert_array_equal(squared_weight(u, spec), 0.0)
 
 
 def test_batch_equals_per_row():
