@@ -121,6 +121,8 @@ def marginal_report(observed, fitted_spec, rng, n_sim=100_000, grid_totals=None,
         raise ConfigError(f"the number of QQ points must be non-negative, got {qq_points}")
     if grid_totals is not None and grid_totals < 1:
         raise ConfigError(f"grid totals must be at least 1, got {grid_totals}")
+    if n_sim < 2:  # a simulated sd, and the KS test, need two rows
+        raise ConfigError(f"the number of simulated rows must be at least 2, got {n_sim}")
     sim, rejection = sample_model(fitted_spec, n_sim, rng, return_stats=True)
     sim = sim.proportions
 

@@ -404,7 +404,7 @@ class FitResult:
             "estimates": [float(v) for v in self.estimates],
             "n": int(self.n),
             "condition_number": float(self.condition_number),
-            "objective": float(self.objective),
+            "objective": float(self.objective) if np.isfinite(self.objective) else None,
             "ridge": float(self.ridge),
             "fixed": {k: float(v) for k, v in self.fixed.items()},
             "config": self.config,
@@ -458,34 +458,23 @@ def _normalize_mask(imap, mask):
 
 
 @_parallel.one_blas_thread()
-def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
+def solve(workspace, mask=None, ridge=0.0, with_se=True):
     """Minimize the quadratic objective over the unmasked parameters.
 
-    Parameters held fixed (mask False) contribute W[free, fixed] @ value
-    to the right-hand side; with all fixed values zero this is plain
-    row/column deletion. ridge >= 0 adds ridge * I to the free block.
+    Parameters held fixed (mask False) are held at zero, so their rows
+    and columns of W and d are deleted. ridge >= 0 adds ridge * I to the
+    free block.
     """
     if ridge < 0:
         raise ConfigError("ridge must be nonnegative")
     imap = workspace.imap
     mask = _normalize_mask(imap, mask)
     free = np.flatnonzero(mask)
-    fixed = np.flatnonzero(~mask)
-    theta_full = np.zeros(imap.q)
-    if fixed_values is not None:
-        fv = np.asarray(fixed_values, dtype=float).reshape(-1)
-        if fv.shape[0] != imap.q:
-            raise ConfigError("fixed_values must be a full-length parameter vector")
-        theta_full[fixed] = fv[fixed]
-
-    d = workspace.linear_term
-    rhs = d[free]
-    if fixed.size:
-        rhs = rhs - workspace.gram[np.ix_(free, fixed)] @ theta_full[fixed]
-
     labels = [imap.labels[i] for i in free]
+    rhs = workspace.linear_term[free]
     # W's free block is not kept into the covariance pass, where memory peaks
     theta_f, inv_w, cond = _solve_psd(workspace.gram[np.ix_(free, free)], rhs, ridge, labels)
+    theta_full = np.zeros(imap.q)
     theta_full[free] = theta_f
 
     cov = _sandwich(inv_w, _error_moment(workspace, theta_full, mask)) if with_se else None
@@ -497,7 +486,7 @@ def solve(workspace, mask=None, fixed_values=None, ridge=0.0, with_se=True):
         objective=workspace.objective(theta_full),
         ridge=float(ridge),
         cov_scaled=cov,
-        fixed={imap.labels[i]: theta_full[i] for i in fixed},
+        fixed={imap.labels[i]: 0.0 for i in np.flatnonzero(~mask)},
         config={
             "weight_kind": workspace.weight.kind,
             "a_c": workspace.weight.a_c,
@@ -565,8 +554,6 @@ def standard_errors(workspace, result, mask=None):
         raise ConfigError(f"mask frees {free.size} parameters; the fit has {result.estimates.size}")
     theta_full = np.zeros(imap.q)
     theta_full[free] = result.estimates
-    for lab, val in result.fixed.items():
-        theta_full[imap.index(lab)] = val
     labels = [imap.labels[i] for i in free]
     inv_w = _solve_psd(workspace.gram[np.ix_(free, free)], np.zeros(free.size), result.ridge, labels)[1]
     return _sandwich(inv_w, _error_moment(workspace, theta_full, mask))

@@ -230,7 +230,7 @@ def fit_to_csv_rows(result):
 
 
 def dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def sha256_file(path):

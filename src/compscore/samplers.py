@@ -8,11 +8,11 @@ larger run can be reproduced in isolation.
 
 The interaction model has density proportional to
 exp(u'Au + b'u) prod u_j^(alpha_j - 1) on the simplex, alpha = shape + 1;
-the truncated Gaussian is its alpha = 1 case with A negative definite.
-Both are sampled by one batch rejection loop with a certified envelope
-constant M, so the acceptance rate is Z / M, Z being the target's unknown
-normalising constant (Devroye, Non-Uniform Random Variate Generation
-(1986), ch. II.3). The proposal is
+the truncated Gaussian is its alpha = 1 case. Both families are sampled
+from the spec's numbers alone, by one batch rejection loop with a
+certified envelope constant M, so the acceptance rate is Z / M, Z being
+the target's unknown normalising constant (Devroye, Non-Uniform Random
+Variate Generation (1986), ch. II.3). The proposal is
 
 * the scaled Dirichlet (Monti, Mateu-Figueras & Pawlowsky-Glahn 2011),
   u = normalise(G / lam) with G_j ~ Gamma(alpha_j) and lam_p = 1, whose
@@ -42,13 +42,14 @@ normalising constant (Devroye, Non-Uniform Random Variate Generation
   table's fit). Gamma variates below shape 1 are drawn as Gamma(alpha_j + 1) times
   U^(1 / alpha_j), U uniform (Marsaglia & Tsang 2000), which is cheaper
   than numpy's standard_gamma there (see _gamma_variates);
-* for the truncated Gaussian, also the matching untruncated Gaussian
-  N(mu, Sigma), Sigma = -A^{-1} / 2, which equals the target inside the
-  simplex up to the constant
+* where every shape is zero and A is negative definite, also the
+  matching untruncated Gaussian N(mu, Sigma), Sigma = -A^{-1} / 2, which
+  equals the target inside the simplex up to the constant
   log M = mu'Sigma^{-1}mu / 2 + (k/2) log 2 pi + log|Sigma| / 2 (k = p - 1);
   a draw is kept when it lies in the simplex (tested one coordinate at
-  a time; only kept draws are transformed whole). The truncated Gaussian
-  takes whichever of its two proposals has the smaller M.
+  a time; only kept draws are transformed whole). Such a spec, under
+  either family label, takes whichever of the two proposals has the
+  smaller M.
 
 Each spec's proposal, its draw included, is built once and cached;
 building it draws nothing, so the draws depend only on the seed. The
@@ -426,14 +427,14 @@ def _scaled_dirichlet(a_k, b_k, alpha):
 
 def _gaussian(a_k, b_k):
     """The untruncated-Gaussian proposal N(mu, Sigma), Sigma = -A^{-1} / 2,
-    for the truncated Gaussian with this (k, k) interaction and (k,)
-    linear block; a draw is kept when it lies in the simplex. Raises
-    FamilyError unless A is negative definite."""
+    for the zero-shape model with this (k, k) interaction and (k,)
+    linear block; a draw is kept when it lies in the simplex. None
+    unless -A has a Cholesky factor."""
     k = b_k.size
     try:
         low = np.linalg.cholesky(-a_k)
     except np.linalg.LinAlgError:
-        raise FamilyError("a truncated Gaussian's interaction must be negative definite") from None
+        return None
     mu = np.linalg.solve(low.T, np.linalg.solve(low, b_k)) / 2.0
     # Sigma^{-1} mu = b and |Sigma| = 2^{-k} / |-A|
     log_bound = b_k @ mu / 2.0 + k * math.log(math.pi) / 2.0 - np.log(np.diag(low)).sum()
@@ -469,27 +470,27 @@ def _gaussian(a_k, b_k):
 def _proposal(p, interaction, linear, shape):
     """The proposal for the model with these (k, k) interaction, (k,)
     linear and (p,) shape bytes, built once per spec: the scaled
-    Dirichlet with shapes shape + 1, or for the truncated Gaussian
-    (shape None) whichever of the Gaussian and the unit-shape scaled
-    Dirichlet has the smaller M."""
+    Dirichlet with shapes shape + 1, or where every shape is zero and -A
+    has a Cholesky factor, whichever of it and the Gaussian has the
+    smaller M."""
     a_k = np.frombuffer(interaction).reshape(p - 1, p - 1)
     b_k = np.frombuffer(linear)
-    if shape is not None:
-        return _scaled_dirichlet(a_k, b_k, np.frombuffer(shape) + 1.0)
-    candidates = (_gaussian(a_k, b_k), _scaled_dirichlet(a_k, b_k, np.ones(p)))
+    shape = np.frombuffer(shape)
+    gaussian = None if shape.any() else _gaussian(a_k, b_k)
+    candidates = [c for c in (gaussian, _scaled_dirichlet(a_k, b_k, shape + 1.0)) if c is not None]
     return min(candidates, key=lambda c: c.log_bound)
 
 
 def _sample_interaction(spec, n, rng):
     """Rejection sampling of either interaction family from its cached
-    proposal; the family sets the shape bytes, the error and the first
-    rate guess."""
+    proposal; the family sets the error and the first rate guess."""
     if spec.family == FAMILY_TRUNCATED_GAUSSIAN:
-        shape, error, rate = None, InfeasibleTruncationError, 0.5
+        error, rate = InfeasibleTruncationError, 0.5
     else:
-        shape, error, rate = spec.shape.tobytes(), EnvelopeFailureError, 0.25
+        error, rate = EnvelopeFailureError, 0.25
     # ModelSpec holds float64 arrays, and tobytes() is in C order
-    proposal = _proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(), shape)
+    proposal = _proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(),
+                         spec.shape.tobytes())
     u = np.empty((n, spec.p))
     stats = _rejection(u, rng, proposal, error, rate)
     return ContinuousDataset._adopt(u), stats
@@ -512,8 +513,7 @@ def sample_model(spec, n, rng, return_stats=False):
     draws, parameters shape + 1). The interaction families raise
     InfeasibleTruncationError (truncated Gaussian) or
     EnvelopeFailureError (hybrid) when fewer than a MIN_RATE share of
-    PATIENCE proposals is kept, and a truncated Gaussian whose A is not
-    negative definite raises FamilyError."""
+    PATIENCE proposals is kept."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise DataError(f"the number of draws must be an integer of at least 1, got {n!r}")
     n = int(n)

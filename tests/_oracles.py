@@ -632,9 +632,8 @@ def chunked_hybrid_reference(spec, n, rng):
     k = spec.p - 1
     a_k, b_k = spec.interaction, spec.linear
     gaussian_family = spec.family == "truncated-gaussian"
-    shape = None if gaussian_family else spec.shape.tobytes()
-    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), shape)
-    alpha = np.ones(spec.p) if gaussian_family else spec.shape + 1.0
+    proposal = _proposal(spec.p, a_k.tobytes(), b_k.tobytes(), spec.shape.tobytes())
+    alpha = spec.shape + 1.0
     if proposal.name == "gaussian":
         low = np.linalg.cholesky(-a_k)
         inv = np.linalg.solve(low.T, np.linalg.solve(low, np.eye(k)))

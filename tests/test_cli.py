@@ -17,7 +17,7 @@ from compscore.cli import main
 from compscore.core import ContinuousDataset, CountDataset, index_map
 from compscore.errors import ConfigError
 from compscore.fitting import BLOCK_ENTRIES
-from compscore.io import counts_csv, dump_json, proportions_csv
+from compscore.io import counts_csv, dump_json, model_spec_from_fit, proportions_csv
 from compscore.samplers import CHUNK
 from compscore.study import StudyConfig, run_study
 
@@ -31,9 +31,11 @@ def run_cli(*argv):
 
 
 def _write_config(path, **kwargs):
+    """A config file as a user may write it: Python's json module writes
+    NaN, which the CLI must refuse and dump_json never writes."""
     doc = {"schema_version": 1}
     doc.update(kwargs)
-    path.write_text(dump_json(doc))
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -292,6 +294,30 @@ def test_fit_dirichlet_and_moment(tmp_path):
     assert _read_json(out_m / "fit.json")["config"]["estimator"] == "dirichlet-moment"
 
 
+def _strict_json(path):
+    """The file parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_moment_fit_json_is_strict_json(tmp_path):
+    """The moment route has no objective: fit.json writes it as null, not
+    NaN, and still reads back as a sampleable spec."""
+    sim_dir = tmp_path / "sim"
+    run_cli("simulate", "--model", "model7", "--n", 400, "--seed", 9, "--out", sim_dir)
+    cfg = _write_config(tmp_path / "m.json", family="dirichlet", estimator="moment")
+    out = tmp_path / "mfit"
+    assert run_cli("fit", "--data", sim_dir / "data.csv", "--config", cfg, "--out", out) == 0
+    doc = _strict_json(out / "fit.json")
+    assert doc["objective"] is None
+    spec = model_spec_from_fit(doc)
+    assert spec.family == "dirichlet" and spec.p == 3
+    np.testing.assert_array_equal(spec.shape, doc["estimates"])
+
+
 def test_exclude_rows_recorded(tmp_path):
     sim_dir = tmp_path / "sim"
     run_cli("simulate", "--model", "model3", "--n", 100, "--out", sim_dir)
@@ -325,6 +351,23 @@ def test_diagnose_workflow(tmp_path):
     assert len(qq) == 1 + 3 * 9
     # self-fit should not look catastrophically wrong
     assert min(c["ks_pvalue"] for c in report["categories"]) > 1e-5
+
+
+def test_diagnose_refuses_one_simulated_row(tmp_path, capsys):
+    """One simulated row has no standard deviation, so its report would
+    hold NaN: --n-sim 1 exits 2 with one error line before drawing."""
+    sim_dir = tmp_path / "sim"
+    run_cli("simulate", "--model", "model7", "--n", 50, "--seed", 2, "--out", sim_dir)
+    cfg = _write_config(tmp_path / "d.json", family="dirichlet")
+    fit_dir = tmp_path / "fit"
+    assert run_cli("fit", "--data", sim_dir / "data.csv", "--config", cfg, "--out", fit_dir) == 0
+    capsys.readouterr()
+    out = tmp_path / "diag"
+    assert run_cli("diagnose", "--data", sim_dir / "data.csv", "--fit", fit_dir / "fit.json",
+                   "--n-sim", 1, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error code=2 kind=ConfigError"), err
+    assert not out.exists()
 
 
 def test_bench_workflow(tmp_path):

@@ -229,26 +229,20 @@ def test_squared_weight_homogeneity(p, kind, seed):
 
 
 def test_masks_and_fixed_values():
+    """A masked parameter is held at zero: the fit reports it in fixed,
+    and its row and column of W and d are deleted."""
     z = _random_z(3, 40, seed=9)
     ws = build_workspace(z, WeightSpec("min"))
     imap = ws.imap
     mask = np.ones(imap.q, dtype=bool)
     held = imap.index("a12")
     mask[held] = False
-    fixed = np.zeros(imap.q)
-    fixed[held] = 2.5
-    fit = solve(ws, mask=mask, fixed_values=fixed, with_se=False)
+    fit = solve(ws, mask=mask, with_se=False)
     assert fit.labels == [lab for i, lab in enumerate(imap.labels) if i != held]
-    assert fit.fixed == {"a12": 2.5}
-    # oracle: eliminate the held coordinate by hand
+    assert fit.fixed == {"a12": 0.0}
     free = np.flatnonzero(mask)
-    rhs = ws.linear_term[free] - ws.gram[np.ix_(free, [held])] @ [2.5]
-    oracle = np.linalg.solve(ws.gram[np.ix_(free, free)], rhs)
+    oracle = np.linalg.solve(ws.gram[np.ix_(free, free)], ws.linear_term[free])
     np.testing.assert_allclose(fit.estimates, oracle, rtol=1e-9)
-    # all-zero fixed values reduce to row/column deletion
-    fit0 = solve(ws, mask=mask, with_se=False)
-    oracle0 = np.linalg.solve(ws.gram[np.ix_(free, free)], ws.linear_term[free])
-    np.testing.assert_allclose(fit0.estimates, oracle0, rtol=1e-9)
 
 
 def test_ridge_shifts_the_system():

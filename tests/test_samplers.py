@@ -110,27 +110,51 @@ def test_draw_count_must_be_a_positive_integer():
                 sample_model(registry.get(name).spec, n, RngConfig(0))
 
 
-def test_truncated_gaussian_needs_negative_definite_interaction():
-    """The Gaussian proposal needs -A positive definite: an indefinite
-    and a singular interaction raise FamilyError before any draw."""
+def test_truncated_gaussian_draws_any_interaction():
+    """The Gaussian proposal needs -A positive definite; an indefinite
+    and a singular interaction have no Gaussian candidate, and draw rows
+    in the simplex from the scaled Dirichlet."""
     for interaction in ([[1.0, 0.0], [0.0, -1.0]], [[-1.0, 1.0], [1.0, -1.0]]):
         spec = ModelSpec(family="truncated-gaussian", p=3, interaction=interaction)
-        with pytest.raises(FamilyError, match="negative definite"):
-            sample_model(spec, 10, RngConfig(0))
+        data, stats = sample_model(spec, 10, RngConfig(0), return_stats=True)
+        assert stats.proposal == "scaled-dirichlet"
+        assert np.all(data.proportions >= 0.0)
+        np.testing.assert_allclose(data.proportions.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_truncated_gaussian_mean_against_quadrature():
     """For p = 2 the first coordinate has density proportional to
-    exp(a r^2 + b r) on [0, 1]; its mean is a 1-d integral."""
-    a11, b1 = -20.0, 6.0
-    spec = ModelSpec(
-        family="truncated-gaussian", p=2, interaction=[[a11]], linear=[b1]
-    )
-    num = integrate.quad(lambda r: r * np.exp(a11 * r * r + b1 * r), 0.0, 1.0)[0]
-    den = integrate.quad(lambda r: np.exp(a11 * r * r + b1 * r), 0.0, 1.0)[0]
-    draws = sample_model(spec, 200_000, RngConfig(11)).proportions[:, 0]
-    mc_se = draws.std() / np.sqrt(draws.size)
-    assert abs(draws.mean() - num / den) < 4.0 * mc_se
+    exp(a r^2 + b r) on [0, 1]; its mean is a 1-d integral. With a > 0
+    there is no Gaussian proposal, and the scaled Dirichlet serves it."""
+    for a11, b1 in ((-20.0, 6.0), (3.0, -1.0)):
+        spec = ModelSpec(
+            family="truncated-gaussian", p=2, interaction=[[a11]], linear=[b1]
+        )
+        num = integrate.quad(lambda r: r * np.exp(a11 * r * r + b1 * r), 0.0, 1.0)[0]
+        den = integrate.quad(lambda r: np.exp(a11 * r * r + b1 * r), 0.0, 1.0)[0]
+        draws = sample_model(spec, 200_000, RngConfig(11)).proportions[:, 0]
+        mc_se = draws.std() / np.sqrt(draws.size)
+        assert abs(draws.mean() - num / den) < 4.0 * mc_se
+
+
+def test_proposal_follows_the_numbers_not_the_family():
+    """A zero-shape hybrid spec and a truncated-Gaussian spec with the
+    same numbers reach the same cached proposal, which here is the
+    Gaussian; with one nonzero shape the Gaussian is never a candidate."""
+    interaction, linear = [[-40.0, 5.0], [5.0, -30.0]], [3.0, 2.0]
+
+    def proposal(spec):
+        return samplers._proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(),
+                                  spec.shape.tobytes())
+
+    tg = ModelSpec(family="truncated-gaussian", p=3, interaction=interaction, linear=linear)
+    hybrid = ModelSpec(family="hybrid", p=3, interaction=interaction, linear=linear)
+    assert proposal(hybrid) is proposal(tg)
+    assert proposal(tg).name == "gaussian"
+    for shape in ([0.5, 0.0, 0.0], [0.0, 0.0, 1e-17]):
+        spec = ModelSpec(family="hybrid", p=3, interaction=interaction, linear=linear, shape=shape)
+        assert proposal(spec).name == "scaled-dirichlet"
+        assert sample_model(spec, 50, RngConfig(0), return_stats=True)[1].proposal == "scaled-dirichlet"
 
 
 def test_infeasible_truncation_fails_fast():
@@ -190,8 +214,8 @@ def test_proposal_choice_and_certified_envelopes():
         assert stats.log_bound == min(c.log_bound for c in _tg_candidates(*key))
     for name in ("model1", "model2", "model3", "model6"):
         spec = registry.get(name).spec
-        shape = None if spec.family == "truncated-gaussian" else spec.shape.tobytes()
-        proposal = samplers._proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(), shape)
+        proposal = samplers._proposal(spec.p, spec.interaction.tobytes(), spec.linear.tobytes(),
+                                      spec.shape.tobytes())
         assert proposal.name == "scaled-dirichlet"
         alpha = spec.shape + 1.0
         a = np.pad(spec.interaction, (0, 1))  # zero last row and column

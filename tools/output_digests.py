@@ -23,7 +23,15 @@ The items are
   EmpiricalMoments gives for the 19384 rows; and fit_hybrid's estimates
   and cov_scaled at p = 16 and 20 on 12288 rows (13 to 20 blocks per
   pass) for every weight kind, where unpinned OpenBLAS threads changed
-  the bits.
+  the bits;
+* fit_dirichlet's estimates and cov_scaled for every weight kind on the
+  same p = 10 and p = 20 rows;
+* the fit.json of `compscore fit --estimator moment` on the bundled
+  table as Dirichlet proportions;
+* the rows and RejectionStats of a truncated Gaussian whose interaction
+  is indefinite, so that only the scaled Dirichlet serves it.
+The last three items come after the others, so the earlier lines keep
+their order.
 Manifests are read for their rejection block only, since they carry
 timings. Run it under OPENBLAS_NUM_THREADS=1 and =2 and diff the two
 outputs to check that nothing it covers depends on the BLAS thread
@@ -42,8 +50,8 @@ import numpy as np
 
 from compscore import registry
 from compscore.cli import main as cli_main
-from compscore.core import ContinuousDataset, CountDataset, sqrt_transform
-from compscore.fitting import fit_hybrid, solve
+from compscore.core import ContinuousDataset, CountDataset, ModelSpec, sqrt_transform
+from compscore.fitting import fit_dirichlet, fit_hybrid, solve
 from compscore.moments import EmpiricalMoments, build_workspace_from_moments, fit_from_counts
 from compscore.samplers import RngConfig, sample_model
 from compscore.weights import KINDS, WeightSpec, cap_from_quantile
@@ -147,10 +155,40 @@ def fit_lines():
             yield f"fit_hybrid p {p} {kind} {_sha1(fit.estimates.tobytes() + fit.cov_scaled.tobytes())}"
 
 
+def dirichlet_fit_lines():
+    for p, n, seed, conc in ((10, 19384, 21, 1.5), (20, 12288, 20, 2.0)):
+        data = ContinuousDataset(np.random.default_rng(seed).dirichlet(np.full(p, conc), size=n))
+        z = sqrt_transform(data)
+        for kind in KINDS:
+            weight = WeightSpec(kind, cap_from_quantile(z, kind, 0.9) if "capped" in kind else 1.0)
+            fit = fit_dirichlet(data, weight)
+            yield f"fit_dirichlet p {p} {kind} {_sha1(fit.estimates.tobytes() + fit.cov_scaled.tobytes())}"
+
+
+def moment_fit_lines(tmp):
+    table = str(resources.files("compscore").joinpath("data/synthetic_microbiome_counts.csv"))
+    config = os.path.join(tmp, "moment.json")
+    with open(config, "w") as fh:
+        json.dump({"schema_version": 1, "family": "dirichlet", "data_kind": "counts"}, fh)
+    out = os.path.join(tmp, "moment")
+    _cli(["fit", "--data", table, "--config", config, "--estimator", "moment", "--out", out])
+    yield f"fit moment fit.json {_file_sha1(os.path.join(out, 'fit.json'))}"
+
+
+def indefinite_draw_lines():
+    spec = ModelSpec(family="truncated-gaussian", p=3, interaction=np.diag([1.0, -1.0]),
+                     linear=[0.5, -0.5])
+    for seed in (0, 7):
+        data, stats = sample_model(spec, 5000, RngConfig(seed), return_stats=True)
+        digest = _sha1(data.proportions.tobytes() + json.dumps(stats.to_dict(), sort_keys=True).encode())
+        yield f"indefinite truncated-gaussian seed {seed} {digest}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         lines = (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp), *bench_lines(tmp),
-                 *fit_lines())
+                 *fit_lines(), *dirichlet_fit_lines(), *moment_fit_lines(tmp),
+                 *indefinite_draw_lines())
         for line in lines:
             print(line)
 
