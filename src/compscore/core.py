@@ -383,15 +383,19 @@ class ModelSpec:
 
     def estimation_mask(self, imap=None):
         """Boolean (q,) mask of estimated parameters."""
-        imap = imap or index_map(self.p)
-        mask = np.zeros(imap.q, dtype=bool)
-        groups = (("estimate_interaction", slice(0, imap.linear_slice.start)),
-                  ("estimate_linear", imap.linear_slice))
-        for name, where in groups:
-            flags = getattr(self, name)
-            if not isinstance(flags, (bool, np.bool_)):
-                flags = np.asarray(flags, dtype=bool).reshape(-1)
-                if flags.shape[0] != where.stop - where.start:
-                    raise FamilyError(f"{name} mask has wrong length")
-            mask[where] = flags
-        return mask
+        return estimation_mask(imap or index_map(self.p), self.estimate_interaction, self.estimate_linear)
+
+
+def estimation_mask(imap, estimate_interaction, estimate_linear):
+    """Boolean (q,) mask of the parameters that the two flags (each a bool
+    or a bool array over its group) mark as estimated."""
+    mask = np.zeros(imap.q, dtype=bool)
+    groups = (("estimate_interaction", estimate_interaction, slice(0, imap.linear_slice.start)),
+              ("estimate_linear", estimate_linear, imap.linear_slice))
+    for name, flags, where in groups:
+        if not isinstance(flags, (bool, np.bool_)):
+            flags = np.asarray(flags, dtype=bool).reshape(-1)
+            if flags.shape[0] != where.stop - where.start:
+                raise FamilyError(f"{name} mask has wrong length")
+        mask[where] = flags
+    return mask

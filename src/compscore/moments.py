@@ -16,22 +16,26 @@ and V off it with the continuous route's own read-off, with omega = 1
 and kappa = p.
 
 A moment provider supplies the means: any object with p, n and
-means(table), which returns the mean of prod_j u_j^table[k, j] for every
-row k of an integer exponent table. The two included ones take it in one
-pass of fitting's _block_sums, adding block sums in block order into
-zero-initialised totals:
+pair_moments(), S's distinct entries in _pair_table(p)'s row order,
+which build_workspace_from_moments reads with OpenBLAS pinned to one
+thread. Both included providers also give means(table), the mean of
+prod_j u_j^table[k, j] for every row k of an integer exponent table.
+Each method takes one pass of fitting's _block_sums, adding block sums
+in block order into zero-initialised totals:
 
-- EmpiricalMoments averages monomials of observed proportions, which
-  reproduces the direct continuous estimator to rounding;
+- EmpiricalMoments averages monomials of observed proportions (its
+  pair_moments through means), which reproduces the direct continuous
+  estimator to rounding;
 - FactorialMoments estimates the same means from multinomial counts in
   closed form, unbiased for the latent composition's moments, without
   ever forming per-row proportions. This makes small totals usable
-  without the plug-in bias of x/m.
+  without the plug-in bias of x/m. Its pair_moments is a Gram of
+  falling monomials.
 
-Both build a block's monomials from one product plan per exponent
+means builds a block's monomials from one product plan per exponent
 table, cached by its bytes: the root is the monomial at the column-wise
 floor, and each other one is its parent's times u_j or x_j's next
-falling factor.
+falling factor. No fit calls it.
 """
 
 import collections
@@ -41,9 +45,10 @@ import math
 
 import numpy as np
 
-from .core import CountDataset, ModelSpec, index_map
+from . import _parallel
+from .core import CountDataset, estimation_mask, index_map
 from .errors import ConfigError, DataError, InsufficientTotalsError
-from .fitting import EstimatorWorkspace, _block_sums, _layout, _shape_vector, _system, solve
+from .fitting import EstimatorWorkspace, _block_sums, _layout, _monomials, _shape_vector, _system, solve
 from .weights import WeightSpec
 
 __all__ = [
@@ -61,12 +66,14 @@ logger = logging.getLogger(__name__)
 
 
 def _exponent_table(table, p):
-    table = np.asarray(table, dtype=np.intp)
+    table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != p:
         raise ConfigError("monomial exponent length does not match p")
+    if not np.all(np.isfinite(table) & (table == np.floor(table))):
+        raise ConfigError("monomial exponents must be whole numbers")
     if np.any(table < 0):
         raise ConfigError("monomial exponents must be nonnegative")
-    return table
+    return table.astype(np.intp)
 
 
 _Plan = collections.namedtuple("_Plan", "floor levels parent col step index")
@@ -130,6 +137,10 @@ class EmpiricalMoments:
         self._tables.append(table.copy())
         return total[plan.index] / self.n
 
+    def pair_moments(self):
+        """S's distinct entries, the means of _pair_table(p)'s rows."""
+        return self.means(_pair_table(self.p)[0])
+
     def monomial_mean(self, alpha):
         return float(self.means([alpha])[0])
 
@@ -156,12 +167,24 @@ class FactorialMoments:
                      mean over rows with m >= |b| + t of
                      x^(b) (S - |b|)^(t) / m^(|b| + t).
 
-    Each x^(b) is one multiply from its parent's in the product plan of
-    the b columns; rows below its floor add exact zeros and are skipped
-    (they still count in the means). A plan level shares |b|, so each a
-    gives the level one per-row weight, applied in one einsum (no BLAS);
+    In means, each x^(b) is one multiply from its parent's in the product
+    plan of the b columns; rows below its floor add exact zeros and are
+    skipped (they still count in the means). A plan level shares |b|, so
+    each a gives the level one per-row weight, applied in one einsum;
     where m >= |b| + a its sum over t is x_p^(a) / m^(|b| + a) by
     inclusion-exclusion, taken as such so that no terms cancel.
+
+    pair_moments: every entry of S has a = 1 and b = 1 + delta with
+    |delta| <= 4, so only rows with every x_j >= 1 (j < p) add anything
+    and x^(b) = P y^(delta), P = prod_{j<p} x_j and y = x - 1. With d =
+    p - 1 + |delta|, E_d the count of rows with m >= d and w = x_p /
+    m^(d+1) where m > d, 1 / m^(d) where m = d and 0 below, the two
+    t-terms collapse to one weight per row and degree class,
+
+        c(d) = (1 / E_d - 1 / E_{d+1}) / m^(d) + w / E_{d+1},
+
+    and each entry is the sum over rows of c(d) P y^(delta): a Gram of
+    falling monomials, read off by _gram_gather.
 
     Rows whose total is below a degree |b| + t are excluded from the
     terms of that degree only, with the exclusion count logged and
@@ -192,16 +215,8 @@ class FactorialMoments:
         ts = np.arange(last.max() + 1)
         terms = base.sum(axis=1)[:, None] + ts  # the degree of each term
         x, m = self.counts.counts, self.counts.totals
-        eligible = self.n - np.searchsorted(np.sort(m), np.arange(terms.max() + 1))
         degrees = np.unique(terms[ts <= last[:, None]])
-        for degree in degrees[degrees > 0].tolist():
-            if eligible[degree] == 0:
-                raise InsufficientTotalsError(degree)
-            excluded = self.n - int(eligible[degree])
-            if excluded and degree not in self.exclusions:
-                self.exclusions[degree] = excluded
-                message = "factorial moments of degree %d exclude %d row(s) with small totals"
-                logger.info(message, degree, excluded)
+        eligible = self._eligible(degrees[degrees > 0].tolist(), terms.max())
 
         plan = _plan(base.shape, base.tobytes())
         floor, steps = plan.floor[:, None], np.arange(plan.step.max() + 1)[:, None]
@@ -232,6 +247,50 @@ class FactorialMoments:
         self._tables.append(table.copy())
         return sums[last, plan.index]
 
+    def _eligible(self, degrees, top):
+        """Rows with total >= d for d = 0 .. top, after tallying and logging the
+        rows each (increasing) degree excludes; raises at one no row reaches."""
+        eligible = self.n - np.searchsorted(np.sort(self.counts.totals), np.arange(top + 1))
+        for degree in degrees:
+            if eligible[degree] == 0:
+                raise InsufficientTotalsError(degree)
+            excluded = self.n - int(eligible[degree])
+            if excluded and degree not in self.exclusions:
+                self.exclusions[degree] = excluded
+                message = "factorial moments of degree %d exclude %d row(s) with small totals"
+                logger.info(message, degree, excluded)
+        return eligible
+
+    def pair_moments(self):
+        """S's distinct entries and exclusions as means(_pair_table(p)[0])
+        gives them, from three products per row block of the falling
+        monomials f (y_j (y_j - 1) for y_j^2) weighted by c(d) P per class."""
+        p, k = self.p, self.p - 1
+        table = _pair_table(p)[0]
+        e = 1.0 / self._eligible(range(k, k + 6), k + 5)[k:, None]  # 1 / E_d, d = k .. k + 5
+        keep = np.all(self.counts.counts[:, :k] > 0, axis=1)  # the rows where P is not 0
+        if not keep.any():
+            raise DataError("no row has a positive count in each of the first p - 1 categories, "
+                            "so the product weight gives every row zero weight")
+        x, m = self.counts.counts[keep].T.astype(float), self.counts.totals[keep].astype(float)
+        degrees = np.arange(k, k + 5)[:, None]  # d = k + |delta| of the five classes
+        dim, d2, (rows, flat, coef) = (p * (p + 1)) // 2, (k * p) // 2, _gram_gather(p)
+
+        def term(start, stop):
+            xb, mb = x[:, start:stop], m[start:stop]
+            falls = np.cumprod(np.vstack([_falling(mb, k), mb - degrees]), axis=0)  # m^(d), d = k .. k + 5
+            inv = np.divide(1.0, falls, out=np.zeros_like(falls), where=falls > 0)
+            w = xb[-1] * inv[1:] + np.where(mb == degrees, inv[:-1], 0.0)
+            c = ((e[:-1] - e[1:]) * inv[:-1] + e[1:] * w) * xb[:k].prod(axis=0)  # c(d) P by class
+            f = _monomials(xb - 1.0)
+            f[:k] -= f[-p:-1]  # falling squares y_j^2 - y_j
+            return f @ c[:3].T, (f[:d2] * c[3]) @ f[d2:].T, (f[:d2] * c[4]) @ f.T
+
+        zeros = np.zeros((dim, 3)), np.zeros((d2, k + 1)), np.zeros((d2, dim))
+        blocks = np.concatenate([b.ravel() for b in _block_sums(len(m), dim, term, *zeros)])
+        self._tables.append(table)  # read-only, as _pair_table caches it
+        return np.bincount(rows, coef * blocks[flat], minlength=len(table))
+
     def monomial_mean(self, alpha):
         return float(self.means([alpha])[0])
 
@@ -246,11 +305,16 @@ class FactorialMoments:
 # workspace from moments
 
 
+def _monomial_coords(p):
+    """The two coordinates of u_ext (p - 1 for its 1) whose product is f_i, by row i."""
+    lay = _layout(p)
+    return np.vstack([np.column_stack([lay.coord[:, 0], lay.partner[:, 0]]), [p - 1, p - 1]])
+
+
 @functools.lru_cache(maxsize=16)
 def _pair_table(p):
     """The exponent table of S's distinct entries, and each S[a, b]'s row in it."""
-    lay = _layout(p)
-    pairs = np.vstack([np.column_stack([lay.coord[:, 0], lay.partner[:, 0]]), [p - 1, p - 1]])
+    pairs = _monomial_coords(p)
     quads = np.hstack([np.repeat(pairs, len(pairs), axis=0), np.tile(pairs, (len(pairs), 1))])
     quads.sort(axis=1)
     _, first, inverse = np.unique(
@@ -263,19 +327,57 @@ def _pair_table(p):
     return table, entry
 
 
+@functools.lru_cache(maxsize=16)
+def _gram_gather(p):
+    """(rows, flat, coef): S's distinct entry i sums coef * blocks[flat] where
+    rows == i, over pair_moments' flattened class totals f c[:3]' (D, 3),
+    c_3 f_2 [f_1; f_0]' (D_2, p) and c_4 f_2 f' (D_2, D), f_2 the D_2 features
+    of degree 2. y^(delta) is the product of two features that share no
+    coordinate, or, for a coordinate repeated 3 or 4 times, a sum through
+    y^(3) = y^(2) y - 2 y^(2) and y^(4) = y^(2) y^(2) - 4 y^(2) y + 6 y^(2),
+    every term at the entry's own class weight."""
+    k = p - 1
+    feature = {pair: i for i, pair in enumerate(map(tuple, _monomial_coords(p).tolist()))}
+    dim, d2 = len(feature), (k * p) // 2
+
+    def at(coords):  # the feature of at most two coordinates
+        return feature[tuple(sorted(coords)) + (k,) * (2 - len(coords))]
+
+    terms = []  # (row, flat index, coefficient)
+    for row, exponents in enumerate(_pair_table(p)[0][:, :k].tolist()):
+        repeats = sorted(((e - 1, j) for j, e in enumerate(exponents) if e > 1), reverse=True)
+        coords = [j for e, j in repeats for _ in range(e)]
+        if len(coords) < 3:
+            terms.append((row, at(coords) * 3 + len(coords), 1.0))
+            continue
+        top, j = repeats[0]
+        rest = coords[top:]
+        if top <= 2:
+            products = [(coords[:2], coords[2:], 1.0)]
+        elif top == 3:
+            products = [((j, j), [j] + rest, 1.0), ((j, j), rest, -2.0)]
+        else:
+            products = [((j, j), (j, j), 1.0), ((j, j), (j,), -4.0), ((j, j), (), 6.0)]
+        offset, width = (3 * dim - d2, p) if len(coords) == 3 else (3 * dim + d2 * p, dim)
+        terms += [(row, offset + at(a) * width + at(b), c) for a, b, c in products]
+    rows, flat, coef = zip(*terms)
+    return np.array(rows), np.array(flat), np.array(coef)
+
+
+@_parallel.one_blas_thread()
 def build_workspace_from_moments(provider, shape=None):
     """Assemble the product-weight system from monomial means alone.
 
     Only the uncapped product weight keeps every entry polynomial, so
     that is the only weight this route supports. The workspace carries
     no per-observation data (z is None), hence no standard errors.
+    OpenBLAS runs on one thread, so no bit depends on its thread count.
     """
     p = provider.p
     imap = index_map(p)
     shape = _shape_vector(shape, p)
-    table, entry = _pair_table(p)
     # the uncapped product weight has omega = 1 and kappa = p on every row
-    gram, lap, wgrad, shape_matrix = _system(provider.means(table)[entry], _layout(p))
+    gram, lap, wgrad, shape_matrix = _system(provider.pair_moments()[_pair_table(p)[1]], _layout(p))
     return EstimatorWorkspace(
         imap=imap,
         weight=WeightSpec("product"),
@@ -303,15 +405,9 @@ def fit_from_counts(
     errors are available on this route.
     """
     provider = FactorialMoments(counts)
-    spec = ModelSpec(
-        family="hybrid",
-        p=provider.p,
-        shape=np.asarray(shape, dtype=float),
-        estimate_interaction=estimate_interaction,
-        estimate_linear=estimate_linear,
-    )
-    ws = build_workspace_from_moments(provider, shape=spec.shape)
-    result = solve(ws, mask=spec.estimation_mask(ws.imap), ridge=ridge, with_se=False)
+    mask = estimation_mask(index_map(provider.p), estimate_interaction, estimate_linear)
+    ws = build_workspace_from_moments(provider, shape=shape)
+    result = solve(ws, mask=mask, ridge=ridge, with_se=False)
     result.config.update(
         {
             "family": "hybrid",

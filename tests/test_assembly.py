@@ -190,10 +190,11 @@ def test_wide_fit_memory_is_bounded():
 
 
 def test_block_partition_invariance(monkeypatch):
-    """W, d, V and Sigma_0 for every weight kind, and both moment
-    providers' means, agree whether the rows come one per block, in
-    cache-sized blocks (two for the fit, several for the means), or
-    in one block."""
+    """W, d, V and Sigma_0 for every weight kind, both moment providers'
+    means and the factorial pair moments agree whether the rows come one
+    per block, in cache-sized blocks (two for the fit, several for the
+    means, one for the 631 rows that carry pair moments), or in one
+    block."""
     p, n = 10, 2500
     data = _rows_with_zeros_and_ties(p, n, 11, 20, 20)
     z = sqrt_transform(data)
@@ -212,7 +213,7 @@ def test_block_partition_invariance(monkeypatch):
             ws = build_workspace(z, WeightSpec(kind, a_c), shape=shape)
             out += [ws.gram, ws.linear_term, ws.shape_matrix, _error_moment(ws, theta, full)]
         providers = (EmpiricalMoments(data.proportions), FactorialMoments(counts))
-        return out + [provider.means(table) for provider in providers]
+        return out + [provider.means(table) for provider in providers] + [providers[1].pair_moments()]
 
     size = fitting.BLOCK_ENTRIES // theta.size
     assert size < n <= 2 * size  # _error_moment's pass takes two blocks

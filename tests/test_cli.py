@@ -132,16 +132,16 @@ def test_fit_identical_across_blas_threads(tmp_path):
 
 
 def test_factorial_fit_identical_across_blas_threads(tmp_path):
-    """A factorial p=10 fit whose factorial moments take several row
-    blocks writes the same fit.json bytes with one and with two BLAS
-    threads."""
-    rows = 2000
+    """A factorial p=10 fit whose pair moments take three or more row
+    blocks of matrix products writes the same fit.json bytes with one and
+    with two BLAS threads."""
+    rows = 6000
     u = np.random.default_rng(22).dirichlet(np.full(10, 3.0), size=rows)
     counts = CountDataset(np.random.default_rng(23).multinomial(1000, u))
-    # the moments run over the rows without a zero in the first p - 1
-    # categories, in blocks as wide as their C(p + 3, 4) = 715 monomials
+    # the pair moments run over the rows without a zero in the first p - 1
+    # categories, in blocks as wide as their D = p (p + 1) / 2 = 55 features
     dense = int(np.all(counts.counts[:, :-1] > 0, axis=1).sum())
-    assert dense > 2 * (BLOCK_ENTRIES // 715)
+    assert dense > 2 * (BLOCK_ENTRIES // 55)
     data = tmp_path / "counts.csv"
     data.write_text(counts_csv(counts))
     cfg = _write_config(tmp_path / "cfg.json", family="truncated-gaussian", data_kind="counts",

@@ -7,17 +7,18 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import ExpandedFactorialMoments, polynomial_workspace
 from compscore.core import CountDataset, sqrt_transform
-from compscore.errors import ConfigError, InsufficientTotalsError
+from compscore.errors import ConfigError, DataError, InsufficientTotalsError
 from compscore.fitting import build_workspace, fit_hybrid, solve
 from compscore.moments import (
     EmpiricalMoments,
     FactorialMoments,
     _falling,
+    _pair_table,
     build_workspace_from_moments,
     fit_from_counts,
 )
@@ -165,6 +166,30 @@ def test_provider_validation():
     assert emp.requested() == []
     emp.monomial_mean((1, 0))
     assert emp.requested() == [(1, 0)]
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.9, 0.5, float("nan"), float("inf")])
+def test_monomial_exponents_must_be_integers(bad):
+    """An exponent that is not a finite whole number is refused, not cut
+    to an integer; integral floats such as 2.0 stay accepted."""
+    fac = FactorialMoments(CountDataset([[2, 3], [4, 1]]))
+    emp = EmpiricalMoments(np.array([[0.5, 0.5], [0.2, 0.8]]))
+    for provider in (fac, emp):
+        with pytest.raises(ConfigError, match="whole numbers"):
+            provider.monomial_mean((bad, 0))
+        with pytest.raises(ConfigError, match="whole numbers"):
+            provider.means([[1, 0], [0, bad]])
+        assert provider.monomial_mean((2.0, 0)) == provider.monomial_mean((2, 0))
+
+
+def test_count_table_without_a_usable_row():
+    """The product weight gives a row weight only where each of the first
+    p - 1 counts is positive; with no such row the fit says so."""
+    x = [[0, 5, 5], [3, 0, 7], [0, 4, 6], [2, 0, 8]]
+    with pytest.raises(DataError, match="no row has a positive count"):
+        fit_from_counts(x, np.zeros(3))
+    with pytest.raises(DataError, match="no row has a positive count"):
+        FactorialMoments(x).pair_moments()
 
 
 @pytest.mark.parametrize("kind", ["empirical", "factorial"])
@@ -364,3 +389,66 @@ def test_moment_workspace_matches_polynomial_oracle(p, n, seed):
         build_workspace_from_moments(EmpiricalMoments(u), shape=shape),
         polynomial_workspace(lambda a: np.mean(np.prod(u ** np.asarray(a), axis=1)), p, n, shape),
     )
+
+
+def _outcome(call):
+    """call()'s value, or the DataError or InsufficientTotalsError it raised."""
+    try:
+        return call()
+    except (DataError, InsufficientTotalsError) as err:
+        return err
+
+
+def _near(got, want):
+    """1e-12 normwise relative, or absolute where want is below 1: both
+    references sum reduced factorial means, each at most 1, with signs,
+    so where the moments are 0 they leave rounding of that size."""
+    assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+
+@st.composite
+def _small_count_tables(draw):
+    """p = 2 .. 6 and 1 to 8 rows of counts 0 .. 4, so that y = x - 1
+    reaches 3 and totals fall below several degrees; often one row with
+    every count positive but the last."""
+    p = draw(st.integers(2, 6))
+    counts = st.lists(st.integers(0, 4), min_size=p, max_size=p).filter(any)
+    rows = draw(st.lists(counts, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.append(draw(st.lists(st.integers(1, 4), min_size=p - 1, max_size=p - 1)) + [draw(st.integers(0, 4))])
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=_small_count_tables())
+def test_pair_moments_match_the_plan_and_the_oracle(x, caplog):
+    """FactorialMoments.pair_moments, the Gram route, against means over
+    the pair table and, through the workspace, against the expanded
+    estimator: 1e-12 normwise, with the same exclusions, log lines and
+    InsufficientTotalsError, and a DataError where no row carries weight."""
+    n, p = x.shape
+    gram, plan = FactorialMoments(x), FactorialMoments(x)
+    caplog.set_level(logging.INFO, logger="compscore.moments")
+    caplog.clear()
+    got = _outcome(gram.pair_moments)
+    got_lines = caplog.messages
+    caplog.clear()
+    want = _outcome(lambda: plan.means(_pair_table(p)[0]))
+    assert got_lines == caplog.messages
+    assert gram.exclusions == plan.exclusions
+    if isinstance(want, InsufficientTotalsError):
+        assert isinstance(got, InsufficientTotalsError) and got.degree == want.degree
+        return
+    if not np.all(x[:, :-1] > 0, axis=1).any():
+        assert isinstance(got, DataError) and not np.any(want)
+        return
+    _near(got, want)
+    assert gram.requested() == plan.requested()
+
+    shape = np.linspace(-0.5, 1.0, p)
+    fac, ref = FactorialMoments(x), ExpandedFactorialMoments(x)
+    ws, oracle = build_workspace_from_moments(fac, shape=shape), polynomial_workspace(ref.monomial_mean, p, n, shape)
+    for field in ("gram", "laplacian_term", "weight_gradient_term", "shape_matrix"):
+        _near(getattr(ws, field), getattr(oracle, field))
+    assert fac.exclusions == ref.exclusions

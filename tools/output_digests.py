@@ -19,7 +19,7 @@ The items are
   summation is covered: fit_hybrid's estimates and cov_scaled at p = 10
   on 19384 Dirichlet rows (eight or nine blocks per pass) for every
   weight kind, fit_from_counts at p = 10 on 2000 rows at total 1000
-  (eleven blocks of moments), and the system and estimates that
+  (one block of pair moments), and the system and estimates that
   EmpiricalMoments gives for the 19384 rows; and fit_hybrid's estimates
   and cov_scaled at p = 16 and 20 on 12288 rows (13 to 20 blocks per
   pass) for every weight kind, where unpinned OpenBLAS threads changed
@@ -29,8 +29,11 @@ The items are
 * the fit.json of `compscore fit --estimator moment` on the bundled
   table as Dirichlet proportions;
 * the rows and RejectionStats of a truncated Gaussian whose interaction
-  is indefinite, so that only the scaled Dirichlet serves it.
-The last three items come after the others, so the earlier lines keep
+  is indefinite, so that only the scaled Dirichlet serves it;
+* fit_from_counts at p = 20 on 4000 rows at total 1000, whose pair
+  moments take seven row blocks of matrix products large enough for
+  OpenBLAS to thread them unless pinned.
+The last four items come after the others, so the earlier lines keep
 their order.
 Manifests are read for their rejection block only, since they carry
 timings. Run it under OPENBLAS_NUM_THREADS=1 and =2 and diff the two
@@ -184,11 +187,19 @@ def indefinite_draw_lines():
         yield f"indefinite truncated-gaussian seed {seed} {digest}"
 
 
+def count_fit_lines():
+    p = 20
+    latent = np.random.default_rng(24).dirichlet(np.full(p, 3.0), size=4000)
+    counts = CountDataset(np.random.default_rng(25).multinomial(1000, latent))
+    shape = np.linspace(-0.5, 2.0, p)
+    yield f"fit_from_counts p {p} {_sha1(fit_from_counts(counts, shape).estimates.tobytes())}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         lines = (*preset_lines(), *simulate_lines(tmp), *pipeline_lines(tmp), *bench_lines(tmp),
                  *fit_lines(), *dirichlet_fit_lines(), *moment_fit_lines(tmp),
-                 *indefinite_draw_lines())
+                 *indefinite_draw_lines(), *count_fit_lines())
         for line in lines:
             print(line)
 
